@@ -2,8 +2,9 @@
 
 One command per process; all randomness flows from --seed (default 0); every
 output file carries the hash of its run manifest so results can be traced
-back to the exact invocation. Exit codes: 0 success or PASS, 2 usage or bad
-input, 3 degenerate model, 4 a verdict failed.
+back to the exact invocation and model content. Exit codes: 0 success or
+PASS, 2 usage, bad input or a numerical failure (a solver that did not
+converge, out of memory), 3 degenerate model, 4 a verdict failed.
 
 The PJMP_THREADS environment variable caps internal replica parallelism;
 results are bitwise independent of its value.
@@ -31,6 +32,7 @@ from .model import (
     check_lyapunov_pointwise,
     lyapunov_constants,
     network_from_json,
+    network_to_json,
 )
 from .simulate import estimate_semigroup, estimate_weight_F, simulate_path
 from .spectral import (
@@ -40,7 +42,6 @@ from .spectral import (
     variance_and_energy,
 )
 from .statespace import (
-    StateSpaceCapExceeded,
     assemble_generator,
     enumerate_states,
     export_matrix_market,
@@ -53,14 +54,16 @@ EXIT_DEGENERATE = 3
 EXIT_VERDICT_FAIL = 4
 
 
-def _manifest(args, command: str, outputs: list) -> dict:
+def _manifest(args, net, command: str, outputs: list) -> dict:
     skip = {"func", "out", "model", "command"}
     params = {
         k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
     }
+    model_doc = json.dumps(network_to_json(net), sort_keys=True)
     return {
         "command": command,
         "model": Path(args.model).name,
+        "model_sha256": hashlib.sha256(model_doc.encode("utf-8")).hexdigest(),
         "parameters": params,
         "tool_version": __version__,
         "outputs": sorted(outputs),
@@ -110,7 +113,7 @@ def cmd_simulate(args) -> int:
         raise ValueError("--t must be nonnegative")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "simulate", ["trajectory.csv", "estimates.json"])
+    manifest = _manifest(args, net, "simulate", ["trajectory.csv", "estimates.json"])
 
     traj = simulate_path(net, net.zero_state(), args.t, args.seed)
     lines = [_csv_header(manifest)]
@@ -160,7 +163,7 @@ def cmd_stationary(args) -> int:
     mu = stationary(gen)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "stationary", ["stationary.json", "mu.csv"])
+    manifest = _manifest(args, net, "stationary", ["stationary.json", "mu.csv"])
     _maybe_export_generator(args, manifest, space, gen, out)
     _write_json(
         out / "stationary.json",
@@ -189,7 +192,7 @@ def cmd_gap(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     outputs = ["gap.json"] + ([] if gap.degenerate else ["eigenfunction.csv"])
-    manifest = _manifest(args, "gap", outputs)
+    manifest = _manifest(args, net, "gap", outputs)
     _maybe_export_generator(args, manifest, space, gen, out)
     _write_json(
         out / "gap.json",
@@ -199,7 +202,7 @@ def cmd_gap(args) -> int:
             "C_opt": gap.c_opt,
             "gap": gap.gap,
             "method": gap.method,
-            "residuals": {"stationary": mu.residual},
+            "residuals": {"stationary": mu.residual, "eigenpair": gap.residual},
             "dims": {"states": len(space), "support": int(len(mu.support))},
         },
     )
@@ -222,7 +225,7 @@ def cmd_verify_lyapunov(args) -> int:
     passed = min_slack >= -1e-12
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "verify-lyapunov", ["lyapunov.json"])
+    manifest = _manifest(args, net, "verify-lyapunov", ["lyapunov.json"])
     _write_json(
         out / "lyapunov.json",
         manifest,
@@ -249,7 +252,7 @@ def cmd_verify_poincare(args) -> int:
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "verify-poincare", ["poincare.json"])
+    manifest = _manifest(args, net, "verify-poincare", ["poincare.json"])
     if gap.degenerate:
         _write_json(out / "poincare.json", manifest, {"degenerate": True})
         print("degenerate model: single-state support", file=sys.stderr)
@@ -300,7 +303,7 @@ def cmd_concentration(args) -> int:
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "concentration", ["concentration.json", "tails.csv"])
+    manifest = _manifest(args, net, "concentration", ["concentration.json", "tails.csv"])
     if gap.degenerate:
         _write_json(out / "concentration.json", manifest, {"degenerate": True})
         print("degenerate model: single-state support", file=sys.stderr)
@@ -372,7 +375,7 @@ def cmd_semigroup_report(args) -> int:
     )
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, "semigroup-report", ["semigroup.json"])
+    manifest = _manifest(args, net, "semigroup-report", ["semigroup.json"])
     _write_json(
         out / "semigroup.json",
         manifest,
@@ -478,11 +481,13 @@ def main(argv=None) -> int:
     except DegenerateModelError as exc:
         print(f"degenerate model: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except StateSpaceCapExceeded as exc:
+    except (ValueError, KeyError, OSError, json.JSONDecodeError, RuntimeError) as exc:
+        # RuntimeError here is the state-space cap or a solver that did not
+        # converge; DegenerateModelError, a subclass, is caught above
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_USAGE
 
 

@@ -112,6 +112,7 @@ class TestOutputs:
         assert proc.returncode == 0, proc.stderr
         doc = json.loads((tmp_path / "gap" / "gap.json").read_text())
         assert doc["C_opt"] > 0
+        assert doc["residuals"]["eigenpair"] <= 1e-10
         assert (tmp_path / "gap" / "eigenfunction.csv").exists()
 
     def test_concentration_report(self, tmp_path):
@@ -139,6 +140,48 @@ class TestVerdictExitCode:
         assert code == 4
         doc = json.loads((tmp_path / "fail" / "lyapunov.json").read_text())
         assert doc["verdict"] == "FAIL"
+
+
+class TestSolverFailureExitCode:
+    @pytest.mark.parametrize(
+        "exc",
+        [
+            RuntimeError("power iteration did not settle below 1e-15"),
+            MemoryError("Unable to allocate 3.00 GiB for an array"),
+        ],
+    )
+    def test_solver_failure_exits_two(self, tmp_path, monkeypatch, capsys, exc):
+        import pjmp.cli as cli
+
+        def failing(gen):
+            raise exc
+
+        monkeypatch.setattr(cli, "stationary", failing)
+        code = cli.main(["stationary", RING2, "--out", str(tmp_path / "st")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(exc) in err
+
+
+class TestManifest:
+    def test_model_content_in_hash(self, tmp_path):
+        # two different models, both named model.json
+        import pjmp.cli as cli
+
+        hashes = []
+        for name, weights in (("a", [[0, 1], [1, 0]]), ("b", [[0, 2], [1, 0]])):
+            model = tmp_path / name / "model.json"
+            model.parent.mkdir()
+            model.write_text(
+                json.dumps({"n": 2, "weights": weights, "intensity": {"delta": 1.5, "slope": 1.5}})
+            )
+            out = tmp_path / name / "st"
+            assert cli.main(["stationary", str(model), "--m-box", "6", "--out", str(out)]) == 0
+            doc = json.loads((out / "stationary.json").read_text())
+            assert doc["manifest"]["model"] == "model.json"
+            hashes.append(doc["manifest_hash"])
+        assert hashes[0] != hashes[1]
 
 
 class TestDeterminism:

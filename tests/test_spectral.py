@@ -1,11 +1,16 @@
 """Stationary laws, uniformization, quadratic forms, optimal constants."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pjmp.spectral as spectral
+from conftest import make_random_net
 from pjmp import (
     DegenerateModelError,
     SparseGenerator,
@@ -22,6 +27,101 @@ from pjmp import (
     weighted_F_exact,
     weighted_F_vector,
 )
+
+
+def _dense_gth_oracle(q_supp: np.ndarray) -> np.ndarray:
+    """GTH elimination on a dense copy, updating the whole leading block.
+
+    The reference the sparse solver must reproduce bit for bit.
+    """
+    n = q_supp.shape[0]
+    if n == 1:
+        return np.ones(1)
+    a = np.array(q_supp, dtype=float)
+    np.fill_diagonal(a, 0.0)
+    exit_rate = np.zeros(n)
+    for k in range(n - 1, 0, -1):
+        s = a[k, :k].sum()
+        if s <= 0:
+            raise ValueError(
+                f"state {k} cannot reach earlier states; generator not irreducible"
+            )
+        exit_rate[k] = s
+        a[k, :k] /= s
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    mu = np.zeros(n)
+    mu[0] = 1.0
+    for k in range(1, n):
+        mu[k] = (mu[:k] @ a[:k, k]) / exit_rate[k]
+    return mu / mu.sum()
+
+
+def _support_generator(net, m_box) -> sp.csr_matrix:
+    """Rate matrix restricted to the closed class, as stationary() slices it."""
+    space = enumerate_states(net, net.zero_state(), m_box)
+    q = assemble_generator(net, space).matrix
+    closed, labels = spectral._closed_classes(q)
+    support = np.nonzero(labels == closed[0])[0]
+    return q[support][:, support]
+
+
+@st.composite
+def irreducible_generators(draw):
+    """Small dense generators: a random Hamiltonian cycle plus extra edges."""
+    n = draw(st.integers(min_value=2, max_value=12))
+    rate = st.floats(min_value=1e-8, max_value=1e8)
+    perm = draw(st.permutations(range(n)))
+    q = np.zeros((n, n))
+    for a, b in zip(perm, perm[1:] + perm[:1]):
+        q[a, b] = draw(rate)
+    edges = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), rate)
+    for i, j, r in draw(st.lists(edges, max_size=3 * n)):
+        if i != j:
+            q[i, j] = r
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+class TestGTHSolver:
+    @pytest.mark.parametrize(
+        "model, m_box",
+        [("ring2", 34.0), ("ring2", 68.0), ("rand3", 8.0), ("rand3", 10.0), ("rand3", 12.0)],
+    )
+    def test_bitwise_equal_to_dense_oracle(self, ring2, model, m_box):
+        net = ring2 if model == "ring2" else make_random_net(1)
+        q_supp = _support_generator(net, m_box)
+        mu = spectral._gth_solve(q_supp)
+        assert np.array_equal(mu, _dense_gth_oracle(q_supp.toarray()))
+
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_generators())
+    def test_bitwise_equal_on_random_generators(self, q):
+        mu = spectral._gth_solve(sp.csr_matrix(q))
+        assert np.array_equal(mu, _dense_gth_oracle(q))
+
+    def test_reducible_generator_rejected(self):
+        # state 1 only leads to state 2, which only leads back to state 1
+        q = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
+        with pytest.raises(ValueError, match="not irreducible"):
+            spectral._gth_solve(sp.csr_matrix(q))
+
+    def test_no_dense_copy_above_cutoff(self):
+        # rand3 at box 16 has a 2107-state support, above DENSE_CUTOFF; a
+        # dense copy of it alone would take 8 n^2 bytes
+        net = make_random_net(1)
+        space = enumerate_states(net, net.zero_state(), 16.0)
+        gen = assemble_generator(net, space)
+        tracemalloc.start()
+        try:
+            mu = stationary(gen)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        n = len(mu.support)
+        assert n == 2107 and n > spectral.DENSE_CUTOFF
+        assert peak < 0.5 * 8 * n * n
+        assert mu.dense_tv is None
+        assert mu.power_tv is not None and mu.power_tv <= 1e-10
 
 
 @pytest.fixture(scope="module")
@@ -235,6 +335,27 @@ class TestPoincare:
         mu = stationary(gen)
         gap = poincare_constant(gen, mu, dense_cutoff=10)
         assert gap.method == "iterative"
+
+    def test_eigenpair_residual_reported(self, ring2_box10):
+        _space, gen, mu = ring2_box10
+        for method in ("direct", "iterative"):
+            gap = poincare_constant(gen, mu, method=method)
+            assert gap.residual is not None
+            assert gap.residual <= spectral.EIGEN_RESIDUAL_TOL
+
+    def test_inflated_ritz_value_rejected(self, ring2_box10, monkeypatch):
+        # a Ritz value 1% too large would shrink C_opt by 1%; the residual
+        # check must refuse it rather than report a non-conservative constant
+        _space, gen, mu = ring2_box10
+        lobpcg = spectral.spla.lobpcg
+
+        def inflated(*args, **kwargs):
+            vals, vecs = lobpcg(*args, **kwargs)
+            return vals * 1.01, vecs
+
+        monkeypatch.setattr(spectral.spla, "lobpcg", inflated)
+        with pytest.raises(RuntimeError, match="residual"):
+            poincare_constant(gen, mu, method="iterative")
 
 
 class TestWeightedIntegral:
