@@ -18,6 +18,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .model import (
     SynapticNetwork,
@@ -29,8 +31,7 @@ from .spectral import (
     DegenerateModelError,
     StationaryDistribution,
     gamma_vector,
-    propagate_function,
-    weighted_F_vector,
+    semigroup_variance_profile,
 )
 from .statespace import EnumeratedSpace, SparseGenerator, saturate
 
@@ -78,18 +79,23 @@ class PathMethodReport:
     degenerate: bool = False
 
 
-def _support_adjacency(net: SynapticNetwork, space: EnumeratedSpace, support) -> list:
+PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memory
+
+
+def _support_adjacency(net: SynapticNetwork, space: EnumeratedSpace, support) -> sp.csr_matrix:
+    """Firing graph on the support, positions within the support as vertices."""
     pos_in_supp = {int(k): j for j, k in enumerate(support)}
-    adj = [[] for _ in support]
+    src, dst = [], []
     for j, k in enumerate(support):
         x = space.states[int(k)]
         for i in range(net.n_neurons):
             y = saturate(jump_map(net, x, i), space.m_box)
-            tk = space.position(y)
-            tj = pos_in_supp.get(tk)
+            tj = pos_in_supp.get(space.position(y))
             if tj is not None and tj != j:
-                adj[j].append(tj)
-    return adj
+                src.append(j)
+                dst.append(tj)
+    ns = len(support)
+    return sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(ns, ns))
 
 
 def path_method_C0(
@@ -98,8 +104,10 @@ def path_method_C0(
     """Evaluate the path-method constant and the firing-path diameter.
 
     Shortest firing sequences between all ordered support pairs are found by
-    breadth-first search on the saturated jump graph; the maximum length
-    certifies the uniform boundedness the constant relies on.
+    breadth-first search on the saturated jump graph, PATH_CHUNK sources at
+    a time; the maximum length certifies the uniform boundedness the
+    constant relies on. The first ten unreachable (source, target) pairs, in
+    row-major order of support positions, are reported.
     """
     support = mu.support
     ns = len(support)
@@ -117,29 +125,15 @@ def path_method_C0(
     adj = _support_adjacency(net, space, support)
     max_len = 0
     disconnected = []
-    for src in range(ns):
-        dist = [-1] * ns
-        dist[src] = 0
-        queue = [src]
-        head = 0
-        while head < len(queue):
-            u = queue[head]
-            head += 1
-            for v in adj[u]:
-                if dist[v] < 0:
-                    dist[v] = dist[u] + 1
-                    queue.append(v)
-        for dst in range(ns):
-            if dist[dst] < 0:
-                if len(disconnected) < 10:
-                    disconnected.append(
-                        (
-                            space.states[int(support[src])].numerators,
-                            space.states[int(support[dst])].numerators,
-                        )
-                    )
-            else:
-                max_len = max(max_len, dist[dst])
+    for lo in range(0, ns, PATH_CHUNK):
+        dist = csgraph.shortest_path(
+            adj, unweighted=True, indices=np.arange(lo, min(lo + PATH_CHUNK, ns))
+        )
+        reached = np.isfinite(dist)
+        max_len = max(max_len, int(dist[reached].max()))
+        for src, dst in np.argwhere(~reached)[: 10 - len(disconnected)].tolist():
+            pair = support[[lo + src, dst]]
+            disconnected.append(tuple(space.states[int(k)].numerators for k in pair))
     return PathMethodReport(
         c0=c0,
         min_mu=min_mu,
@@ -612,24 +606,15 @@ def semigroup_poincare_report(
     suite, outside_idx = make_function_suite(space, suite_size, seed, enlarged)
     inside_idx = [j for j in range(len(suite)) if j not in set(outside_idx)]
 
-    p = mu.probabilities
-    phibar = space.total_rates()
-    gammas = [gamma_vector(gen, f) for f in suite]
-    energies = np.array([float(p @ g) for g in gammas])
+    lhs_t, energies, wterm_t = semigroup_variance_profile(
+        gen, mu, np.column_stack(suite), t_grid, eps, indicator, space.total_rates()
+    )
 
     d1_hat, d2_hat = [], []
     outside_term_max = 0.0
     outside_one_term_ok = True
     fit_violation = 0.0
-    for t in t_grid:
-        f_weight = weighted_F_vector(gen, phibar, t, eps)
-        lhs = np.zeros(len(suite))
-        wterm = np.zeros(len(suite))
-        for j, f in enumerate(suite):
-            ptf = propagate_function(gen, f, t, eps)
-            ptf2 = propagate_function(gen, f * f, t, eps)
-            lhs[j] = float(p @ (ptf2 - ptf**2))
-            wterm[j] = float(p @ (f_weight * propagate_function(gen, gammas[j] * indicator, t, eps)))
+    for lhs, wterm in zip(lhs_t, wterm_t):
         outside_term_max = max(outside_term_max, float(np.abs(wterm[outside_idx]).max()))
         d1 = 0.0
         for j in outside_idx:

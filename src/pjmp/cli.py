@@ -5,9 +5,6 @@ output file carries the hash of its run manifest so results can be traced
 back to the exact invocation and model content. Exit codes: 0 success or
 PASS, 2 usage, bad input or a numerical failure (a solver that did not
 converge, out of memory), 3 degenerate model, 4 a verdict failed.
-
-The PJMP_THREADS environment variable caps internal replica parallelism;
-results are bitwise independent of its value.
 """
 
 from __future__ import annotations

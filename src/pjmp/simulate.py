@@ -7,17 +7,13 @@ anywhere in this module.
 
 Randomness is counter-based: replica r of a run seeded with s draws from an
 independent Philox stream keyed by (s, r). Results are therefore bitwise
-reproducible and independent of how replicas are scheduled; the optional
-thread pool (size from the PJMP_THREADS environment variable) only changes
-wall-clock time. Reductions over replicas use numpy's pairwise summation on
-an index-ordered array, which is likewise schedule-independent.
+reproducible and independent of the order in which replicas run. Reductions
+over replicas use numpy's pairwise summation on an index-ordered array.
 """
 
 from __future__ import annotations
 
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,34 +33,10 @@ __all__ = [
 ]
 
 
-def _thread_count() -> int:
-    try:
-        return max(1, int(os.environ.get("PJMP_THREADS", "1")))
-    except ValueError:
-        return 1
-
-
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
     """Independent counter-based stream for one replica of a seeded run."""
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
-
-
-def _run_replicas(worker, n_replicas: int, seed: int) -> list:
-    """Evaluate worker(replica_index, rng) for each replica, results by index."""
-    results = [None] * n_replicas
-    threads = _thread_count()
-
-    def run_one(r: int):
-        results[r] = worker(r, replica_rng(seed, r))
-
-    if threads == 1:
-        for r in range(n_replicas):
-            run_one(r)
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run_one, range(n_replicas)))
-    return results
 
 
 @dataclass(frozen=True)
@@ -201,11 +173,13 @@ def estimate_semigroup(
     fm = _FastModel(net)
     den = x.denominator
 
-    def worker(_r, rng):
+    def worker(rng):
         nums = x.numerators if t == 0 else _state_at(fm, x.numerators, t, rng)
         return f(PotentialState(nums, den))
 
-    vals = np.array(_run_replicas(worker, n_replicas, seed), dtype=float)
+    vals = np.array(
+        [worker(replica_rng(seed, r)) for r in range(n_replicas)], dtype=float
+    )
     n = n_replicas
     mean = float(np.sum(vals) / n)
     centered = vals - mean
@@ -328,7 +302,7 @@ def estimate_weight_F(
         raise ValueError("need at least 2 replicas")
     fm = _FastModel(net)
 
-    def worker(_r, rng):
+    def worker(rng):
         nums = x.numerators
         clock = 0.0
         acc = 0.0
@@ -351,7 +325,9 @@ def estimate_weight_F(
                     break
             nums = fm.jump(nums, pick)
 
-    vals = np.array(_run_replicas(worker, n_replicas, seed), dtype=float)
+    vals = np.array(
+        [worker(replica_rng(seed, r)) for r in range(n_replicas)], dtype=float
+    )
     mean = float(np.sum(vals) / n_replicas)
     s = float(np.std(vals, ddof=1))
     return EstimatorResult(

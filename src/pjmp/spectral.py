@@ -56,6 +56,15 @@ def _as_matrix(gen) -> sp.csr_matrix:
     return sp.csr_matrix(gen)
 
 
+def _uniformization_rate(q: sp.csr_matrix) -> float:
+    return float(-q.diagonal().min())
+
+
+def _discrete_kernel(q: sp.csr_matrix, lam: float) -> sp.csr_matrix:
+    """P = I + Q/Lambda, the jump kernel of the uniformized chain."""
+    return sp.eye(q.shape[0], format="csr") + q / lam
+
+
 def _closed_classes(q: sp.csr_matrix):
     """Strongly connected components of the positive-rate graph, split into
     closed (no outgoing rate) and open ones. Returns (closed_labels, labels)."""
@@ -170,10 +179,10 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     n = q_supp.shape[0]
     if n == 1:
         return np.ones(1)
-    lam = float(-q_supp.diagonal().min())
+    lam = _uniformization_rate(q_supp)
     if lam <= 0:
         raise ValueError("support has no motion; power iteration undefined")
-    p = sp.eye(n, format="csr") + q_supp / lam
+    p = _discrete_kernel(q_supp, lam)
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAXITER):
         v2 = v @ p
@@ -264,78 +273,105 @@ def stationary(gen, dense_cutoff: int = DENSE_CUTOFF) -> StationaryDistribution:
 
 # -- uniformization -----------------------------------------------------------
 
-def _uniformization_rate(q: sp.csr_matrix) -> float:
-    return float(-q.diagonal().min())
+def _poisson_pmf(m: float, k: int) -> float:
+    """P(Pois(m) = k) for m > 0, evaluated in log space to survive m in the hundreds."""
+    return math.exp(-m + k * math.log(m) - math.lgamma(k + 1))
 
 
-def _log_poisson_pmf(m: float, k: int) -> float:
-    if k == 0:
-        return -m
-    return -m + k * math.log(m) - math.lgamma(k + 1)
+def _poisson_weights(m: float, eps: float):
+    """Poisson(m) probabilities of 0, 1, 2, ... until their sum reaches 1 - eps.
+
+    Returns the weights and their sum, accumulated in order.
+    """
+    weights = []
+    cum = 0.0
+    k_cap = int(20 * m) + 500
+    while cum < 1.0 - eps:
+        weights.append(_poisson_pmf(m, len(weights)))
+        cum += weights[-1]
+        if len(weights) > k_cap:
+            raise RuntimeError("uniformization series failed to accumulate mass")
+    return weights, cum
+
+
+def _tail_weights(lam: float, t: float, bound: float, eps: float) -> list:
+    """Upper tails P(Pois(lam t) > k), k = 0, 1, ..., which sum to lam t.
+
+    Stops once the tail mass not yet used, times bound / lam, is at most
+    eps, or the tail underflows.
+    """
+    m = lam * t
+    weights = []
+    cdf = 0.0
+    remaining = m
+    k_cap = int(20 * m) + 500
+    while True:
+        cdf += _poisson_pmf(m, len(weights))
+        weights.append(max(1.0 - cdf, 0.0))
+        remaining -= weights[-1]
+        if remaining * bound / lam <= eps or weights[-1] == 0.0:
+            return weights
+        if len(weights) > k_cap:
+            raise RuntimeError("time-integral series failed to accumulate mass")
+
+
+def _uniformized_sum(op, v: np.ndarray, weights) -> np.ndarray:
+    """sum_k weights[k] * op^k v for a vector or an (n, k) block v.
+
+    A block takes one sparse product per power, and its column j is
+    bitwise the result for v[:, j] alone.
+    """
+    acc = np.zeros_like(v)
+    for k, w in enumerate(weights):
+        if k:
+            v = op @ v
+        acc += w * v
+    return acc
+
+
+def _series_setup(gen, t: float, eps: float):
+    """(Q, Lambda) for a series up to time t >= 0 with truncation error eps in (0, 1)."""
+    if t < 0:
+        raise ValueError(f"time must be nonnegative, got {t}")
+    if not 0.0 < eps < 1.0:  # also refuses nan
+        raise ValueError(f"eps must lie in (0, 1), got {eps}")
+    q = _as_matrix(gen)
+    return q, _uniformization_rate(q)
 
 
 def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.ndarray:
     """Distribution at time t started from state index x0.
 
     Uniformization: the law at time t is a Poisson mixture over powers of the
-    discrete kernel P = I + Q/Lambda. The series is cut once the accumulated
-    Poisson mass reaches 1 - eps, so the dropped tail is at most eps; the
-    result is nonnegative and sums to 1 within eps. Each Poisson weight is
-    evaluated in log space, which survives Lambda*t in the hundreds.
+    discrete kernel P = I + Q/Lambda, applied to the row vector of x0. The
+    series is cut once the accumulated Poisson mass reaches 1 - eps, so the
+    dropped tail is at most eps; the result is nonnegative and sums to 1
+    within eps. eps must lie in (0, 1).
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    q = _as_matrix(gen)
-    n = q.shape[0]
-    v = np.zeros(n)
+    q, lam = _series_setup(gen, t, eps)
+    v = np.zeros(q.shape[0])
     v[x0] = 1.0
-    lam = _uniformization_rate(q)
     if t == 0 or lam == 0:
         return v
-    p = sp.eye(n, format="csr") + q / lam
-    m = lam * t
-    acc = np.zeros(n)
-    cum = 0.0
-    k = 0
-    k_cap = int(20 * m) + 500
-    while cum < 1.0 - eps:
-        w = math.exp(_log_poisson_pmf(m, k))
-        acc += w * v
-        cum += w
-        v = v @ p
-        k += 1
-        if k > k_cap:
-            raise RuntimeError("uniformization series failed to accumulate mass")
-    return acc
+    weights, _ = _poisson_weights(lam * t, eps)
+    # v @ P, as the transposed kernel applied to v
+    return _uniformized_sum(_discrete_kernel(q, lam).T, v, weights)
 
 
 def propagate_function(gen, f: np.ndarray, t: float, eps: float = 1e-12) -> np.ndarray:
-    """E[f(X_t)] started from every state at once (the semigroup applied to f)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    q = _as_matrix(gen)
+    """E[f(X_t)] started from every state at once (the semigroup applied to f).
+
+    f is one function of shape (n,) or a block of shape (n, k), propagated
+    together. eps must lie in (0, 1).
+    """
+    q, lam = _series_setup(gen, t, eps)
     v = np.asarray(f, dtype=float).copy()
-    lam = _uniformization_rate(q)
     if t == 0 or lam == 0:
         return v
-    p = sp.eye(q.shape[0], format="csr") + q / lam
-    m = lam * t
-    acc = np.zeros_like(v)
-    cum = 0.0
-    k = 0
-    k_cap = int(20 * m) + 500
-    while cum < 1.0 - eps:
-        w = math.exp(_log_poisson_pmf(m, k))
-        acc += w * v
-        cum += w
-        v = p @ v
-        k += 1
-        if k > k_cap:
-            raise RuntimeError("uniformization series failed to accumulate mass")
-    # the dropped tail multiplies a bounded function; fold it onto the last iterate
-    return acc + (1.0 - cum) * v
+    weights, cum = _poisson_weights(lam * t, eps)
+    # the dropped tail multiplies a bounded function; fold it onto P^K f
+    weights.append(1.0 - cum)
+    return _uniformized_sum(_discrete_kernel(q, lam), v, weights)
 
 
 # -- quadratic forms ----------------------------------------------------------
@@ -463,43 +499,27 @@ def weighted_F_vector(gen, phibar: np.ndarray, t: float, eps: float = 1e-12) -> 
     weights into upper tail probabilities: the integral equals
     (1/Lambda) * sum_k P(Pois(Lambda t) > k) * (P^k phibar). The series stops
     once the remaining tail mass, multiplied by max phibar / Lambda, is below
-    eps, so the truncation error is at most eps.
+    eps, so the truncation error is at most eps. eps must lie in (0, 1).
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    q = _as_matrix(gen)
+    q, lam = _series_setup(gen, t, eps)
     phibar = np.asarray(phibar, dtype=float)
     if t == 0:
         return np.zeros_like(phibar)
-    lam = _uniformization_rate(q)
     if lam == 0:
         return phibar * t
-    p = sp.eye(q.shape[0], format="csr") + q / lam
-    m = lam * t
-    bound = float(np.abs(phibar).max())
-    acc = np.zeros_like(phibar)
-    v = phibar.copy()
-    cdf = 0.0
-    remaining = m  # sum over k of the upper tails equals the mean
-    k = 0
-    k_cap = int(20 * m) + 500
-    while True:
-        cdf += math.exp(_log_poisson_pmf(m, k))
-        tail = max(1.0 - cdf, 0.0)
-        acc += tail * v
-        remaining -= tail
-        if remaining * bound / lam <= eps or tail == 0.0:
-            break
-        v = p @ v
-        k += 1
-        if k > k_cap:
-            raise RuntimeError("time-integral series failed to accumulate mass")
-    return acc / lam
+    weights = _tail_weights(lam, t, float(np.abs(phibar).max()), eps)
+    return _uniformized_sum(_discrete_kernel(q, lam), phibar, weights) / lam
 
 
 def weighted_F_exact(gen, phibar: np.ndarray, x0: int, t: float, eps: float = 1e-12) -> float:
     """integral_0^t E[phibar(X_s)] ds from state index x0."""
     return float(weighted_F_vector(gen, phibar, t, eps)[x0])
+
+
+def _column_means(p: np.ndarray, block: np.ndarray) -> np.ndarray:
+    """p @ each column of block, copied contiguous: BLAS reduces a strided
+    column in another order, and a one-function call reduces a contiguous one."""
+    return np.array([float(p @ col) for col in np.ascontiguousarray(block.T)])
 
 
 def semigroup_variance_profile(
@@ -520,6 +540,11 @@ def semigroup_variance_profile(
     where F_t is the state-wise expected firing effort up to t and 1_D the
     supplied indicator (all-ones when None). phibar defaults to the total
     firing rate read off the enumerated space.
+
+    f is one function of shape (n,) or k functions as the columns of an
+    (n, k) block; lhs and weighted then have shape (len(t_grid), k) and
+    energy shape (k,). Each t takes one propagation of the block
+    [f, f^2, Gamma(f, f) * 1_D] and one time integral of phibar.
     """
     q = _as_matrix(gen)
     t_grid = [float(t) for t in t_grid]
@@ -530,16 +555,22 @@ def semigroup_variance_profile(
         if not isinstance(gen, SparseGenerator) or gen.space is None:
             raise ValueError("phibar is required when gen has no enumerated space")
         phibar = gen.space.total_rates()
-    ind = np.ones_like(f) if indicator is None else np.asarray(indicator, dtype=float)
+    fs = f.reshape(f.shape[0], -1)
+    k = fs.shape[1]
+    ind = np.ones(f.shape[0]) if indicator is None else np.asarray(indicator, dtype=float)
     p = mu.probabilities
-    gam = gamma_vector(q, f)
-    energy = float(p @ gam)
+    gam = gamma_vector(q, fs)
+    energy = _column_means(p, gam)
+    block = np.hstack([fs, fs * fs, gam * ind[:, None]])
     lhs, weighted = [], []
     for t in t_grid:
-        ptf = propagate_function(q, f, t, eps)
-        ptf2 = propagate_function(q, f * f, t, eps)
-        lhs.append(float(p @ (ptf2 - ptf**2)))
+        prop = propagate_function(q, block, t, eps)
+        ptf, ptf2, pt_loc = np.split(prop, 3, axis=1)
+        lhs.append(_column_means(p, ptf2 - ptf**2))
         fv = weighted_F_vector(q, phibar, t, eps)
-        pt_loc = propagate_function(q, gam * ind, t, eps)
-        weighted.append(float(p @ (fv * pt_loc)))
-    return np.array(lhs), energy, np.array(weighted)
+        weighted.append(_column_means(p, fv[:, None] * pt_loc))
+    lhs = np.array(lhs).reshape(len(t_grid), k)
+    weighted = np.array(weighted).reshape(len(t_grid), k)
+    if f.ndim == 1:
+        return lhs[:, 0], float(energy[0]), weighted[:, 0]
+    return lhs, energy, weighted

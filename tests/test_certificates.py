@@ -6,9 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import pjmp.certificates as certificates
+import pjmp.spectral as spectral
+from conftest import make_random_net
 from pjmp import (
     ConcentrationCertificate,
     DegenerateModelError,
+    StationaryDistribution,
     admissible_lambda,
     assemble_generator,
     compute_C3_general,
@@ -25,6 +29,7 @@ from pjmp import (
     stationary,
     talagrand_verdict,
 )
+from test_spectral import profile_oracle
 
 
 @pytest.fixture(scope="module")
@@ -33,6 +38,48 @@ def ring2_solved(ring2):
     gen = assemble_generator(ring2, space)
     mu = stationary(gen)
     return space, gen, mu
+
+
+def _bfs_oracle(space, support, adj):
+    """All-pairs breadth-first search in Python, one source at a time.
+
+    Returns (max_path_length, disconnected_pairs) as path_method_C0 reports
+    them; the vectorised search must reproduce both.
+    """
+    ns = len(support)
+    neighbours = [adj.indices[adj.indptr[j] : adj.indptr[j + 1]].tolist() for j in range(ns)]
+    max_len = 0
+    disconnected = []
+    for src in range(ns):
+        dist = [-1] * ns
+        dist[src] = 0
+        queue = [src]
+        head = 0
+        while head < len(queue):
+            u = queue[head]
+            head += 1
+            for v in neighbours[u]:
+                if dist[v] < 0:
+                    dist[v] = dist[u] + 1
+                    queue.append(v)
+        for dst in range(ns):
+            if dist[dst] < 0:
+                if len(disconnected) < 10:
+                    disconnected.append(
+                        (
+                            space.states[int(support[src])].numerators,
+                            space.states[int(support[dst])].numerators,
+                        )
+                    )
+            else:
+                max_len = max(max_len, dist[dst])
+    return max_len, tuple(disconnected)
+
+
+def _solved(net, m_box):
+    space = enumerate_states(net, net.zero_state(), m_box)
+    gen = assemble_generator(net, space)
+    return space, gen, stationary(gen)
 
 
 class TestPathMethod:
@@ -54,6 +101,38 @@ class TestPathMethod:
         assert report.n_support == 10
         assert not report.disconnected_pairs
         assert report.max_path_length == 5
+
+    @pytest.mark.parametrize(
+        "model, m_box, chunk",
+        [("ring2", 10.0, 512), ("ring2", 34.0, 5), ("rand3", 8.0, 512), ("rand3", 10.0, 100)],
+    )
+    def test_matches_bfs_oracle(self, ring2, monkeypatch, model, m_box, chunk):
+        net = ring2 if model == "ring2" else make_random_net(1)
+        space, _gen, mu = _solved(net, m_box)
+        monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
+        report = path_method_C0(net, space, mu)
+        adj = certificates._support_adjacency(net, space, mu.support)
+        want = _bfs_oracle(space, mu.support, adj)
+        assert (report.max_path_length, report.disconnected_pairs) == want
+        assert not report.disconnected_pairs
+
+    @pytest.mark.parametrize("chunk", [512, 3])
+    def test_disconnected_pairs_match_bfs_oracle(self, ring2, monkeypatch, chunk):
+        # adding the origin, which nothing fires into, to the support leaves
+        # every pair (x, origin) unreachable; only the first ten are listed
+        space, _gen, mu = _solved(ring2, 5.0)
+        origin = space.position(ring2.zero_state())
+        support = np.sort(np.append(mu.support, origin))
+        probs = np.full(len(space), 1.0 / len(support))
+        fake = StationaryDistribution(probs, 0.0, support, "test")
+        monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
+        report = path_method_C0(ring2, space, fake)
+        adj = certificates._support_adjacency(ring2, space, support)
+        assert (report.max_path_length, report.disconnected_pairs) == _bfs_oracle(
+            space, support, adj
+        )
+        assert len(report.disconnected_pairs) == 10
+        assert all(dst == ring2.zero_state().numerators for _src, dst in report.disconnected_pairs)
 
     def test_dominates_optimal_constant(self, ring2_solved, random_nets):
         space, gen, mu = ring2_solved
@@ -293,6 +372,36 @@ class TestSemigroupReport:
         space, _gen, _mu = ring2_solved
         with pytest.raises(ValueError, match="too small"):
             make_function_suite(space, 3, 0, enlarged_box=18.0)
+
+    @pytest.mark.parametrize("model", ["ring2", "rand3"])
+    def test_report_equals_old_loop_oracle(self, ring2, monkeypatch, model):
+        # the bench models: ring2 at its default box, rand3 at box 8, and the
+        # bench's eight suite seeds. The oracle runs the old series loops
+        # once per term and time on the whole suite; their columns equal the
+        # one-function loops (tests/test_spectral.py, TestUniformizationKernel)
+        net = ring2 if model == "ring2" else make_random_net(1)
+        space, gen, mu = _solved(net, 34.0 if model == "ring2" else 8.0)
+        for seed in range(8):
+            report = semigroup_poincare_report(net, space, gen, mu, seed=seed)
+            with monkeypatch.context() as m:
+                m.setattr(certificates, "semigroup_variance_profile", profile_oracle)
+                want = semigroup_poincare_report(net, space, gen, mu, seed=seed)
+            assert report == want
+
+    def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
+        space, gen, mu = ring2_solved
+        calls = {"propagate_function": 0, "weighted_F_vector": 0}
+        for name in calls:
+            real = getattr(spectral, name)
+
+            def counted(*args, _real=real, _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(spectral, name, counted)
+        report = semigroup_poincare_report(space.net, space, gen, mu, suite_size=20)
+        assert calls == {"propagate_function": 4, "weighted_F_vector": 4}
+        assert len(report.t_grid) == 4
 
     def test_full_report_passes(self, ring2_solved):
         space, gen, mu = ring2_solved

@@ -62,6 +62,14 @@ class TestExitCodes:
             proc = run_cli(cmd + ["--out", str(tmp_path / cmd[0])], tmp_path)
             assert proc.returncode == 3, proc.stderr
 
+    @pytest.mark.parametrize("eps", ["2", "nan"])
+    def test_eps_outside_unit_interval(self, tmp_path, eps):
+        proc = run_cli(["semigroup-report", RING2, "--eps", eps, "--out", "sg"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: eps must lie in (0, 1)")
+        assert not (tmp_path / "sg" / "semigroup.json").exists()
+
     def test_pass_commands_exit_zero(self, tmp_path):
         for cmd in (
             ["verify-lyapunov", RING2],

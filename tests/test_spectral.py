@@ -124,6 +124,180 @@ class TestGTHSolver:
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
 
 
+def _log_pmf(m: float, k: int) -> float:
+    return -m if k == 0 else -m + k * math.log(m) - math.lgamma(k + 1)
+
+
+def _uniformized(q):
+    lam = float(-q.diagonal().min())
+    return lam, sp.eye(q.shape[0], format="csr") + q / lam
+
+
+def _transient_oracle(q, x0, t, eps=1e-12):
+    """One Poisson-series loop per call, on the row vector of x0.
+
+    This and the next two oracles are the separate loops the shared
+    uniformization kernel replaced; it must reproduce them bit for bit.
+    """
+    v = np.zeros(q.shape[0])
+    v[x0] = 1.0
+    lam, p = _uniformized(q)
+    if t == 0 or lam == 0:
+        return v
+    m = lam * t
+    acc = np.zeros_like(v)
+    cum, k = 0.0, 0
+    while cum < 1.0 - eps:
+        w = math.exp(_log_pmf(m, k))
+        acc += w * v
+        cum += w
+        v = v @ p
+        k += 1
+    return acc
+
+
+def _propagate_oracle(q, f, t, eps=1e-12):
+    v = np.asarray(f, dtype=float).copy()
+    lam, p = _uniformized(q)
+    if t == 0 or lam == 0:
+        return v
+    m = lam * t
+    acc = np.zeros_like(v)
+    cum, k = 0.0, 0
+    while cum < 1.0 - eps:
+        w = math.exp(_log_pmf(m, k))
+        acc += w * v
+        cum += w
+        v = p @ v
+        k += 1
+    return acc + (1.0 - cum) * v
+
+
+def _weighted_oracle(q, phibar, t, eps=1e-12):
+    phibar = np.asarray(phibar, dtype=float)
+    if t == 0:
+        return np.zeros_like(phibar)
+    lam, p = _uniformized(q)
+    if lam == 0:
+        return phibar * t
+    m = lam * t
+    bound = float(np.abs(phibar).max())
+    acc = np.zeros_like(phibar)
+    v = phibar.copy()
+    cdf, remaining, k = 0.0, m, 0
+    while True:
+        cdf += math.exp(_log_pmf(m, k))
+        tail = max(1.0 - cdf, 0.0)
+        acc += tail * v
+        remaining -= tail
+        if remaining * bound / lam <= eps or tail == 0.0:
+            break
+        v = p @ v
+        k += 1
+    return acc / lam
+
+
+def _column_dots(p, block):
+    return np.array([float(p @ col) for col in np.ascontiguousarray(block.T)])
+
+
+def profile_oracle(gen, mu, f, t_grid, eps=1e-12, indicator=None, phibar=None):
+    """The variance profile of the columns of an (n, k) block f.
+
+    One series loop per term and time on the block; every reduction runs
+    on a contiguous column, as a one-function call would run it.
+    """
+    q, p = gen.matrix, mu.probabilities
+    ind = np.ones(len(p)) if indicator is None else indicator
+    phibar = gen.space.total_rates() if phibar is None else phibar
+    gam = gamma_vector(q, f)
+    lhs, weighted = [], []
+    for t in t_grid:
+        ptf = _propagate_oracle(q, f, t, eps)
+        ptf2 = _propagate_oracle(q, f * f, t, eps)
+        lhs.append(_column_dots(p, ptf2 - ptf**2))
+        fv = _weighted_oracle(q, phibar, t, eps)
+        pt_loc = _propagate_oracle(q, gam * ind[:, None], t, eps)
+        weighted.append(_column_dots(p, fv[:, None] * pt_loc))
+    return np.array(lhs), _column_dots(p, gam), np.array(weighted)
+
+
+@pytest.fixture(scope="module", params=[("ring2", 10.0), ("rand3", 8.0)], ids=str)
+def kernel_case(request, ring2):
+    name, m_box = request.param
+    net = ring2 if name == "ring2" else make_random_net(1)
+    space = enumerate_states(net, net.zero_state(), m_box)
+    gen = assemble_generator(net, space)
+    rng = np.random.default_rng(12)
+    block = rng.standard_normal((len(space), 3))
+    return space, gen, stationary(gen), block
+
+
+class TestUniformizationKernel:
+    TIMES = (0.3, 1.7, 5.0)
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_transient_bitwise_equal_to_oracle(self, kernel_case, t):
+        space, gen, _mu, _block = kernel_case
+        for x0 in (0, len(space) // 2):
+            got = transient_distribution(gen, x0, t)
+            assert np.array_equal(got, _transient_oracle(gen.matrix, x0, t))
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_propagate_bitwise_equal_to_oracle(self, kernel_case, t):
+        _space, gen, _mu, block = kernel_case
+        got = propagate_function(gen, block, t)
+        assert np.array_equal(got, _propagate_oracle(gen.matrix, block, t))
+        for j in range(block.shape[1]):
+            col = propagate_function(gen, block[:, j], t)
+            assert np.array_equal(col, _propagate_oracle(gen.matrix, block[:, j], t))
+            # a block propagates each column exactly as it would alone
+            assert np.array_equal(col, got[:, j])
+
+    @pytest.mark.parametrize("t", TIMES)
+    def test_weighted_bitwise_equal_to_oracle(self, kernel_case, t):
+        space, gen, _mu, block = kernel_case
+        phibar = space.total_rates()
+        got = weighted_F_vector(gen, phibar, t)
+        assert np.array_equal(got, _weighted_oracle(gen.matrix, phibar, t))
+        rates = np.abs(block)
+        got = weighted_F_vector(gen, rates, t)
+        assert np.array_equal(got, _weighted_oracle(gen.matrix, rates, t))
+
+    def test_profile_bitwise_equal_to_oracle(self, kernel_case):
+        space, gen, mu, block = kernel_case
+        t_grid = list(self.TIMES)
+        indicator = (np.arange(len(space)) % 3 == 0).astype(float)
+        got = semigroup_variance_profile(gen, mu, block, t_grid, indicator=indicator)
+        want = profile_oracle(gen, mu, block, t_grid, indicator=indicator)
+        assert got[0].shape == got[2].shape == (3, 3) and got[1].shape == (3,)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        for j in range(block.shape[1]):
+            # one function alone gives its column of the block profile
+            one = semigroup_variance_profile(gen, mu, block[:, j], t_grid, indicator=indicator)
+            assert one[0].shape == one[2].shape == (3,) and isinstance(one[1], float)
+            assert np.array_equal(one[0], got[0][:, j]) and one[1] == got[1][j]
+            assert np.array_equal(one[2], got[2][:, j])
+
+    @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1e-12, float("nan"), float("inf")])
+    def test_eps_outside_unit_interval_rejected(self, kernel_case, eps):
+        space, gen, _mu, block = kernel_case
+        for t in (0.0, 1.0):
+            with pytest.raises(ValueError, match="eps"):
+                transient_distribution(gen, 0, t, eps=eps)
+            with pytest.raises(ValueError, match="eps"):
+                propagate_function(gen, block, t, eps=eps)
+            with pytest.raises(ValueError, match="eps"):
+                weighted_F_vector(gen, space.total_rates(), t, eps=eps)
+
+    def test_series_cap(self, kernel_case):
+        # at Lambda t = 50 the accumulated Poisson mass never passes 1 - 1e-17
+        _space, gen, _mu, block = kernel_case
+        lam = float(-gen.matrix.diagonal().min())
+        with pytest.raises(RuntimeError, match="failed to accumulate"):
+            propagate_function(gen, block, 50.0 / lam, eps=1e-17)
+
+
 @pytest.fixture(scope="module")
 def ring2_box10(ring2):
     space = enumerate_states(ring2, ring2.zero_state(), 10.0)
