@@ -106,13 +106,12 @@ def cmd_simulate(args) -> int:
     net, _cert, _m = _load(args)
     if args.replicas < 2:
         raise ValueError("--replicas must be at least 2")
-    if args.t < 0:
-        raise ValueError("--t must be nonnegative")
+    # simulate_path refuses a negative or non-finite --t before anything is written
+    traj = simulate_path(net, net.zero_state(), args.t, args.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, net, "simulate", ["trajectory.csv", "estimates.json"])
 
-    traj = simulate_path(net, net.zero_state(), args.t, args.seed)
     lines = [_csv_header(manifest)]
     cols = ",".join(f"n{i}" for i in range(net.n_neurons))
     lines.append(f"time,neuron,{cols},denominator\n")

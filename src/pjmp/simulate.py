@@ -1,14 +1,21 @@
 """Event-driven simulation and Monte Carlo estimators.
 
 Between firings every rate is constant, so the next event is an exact
-exponential race: the holding time is Exponential(total rate) and the firing
-neuron is chosen proportionally to its rate. No time discretization exists
-anywhere in this module.
+exponential race (Gillespie, 1976): the holding time is Exponential(total
+rate) and the firing neuron is chosen proportionally to its rate. No time
+discretization exists anywhere in this module; an event at exactly the
+horizon fires.
 
-Randomness is counter-based: replica r of a run seeded with s draws from an
-independent Philox stream keyed by (s, r). Results are therefore bitwise
-reproducible and independent of the order in which replicas run. Reductions
-over replicas use numpy's pairwise summation on an index-ordered array.
+Replica r of a run seeded with s draws only from its own counter-based Philox
+stream keyed by (s, r) (Salmon et al., SC'11). Its event k uses uniforms 2k
+and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's log1p, so bits
+repeat per numpy build and CPU family) and the neuron is the first whose rate
+sum, left to right, exceeds u_2k+1 * total. ``_draws`` pulls CHUNK events at a
+time for ``_race_block``, which steps BLOCK replicas in lockstep as a (B, N)
+int64 array, and for ``_walk``, the scalar walker of the single-path functions.
+Both do the same float arithmetic: no replica depends on the replica count,
+BLOCK or CHUNK, and replica 0 walks ``simulate_path``'s path for that seed.
+Reductions over replicas use numpy's pairwise sum in replica order.
 """
 
 from __future__ import annotations
@@ -31,6 +38,9 @@ __all__ = [
     "empirical_tail",
     "estimate_weight_F",
 ]
+
+BLOCK = 512  # replicas stepped in lockstep; bounds the live streams and buffers
+CHUNK = 32  # events drawn per refill of a stream
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -69,87 +79,127 @@ class EstimatorResult:
     seed: int
 
 
-class _FastModel:
-    """Precomputed float tables for the hot simulation loop.
+def _check_times(horizon: float, burn_in: float | None = None) -> None:
+    """Shared prologue: times finite and nonnegative, averaging window nonempty."""
+    for value in (horizon, burn_in):
+        if value is not None and not (math.isfinite(value) and value >= 0):
+            raise ValueError(f"time must be finite and nonnegative, got {value!r}")
+    if burn_in is not None and not horizon > burn_in:
+        raise ValueError("horizon must exceed burn_in")
 
-    Rates are computed exactly as intensity_at does, so simulated and tabulated
-    rates agree to the last bit.
+
+def _draws(rngs, n_events: int):
+    """Exp(1) and pick uniforms of the next n_events of each stream, one row each."""
+    u = np.empty((len(rngs), 2 * n_events))
+    for row, rng in zip(u, rngs):
+        rng.random(out=row)
+    return -np.log1p(-u[:, 0::2]), u[:, 1::2]
+
+
+def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, chunk: int):
+    """Scalar race from numerators nums: yields (nums, holding time, neuron).
+
+    The firing is applied when the next event is requested, so a caller that
+    stops keeps the state it stopped in. Draws come ``chunk`` events at a time.
     """
+    n, den = net.n_neurons, net.denominator
+    delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
+    wnum = net.weight_numerators
+    while True:
+        exps, us = _draws([rng], chunk)
+        for e, u in zip(exps[0].tolist(), us[0].tolist()):
+            rates = [delta + slope * (v / den) for v in nums]
+            total = sum(rates)
+            u *= total
+            pick, acc = n - 1, 0.0
+            for i in range(n - 1):
+                acc += rates[i]
+                if u < acc:
+                    pick = i
+                    break
+            yield nums, e / total, pick
+            row = wnum[pick]
+            nums = tuple(0 if j == pick else nums[j] + row[j] for j in range(n))
 
-    __slots__ = ("n", "delta", "slope", "wnum", "den")
 
-    def __init__(self, net: SynapticNetwork):
-        self.n = net.n_neurons
-        self.delta = float(net.intensity.delta)
-        self.den = net.denominator
-        self.slope = float(net.intensity.slope)
-        self.wnum = net.weight_numerators
+def _race_block(net: SynapticNetwork, x: PotentialState, t: float, rngs):
+    """Run the race from x for time t, one replica per stream, in lockstep.
 
-    def rates(self, nums):
-        d, s, den = self.delta, self.slope, self.den
-        return [d + s * (v / den) for v in nums]
+    Returns the final numerators, shape (len(rngs), N), and each replica's
+    exact effort integral_0^t (total rate) ds. Live replicas are always at
+    the same event index, so one refill serves all of them.
+    """
+    n, den = net.n_neurons, net.denominator
+    delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
+    w = np.array(net.weight_numerators, dtype=np.int64).reshape(n, n)
+    b = len(rngs)
+    finals = np.tile(np.array(x.numerators, dtype=np.int64), (b, 1))
+    nums, clock, effort, efforts = finals.copy(), np.zeros(b), np.zeros(b), np.zeros(b)
+    live, k = np.arange(b), 0
+    while live.size:
+        col = k % CHUNK
+        if col == 0:
+            exps, us = _draws([rngs[r] for r in live], CHUNK)
+            slot = np.arange(live.size)  # row of each live replica in the draws
+        acc = np.cumsum(delta + slope * (nums / den), axis=1)  # left to right
+        total = acc[:, -1]
+        tau = exps[slot, col] / total
+        done = clock + tau > t
+        if done.any():
+            finals[live[done]] = nums[done]
+            efforts[live[done]] = effort[done] + total[done] * (t - clock[done])
+            keep = ~done
+            live, slot, nums, clock, effort, acc, total, tau = (
+                a[keep] for a in (live, slot, nums, clock, effort, acc, total, tau)
+            )
+        effort += total * tau
+        clock += tau
+        # acc is nondecreasing, so the first column above u*total is a count
+        pick = (acc[:, :-1] <= (us[slot, col] * total)[:, None]).sum(axis=1)
+        nums += w[pick]
+        nums[np.arange(live.size), pick] = 0
+        k += 1
+    return finals, efforts
 
-    def jump(self, nums, i):
-        row = self.wnum[i]
-        return tuple(
-            0 if j == i else nums[j] + row[j] for j in range(self.n)
-        )
 
-
-def _draw_event(fm: _FastModel, nums, rng: np.random.Generator):
-    """(holding time, firing neuron) for the exponential race at one state."""
-    rates = fm.rates(nums)
-    total = sum(rates)
-    tau = rng.exponential(1.0 / total)
-    u = rng.random() * total
-    acc = 0.0
-    for i in range(fm.n - 1):
-        acc += rates[i]
-        if u < acc:
-            return tau, i
-    return tau, fm.n - 1
+def _replicas(net: SynapticNetwork, x: PotentialState, t: float, n_replicas: int, seed: int):
+    """Final numerators and effort integrals of replicas 0..n_replicas-1."""
+    _check_times(t)
+    if n_replicas < 2:
+        raise ValueError("need at least 2 replicas")
+    finals = np.empty((n_replicas, net.n_neurons), dtype=np.int64)
+    efforts = np.empty(n_replicas)
+    for lo in range(0, n_replicas, BLOCK):
+        hi = min(lo + BLOCK, n_replicas)
+        rngs = [replica_rng(seed, r) for r in range(lo, hi)]
+        finals[lo:hi], efforts[lo:hi] = _race_block(net, x, t, rngs)
+    return finals, efforts
 
 
 def next_event(net: SynapticNetwork, x: PotentialState, rng: np.random.Generator):
     """Sample the next firing from x: (holding time, neuron index).
 
-    Advances rng in place; identical generator state gives identical output.
-    The holding time is Exponential(total rate) and neuron i fires with
+    Advances rng by two uniforms, so identical generator state gives identical
+    output and the k-th call on replica_rng(s, r) draws replica r's k-th event
+    at x. The holding time is Exponential(total rate) and neuron i fires with
     probability rate_i / total.
     """
-    fm = _FastModel(net)
-    return _draw_event(fm, x.numerators, rng)
+    _nums, tau, i = next(_walk(net, x.numerators, rng, 1))
+    return tau, i
 
 
 def simulate_path(net: SynapticNetwork, x0: PotentialState, horizon: float, seed: int) -> Trajectory:
     """Exact trajectory on [0, horizon], bitwise reproducible from the seed."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be nonnegative, got {horizon}")
-    fm = _FastModel(net)
-    rng = replica_rng(seed, 0)
-    t = 0.0
-    nums = x0.numerators
+    _check_times(horizon)
     den = x0.denominator
+    t = 0.0
     events = []
-    while True:
-        tau, i = _draw_event(fm, nums, rng)
+    for nums, tau, i in _walk(net, x0.numerators, replica_rng(seed, 0), CHUNK):
         if t + tau > horizon:
             break
         t += tau
         events.append(TrajectoryEvent(time=t, neuron=i, pre_state=PotentialState(nums, den)))
-        nums = fm.jump(nums, i)
     return Trajectory(events=tuple(events), final_state=PotentialState(nums, den), horizon=horizon)
-
-
-def _state_at(fm: _FastModel, nums, t: float, rng: np.random.Generator):
-    """Final numerators after running the race for time t."""
-    clock = 0.0
-    while True:
-        tau, i = _draw_event(fm, nums, rng)
-        clock += tau
-        if clock > t:
-            return nums
-        nums = fm.jump(nums, i)
 
 
 def estimate_semigroup(
@@ -166,20 +216,9 @@ def estimate_semigroup(
     for Var[f(X_t)] (unbiased sample variance; its standard error comes from
     the usual fourth-moment formula).
     """
-    if n_replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    fm = _FastModel(net)
-    den = x.denominator
-
-    def worker(rng):
-        nums = x.numerators if t == 0 else _state_at(fm, x.numerators, t, rng)
-        return f(PotentialState(nums, den))
-
-    vals = np.array(
-        [worker(replica_rng(seed, r)) for r in range(n_replicas)], dtype=float
-    )
+    finals, _effort = _replicas(net, x, t, n_replicas, seed)
+    states = (PotentialState(tuple(row.tolist()), x.denominator) for row in finals)
+    vals = np.fromiter(map(f, states), float, n_replicas)
     n = n_replicas
     mean = float(np.sum(vals) / n)
     centered = vals - mean
@@ -197,15 +236,11 @@ def _occupation_scan(
     net: SynapticNetwork, f, burn_in: float, horizon: float, seed: int, n_batches: int
 ):
     """Time-weighted integral of f over (burn_in, horizon], split into equal batches."""
-    fm = _FastModel(net)
-    rng = replica_rng(seed, 0)
     den = net.denominator
-    nums = (0,) * net.n_neurons
     batch_len = (horizon - burn_in) / n_batches
     batch_acc = np.zeros(n_batches)
     t = 0.0
-    while t < horizon:
-        tau, i = _draw_event(fm, nums, rng)
+    for nums, tau, _i in _walk(net, (0,) * net.n_neurons, replica_rng(seed, 0), CHUNK):
         seg_a, seg_b = t, min(t + tau, horizon)
         if seg_b > burn_in:
             a = max(seg_a, burn_in)
@@ -223,7 +258,6 @@ def _occupation_scan(
         t += tau
         if t >= horizon:
             break
-        nums = fm.jump(nums, i)
     return batch_acc, batch_len
 
 
@@ -243,8 +277,9 @@ def ergodic_average(
     is a heuristic, adequate once windows are much longer than the mixing
     time.
     """
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn_in")
+    _check_times(horizon, burn_in)
+    if not isinstance(n_batches, (int, np.integer)) or n_batches < 2:
+        raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
     batch_acc, batch_len = _occupation_scan(net, f, burn_in, horizon, seed, n_batches)
     batch_means = batch_acc / batch_len
     mean = float(np.sum(batch_acc) / (horizon - burn_in))
@@ -263,23 +298,17 @@ def empirical_tail(
     r_grid = np.asarray(r_grid, dtype=float)
     if r_grid.size == 0 or np.any(np.diff(r_grid) <= 0):
         raise ValueError("r_grid must be nonempty and strictly increasing")
-    if horizon <= burn_in:
-        raise ValueError("horizon must exceed burn_in")
-    fm = _FastModel(net)
-    rng = replica_rng(seed, 0)
+    _check_times(horizon, burn_in)
     den = net.denominator
-    nums = (0,) * net.n_neurons
     occupation = np.zeros_like(r_grid)
     t = 0.0
-    while t < horizon:
-        tau, i = _draw_event(fm, nums, rng)
+    for nums, tau, _i in _walk(net, (0,) * net.n_neurons, replica_rng(seed, 0), CHUNK):
         seg = min(t + tau, horizon) - max(t, burn_in)
         if seg > 0:
             occupation += seg * (sum(nums) / den >= r_grid)
         t += tau
         if t >= horizon:
             break
-        nums = fm.jump(nums, i)
     return occupation / (horizon - burn_in)
 
 
@@ -296,38 +325,7 @@ def estimate_weight_F(
     integral is computed exactly; only the replica average is random. Its
     mean equals the expected number of firings in [0, t].
     """
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
-    if n_replicas < 2:
-        raise ValueError("need at least 2 replicas")
-    fm = _FastModel(net)
-
-    def worker(rng):
-        nums = x.numerators
-        clock = 0.0
-        acc = 0.0
-        while True:
-            rates = fm.rates(nums)
-            total = sum(rates)
-            tau = rng.exponential(1.0 / total)
-            if clock + tau >= t:
-                acc += total * (t - clock)
-                return acc
-            acc += total * tau
-            clock += tau
-            u = rng.random() * total
-            run = 0.0
-            pick = fm.n - 1
-            for i in range(fm.n - 1):
-                run += rates[i]
-                if u < run:
-                    pick = i
-                    break
-            nums = fm.jump(nums, pick)
-
-    vals = np.array(
-        [worker(replica_rng(seed, r)) for r in range(n_replicas)], dtype=float
-    )
+    _finals, vals = _replicas(net, x, t, n_replicas, seed)
     mean = float(np.sum(vals) / n_replicas)
     s = float(np.std(vals, ddof=1))
     return EstimatorResult(

@@ -13,7 +13,7 @@ from conftest import child_env
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
 
-def run_cli(args, cwd, env_extra=None):
+def run_cli(args, cwd, env_extra=None, timeout=None):
     env = child_env()
     env.pop("PJMP_THREADS", None)
     if env_extra:
@@ -24,6 +24,7 @@ def run_cli(args, cwd, env_extra=None):
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -46,6 +47,17 @@ class TestExitCodes:
     def test_negative_horizon_usage_error(self, tmp_path):
         proc = run_cli(["simulate", RING2, "--t", "-1"], tmp_path)
         assert proc.returncode == 2, proc.stderr
+
+    @pytest.mark.parametrize("t", ["nan", "inf"])
+    def test_non_finite_horizon(self, tmp_path, t):
+        # a non-finite --t used to run the race forever
+        proc = run_cli(
+            ["simulate", RING2, "--t", t, "--replicas", "2", "--out", "sim"], tmp_path, timeout=60
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: time must be finite")
+        assert not (tmp_path / "sim").exists()
 
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["frobnicate", RING2], tmp_path)

@@ -15,13 +15,17 @@ from pjmp import (
     ergodic_average,
     estimate_semigroup,
     estimate_weight_F,
+    intensity_at,
     jump_map,
     next_event,
     simulate_path,
     stationary,
     weighted_F_exact,
 )
+from pjmp import simulate
 from pjmp.simulate import replica_rng
+
+from conftest import make_random_net
 
 
 class TestNextEvent:
@@ -199,6 +203,114 @@ class TestEstimators:
         se_c = counts.std(ddof=1) / math.sqrt(len(counts))
         se = math.hypot(se_c, effort.std_error)
         assert abs(effort.mean - counts.mean()) <= 4 * se
+
+
+class TestTimeValidation:
+    # the shared prologue refuses these before any draw; nan and inf ran forever
+    CALLS = {
+        "simulate_path": lambda net, t: simulate_path(net, net.zero_state(), t, seed=0),
+        "estimate_semigroup": lambda net, t: estimate_semigroup(
+            net, lambda y: 0.0, net.zero_state(), t, 2, seed=0
+        ),
+        "estimate_weight_F": lambda net, t: estimate_weight_F(net, net.zero_state(), t, 2, seed=0),
+        "ergodic_average": lambda net, t: ergodic_average(net, lambda y: 0.0, 1.0, t, seed=0),
+        "empirical_tail": lambda net, t: empirical_tail(net, [1.0], 1.0, t, seed=0),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -1.0])
+    def test_bad_horizon_refused(self, ring2, name, t):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            self.CALLS[name](ring2, t)
+
+    @pytest.mark.parametrize("burn_in", [math.nan, math.inf, -1.0])
+    def test_bad_burn_in_refused(self, ring2, burn_in):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            ergodic_average(ring2, lambda y: 0.0, burn_in, 10.0, seed=0)
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            empirical_tail(ring2, [1.0], burn_in, 10.0, seed=0)
+
+    def test_window_must_be_nonempty(self, ring2):
+        with pytest.raises(ValueError, match="exceed burn_in"):
+            empirical_tail(ring2, [1.0], 10.0, 10.0, seed=0)
+
+    @pytest.mark.parametrize("n_batches", [0, 1, 2.5, "3", None])
+    def test_ergodic_batches_validated(self, ring2, n_batches):
+        with pytest.raises(ValueError, match="n_batches"):
+            ergodic_average(ring2, lambda y: 0.0, 1.0, 10.0, seed=0, n_batches=n_batches)
+
+    def test_ergodic_two_batches_suffice(self, ring2):
+        est = ergodic_average(ring2, lambda y: y.total(), 1.0, 50.0, seed=0, n_batches=2)
+        assert est.n_samples == 2 and math.isfinite(est.std_error)
+
+
+class TestLockstepKernel:
+    """The block kernel, the scalar walker and next_event read one stream layout."""
+
+    @pytest.fixture(scope="class")
+    def rand4(self):
+        return make_random_net(5, n=4)
+
+    def test_replica_prefix_independent_of_count(self, rand4):
+        k = 7
+        few = simulate._replicas(rand4, rand4.zero_state(), 3.0, k, 11)
+        many = simulate._replicas(rand4, rand4.zero_state(), 3.0, 5 * k, 11)
+        for a, b in zip(few, many):
+            assert np.array_equal(a, b[:k])
+
+    def test_block_and_chunk_size_change_nothing(self, rand4, monkeypatch):
+        x = rand4.state([1, 0, 2, 0.5])
+        total = lambda y: y.total()
+
+        def run():
+            return (
+                simulate._replicas(rand4, x, 3.0, 40, 5),
+                estimate_semigroup(rand4, total, x, 3.0, 40, seed=5),
+                estimate_weight_F(rand4, x, 3.0, 40, seed=5),
+                simulate_path(rand4, x, 6.0, seed=5),
+                ergodic_average(rand4, total, 1.0, 30.0, seed=5),
+                empirical_tail(rand4, [2.0, 4.0], 1.0, 30.0, seed=5),
+            )
+
+        base = run()
+        monkeypatch.setattr(simulate, "BLOCK", 3)
+        monkeypatch.setattr(simulate, "CHUNK", 1)
+        small = run()
+        for a, b in zip(base[0], small[0]):
+            assert np.array_equal(a, b)
+        assert base[1:4] == small[1:4]
+        assert base[4] == small[4]
+        assert np.array_equal(base[5], small[5])
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_replica_zero_is_simulate_path(self, rand4, seed):
+        # t = 10 takes about 160 events, five refills of a 32-event chunk
+        finals, _effort = simulate._replicas(rand4, rand4.zero_state(), 10.0, 2, seed)
+        traj = simulate_path(rand4, rand4.zero_state(), 10.0, seed)
+        assert len(traj.events) > 3 * simulate.CHUNK
+        assert tuple(finals[0].tolist()) == traj.final_state.numerators
+
+    def test_next_event_is_first_event_of_replica(self, rand4):
+        # run each replica up to exactly its first firing time: the event at
+        # t fires in the kernel and in simulate_path, one ulp earlier it does not
+        x = rand4.state([1, 0, 2, 0.5])
+        for r in range(5):
+            tau, i = next_event(rand4, x, replica_rng(3, r))
+            after = jump_map(rand4, x, i).numerators
+            finals, effort = simulate._replicas(rand4, x, tau, max(r + 1, 2), 3)
+            assert tuple(finals[r].tolist()) == after
+            assert effort[r] == sum(intensity_at(rand4, x, j) for j in range(4)) * tau
+            early, _ = simulate._replicas(rand4, x, math.nextafter(tau, 0.0), max(r + 1, 2), 3)
+            assert tuple(early[r].tolist()) == x.numerators
+            if r == 0:
+                traj = simulate_path(rand4, x, tau, seed=3)
+                assert [(ev.time, ev.neuron) for ev in traj.events] == [(tau, i)]
+
+    def test_f_sees_python_ints(self, rand4):
+        seen = []
+        estimate_semigroup(rand4, lambda y: seen.append(y) or 0.0, rand4.zero_state(), 1.0, 5, seed=0)
+        assert len(seen) == 5
+        assert all(type(v) is int for y in seen for v in y.numerators)
 
 
 class TestMarkovConsistency:
