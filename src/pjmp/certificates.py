@@ -21,19 +21,14 @@ import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .model import (
-    SynapticNetwork,
-    apply_generator,
-    jump_map,
-    jump_window_probabilities,
-)
+from .model import SynapticNetwork, _drift_of_v, _jumped_totals, _peak_time
 from .spectral import (
     DegenerateModelError,
     StationaryDistribution,
     gamma_vector,
     semigroup_variance_profile,
 )
-from .statespace import EnumeratedSpace, SparseGenerator, saturate
+from .statespace import EnumeratedSpace, SparseGenerator
 
 __all__ = [
     "PathMethodReport",
@@ -84,18 +79,12 @@ PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memo
 
 def _support_adjacency(net: SynapticNetwork, space: EnumeratedSpace, support) -> sp.csr_matrix:
     """Firing graph on the support, positions within the support as vertices."""
-    pos_in_supp = {int(k): j for j, k in enumerate(support)}
-    src, dst = [], []
-    for j, k in enumerate(support):
-        x = space.states[int(k)]
-        for i in range(net.n_neurons):
-            y = saturate(jump_map(net, x, i), space.m_box)
-            tj = pos_in_supp.get(space.position(y))
-            if tj is not None and tj != j:
-                src.append(j)
-                dst.append(tj)
     ns = len(support)
-    return sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(ns, ns))
+    pos_in_supp = np.full(len(space), -1)
+    pos_in_supp[support] = np.arange(ns)
+    dst = pos_in_supp[space.targets[support]]
+    src, i = ((dst >= 0) & (dst != np.arange(ns)[:, None])).nonzero()
+    return sp.csr_matrix((np.ones(len(src)), (src, dst[src, i])), shape=(ns, ns))
 
 
 def path_method_C0(
@@ -133,7 +122,7 @@ def path_method_C0(
         max_len = max(max_len, int(dist[reached].max()))
         for src, dst in np.argwhere(~reached)[: 10 - len(disconnected)].tolist():
             pair = support[[lo + src, dst]]
-            disconnected.append(tuple(space.states[int(k)].numerators for k in pair))
+            disconnected.append(tuple(tuple(space.numerators[k].tolist()) for k in pair))
     return PathMethodReport(
         c0=c0,
         min_mu=min_mu,
@@ -159,12 +148,8 @@ def measure_lyapunov_tail_constant(
     This returns the largest such ratio over the supplied functions, using
     V = 1 + total potential and the untruncated generator for LV.
     """
-    v_fun = lambda y: 1.0 + y.total()
-    ratio = np.zeros(len(space))
-    for k, x in enumerate(space.states):
-        if x.total() > inner_box:
-            lv = apply_generator(net, v_fun, x)
-            ratio[k] = -lv / v_fun(x)
+    total, v, lv = _drift_of_v(net, space.numerators)
+    ratio = np.where(total > inner_box, -lv / v, 0.0)
     p = mu.probabilities
     worst = 0.0
     for f in f_suite:
@@ -257,22 +242,13 @@ def compute_C3_general(
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     f = np.asarray(f, dtype=float)
-    coords = space.coordinate_values()
-    delta = float(net.intensity.delta)
-    slope = float(net.intensity.slope)
-    support = set(int(k) for k in mu.support)
-    h1 = 0.0
-    h2 = 0.0
-    for k, x in enumerate(space.states):
-        if k not in support:
-            continue
-        for i in range(net.n_neurons):
-            y = saturate(jump_map(net, x, i), space.m_box)
-            d = abs(f[space.position(y)] - f[k])
-            phi_i = delta + slope * coords[i][k]
-            h1 = max(h1, phi_i * d * d)
-            grow = math.inf if lam * d > 700 else math.exp(lam * d)
-            h2 = max(h2, phi_i * grow * d * d)
+    support = mu.support
+    d = np.abs(f[space.targets[support]] - f[support, None])
+    phi = net._delta_f + net._slope_f * (space.numerators[support] / net.denominator)
+    # math.exp, not np.exp: numpy's vectorised exp may differ in the last bit
+    grow = [math.inf if t > 700 else math.exp(t) for t in (lam * d).ravel().tolist()]
+    h1 = float((phi * d * d).max(initial=0.0))
+    h2 = float((phi * np.reshape(grow, d.shape) * d * d).max(initial=0.0))
     ok = h1 < 1.0 and h2 < 1.0
     violated = None
     if h1 >= 1.0:
@@ -447,13 +423,15 @@ def talagrand_verdict(
     the centered observable F - mu(F) is reported alongside. The verdict
     passes when the bound dominates the exact tail at every grid point.
     """
+    r_grid = [float(r) for r in r_grid]
+    if not all(map(math.isfinite, r_grid)):
+        raise ValueError(f"tail levels must be finite, got {r_grid}")
     f = space.totals() if f_values is None else np.asarray(f_values, dtype=float)
     p = mu.probabilities
     mu_f = float(p @ f)
     rows = []
     passed = True
     for r in r_grid:
-        r = float(r)
         mu_fr = float(p @ np.minimum(f, r))
         bound = cert.lam0 * math.exp(cert.lam * mu_fr - cert.lam * r)
         exact = float(p[f >= r].sum())
@@ -479,12 +457,16 @@ def talagrand_verdict(
 # -- weighted semigroup inequality, measured constants ------------------------
 
 def max_peak_time(net: SynapticNetwork, space: EnumeratedSpace) -> float:
-    """Largest one-jump-probability peak time over all (state, neuron) pairs."""
-    worst = 0.0
-    for x in space.states:
-        for i in range(net.n_neurons):
-            worst = max(worst, jump_window_probabilities(net, x, i, 0.0).t_peak)
-    return worst
+    """Largest one-jump-probability peak time over all (state, neuron) pairs.
+
+    jump_window_probabilities' scalar formula is mapped over the arrays of
+    total rates, since numpy's log1p may differ from math.log1p in the last bit.
+    """
+    before = np.repeat(space.total_rates(), net.n_neurons)
+    after = net.n_neurons * net._delta_f + net._slope_f * (
+        _jumped_totals(net, space.numerators) / net.denominator
+    )
+    return max(map(_peak_time, before.tolist(), after.ravel().tolist()), default=0.0)
 
 
 @dataclass(frozen=True)
@@ -539,9 +521,7 @@ def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_b
     n_outside = max(1, size // 5)
     if size < n_base + n_outside:
         raise ValueError(f"suite size {size} too small; need at least {n_base + n_outside}")
-    outside_mask = np.array(
-        [max(x.values()) > enlarged_box for x in space.states], dtype=float
-    )
+    outside_mask = (coords.max(axis=0) > enlarged_box).astype(float)
     if outside_mask.sum() == 0:
         raise ValueError(
             f"no states outside the enlarged inner box ({enlarged_box}); "
@@ -593,6 +573,8 @@ def semigroup_poincare_report(
     if t_grid is None:
         t_grid = [t1, 2 * t1, 4 * t1, 8 * t1]
     t_grid = [float(t) for t in t_grid]
+    if not all(map(math.isfinite, t_grid)):
+        raise ValueError(f"times must be finite, got {t_grid}")
     below = [t for t in t_grid if t < t1 * (1 - 1e-12)]
     if below:
         raise ValueError(f"t values {below} lie below t1 = {t1}")
@@ -600,9 +582,7 @@ def semigroup_poincare_report(
     inner_box = inner_frac * space.m_box
     max_w = max((max(row) for row in net.weights), default=0)
     enlarged = inner_box + float(max_w)
-    indicator = np.array(
-        [1.0 if max(x.values()) <= inner_box else 0.0 for x in space.states]
-    )
+    indicator = (space.coordinate_values().max(axis=0) <= inner_box).astype(float)
     suite, outside_idx = make_function_suite(space, suite_size, seed, enlarged)
     inside_idx = [j for j in range(len(suite)) if j not in set(outside_idx)]
 

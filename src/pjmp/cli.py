@@ -90,16 +90,22 @@ def _load(args):
     return net, cert, float(m_box)
 
 
-def _build_space(net, m_box, args):
+def _solve(args):
+    """Model, enumerated box, generator and stationary law of a command."""
+    net, _cert, m_box = _load(args)
     space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
     gen = assemble_generator(net, space)
-    return space, gen
+    return net, space, gen, stationary(gen)
 
 
 def _maybe_export_generator(args, manifest, space, gen, out: Path):
     if getattr(args, "export_generator", False):
         export_matrix_market(gen, out / "generator.mtx", comment=_manifest_hash(manifest))
         export_state_table(space, out / "states.csv", header_comment=f"manifest_hash={_manifest_hash(manifest)}")
+
+
+def _estimate_doc(est) -> dict:
+    return dict(value=est.mean, std_error=est.std_error, n=est.n_samples, seed=est.seed)
 
 
 def cmd_simulate(args) -> int:
@@ -130,33 +136,16 @@ def cmd_simulate(args) -> int:
         manifest,
         {
             "n_events": len(traj.events),
-            "total_potential_mean": {
-                "value": mean_est.mean,
-                "std_error": mean_est.std_error,
-                "n": mean_est.n_samples,
-                "seed": mean_est.seed,
-            },
-            "total_potential_variance": {
-                "value": var_est.mean,
-                "std_error": var_est.std_error,
-                "n": var_est.n_samples,
-                "seed": var_est.seed,
-            },
-            "firing_effort": {
-                "value": effort.mean,
-                "std_error": effort.std_error,
-                "n": effort.n_samples,
-                "seed": effort.seed,
-            },
+            "total_potential_mean": _estimate_doc(mean_est),
+            "total_potential_variance": _estimate_doc(var_est),
+            "firing_effort": _estimate_doc(effort),
         },
     )
     return EXIT_OK
 
 
 def cmd_stationary(args) -> int:
-    net, _cert, m_box = _load(args)
-    space, gen = _build_space(net, m_box, args)
-    mu = stationary(gen)
+    net, space, gen, mu = _solve(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, net, "stationary", ["stationary.json", "mu.csv"])
@@ -181,9 +170,7 @@ def cmd_stationary(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    net, _cert, m_box = _load(args)
-    space, gen = _build_space(net, m_box, args)
-    mu = stationary(gen)
+    net, space, gen, mu = _solve(args)
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -216,8 +203,7 @@ def cmd_verify_lyapunov(args) -> int:
     net, cert, _m = _load(args)
     m_box = args.m_box if args.m_box is not None else 2.0 * cert.m
     space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
-    slacks = [check_lyapunov_pointwise(net, cert, x) for x in space.states]
-    min_slack = min(slacks)
+    min_slack = float(np.min(check_lyapunov_pointwise(net, cert, space.numerators)))
     passed = min_slack >= -1e-12
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -242,9 +228,7 @@ def cmd_verify_lyapunov(args) -> int:
 
 
 def cmd_verify_poincare(args) -> int:
-    net, _cert, m_box = _load(args)
-    space, gen = _build_space(net, m_box, args)
-    mu = stationary(gen)
+    net, space, gen, mu = _solve(args)
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -293,9 +277,7 @@ def cmd_verify_poincare(args) -> int:
 
 
 def cmd_concentration(args) -> int:
-    net, _cert, m_box = _load(args)
-    space, gen = _build_space(net, m_box, args)
-    mu = stationary(gen)
+    net, space, gen, mu = _solve(args)
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -355,9 +337,7 @@ def cmd_concentration(args) -> int:
 
 
 def cmd_semigroup_report(args) -> int:
-    net, _cert, m_box = _load(args)
-    space, gen = _build_space(net, m_box, args)
-    mu = stationary(gen)
+    net, space, gen, mu = _solve(args)
     report = semigroup_poincare_report(
         net,
         space,

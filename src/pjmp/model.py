@@ -18,7 +18,9 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
+
+import numpy as np
 
 __all__ = [
     "IntensityFunction",
@@ -294,20 +296,40 @@ def lyapunov_constants(net: SynapticNetwork, alpha=Fraction(4, 5)) -> LyapunovCe
     )
 
 
-def check_lyapunov_pointwise(
-    net: SynapticNetwork, cert: LyapunovCertificate, x: PotentialState
-) -> float:
+def _jumped_totals(net: SynapticNetwork, nums: np.ndarray) -> np.ndarray:
+    """Numerator sum of jump_map(x, i) for each row x of nums, shape (n, N)."""
+    wsum = np.array([sum(row) for row in net.weight_numerators], dtype=np.int64)
+    return nums.sum(axis=1, keepdims=True) - nums + wsum
+
+
+def _drift_of_v(net: SynapticNetwork, nums: np.ndarray):
+    """Total, V = 1 + total and LV (apply_generator's sum, in its order) for
+    each row of an (n, N) int64 array of numerators over net.denominator."""
+    den = net.denominator
+    total = nums.sum(axis=1) / den
+    v = 1.0 + total
+    v_after = 1.0 + _jumped_totals(net, nums) / den
+    rates = net._delta_f + net._slope_f * (nums / den)
+    lv = np.zeros(len(nums))
+    for i in range(net.n_neurons):
+        lv += rates[:, i] * (v_after[:, i] - v)
+    return total, v, lv
+
+
+def check_lyapunov_pointwise(net: SynapticNetwork, cert: LyapunovCertificate, x):
     """Signed slack of the drift inequality at x; >= 0 means it holds there.
 
-    Returns (-theta*V(x) + b*1_B(x)) - LV(x) with V(x) = 1 + sum_i x^i.
+    Returns (-theta*V(x) + b*1_B(x)) - LV(x) with V(x) = 1 + sum_i x^i. x is
+    a PotentialState (one float) or an (n, N) integer array of numerators
+    over net.denominator (an array of n slacks, one per row).
     """
-    v = 1.0 + x.total()
-    in_b = x.total() <= cert.m
-    lv = apply_generator(net, lambda y: 1.0 + y.total(), x)
-    return (-cert.theta * v + (cert.b if in_b else 0.0)) - lv
+    if isinstance(x, PotentialState):
+        return float(check_lyapunov_pointwise(net, cert, [x.numerators])[0])
+    total, v, lv = _drift_of_v(net, np.asarray(x, dtype=np.int64))
+    return (-cert.theta * v + np.where(total <= cert.m, cert.b, 0.0)) - lv
 
 
-class JumpWindow:
+class JumpWindow(NamedTuple):
     """Closed-form probabilities for the race out of a fixed state.
 
     ``p_no_jump``: nothing fires in [0, s].
@@ -316,21 +338,9 @@ class JumpWindow:
     t_peak and decreases after.
     """
 
-    __slots__ = ("p_no_jump", "p_one_jump", "t_peak")
-
-    def __init__(self, p_no_jump: float, p_one_jump: float, t_peak: float):
-        self.p_no_jump = p_no_jump
-        self.p_one_jump = p_one_jump
-        self.t_peak = t_peak
-
-    def __iter__(self):
-        return iter((self.p_no_jump, self.p_one_jump, self.t_peak))
-
-    def __repr__(self):
-        return (
-            f"JumpWindow(p_no_jump={self.p_no_jump!r}, "
-            f"p_one_jump={self.p_one_jump!r}, t_peak={self.t_peak!r})"
-        )
+    p_no_jump: float
+    p_one_jump: float
+    t_peak: float
 
 
 def jump_window_probabilities(
@@ -353,12 +363,17 @@ def jump_window_probabilities(
     p_none = math.exp(-s * a)
     if abs(a - bb) <= EQUAL_RATE_RTOL * a:
         p_one = s * rate_i * math.exp(-s * a)
-        t_peak = 1.0 / a
     else:
         # rate_i * e^{-s b} * (1 - e^{-s (a - b)}) / (a - b), exact in the limit a -> b
         p_one = rate_i * math.exp(-s * bb) * (-math.expm1(-s * (a - bb))) / (a - bb)
-        t_peak = math.log1p((a - bb) / bb) / (a - bb)
-    return JumpWindow(p_none, p_one, t_peak)
+    return JumpWindow(p_none, p_one, _peak_time(a, bb))
+
+
+def _peak_time(a: float, bb: float) -> float:
+    """Peak of the one-jump probability, total rates a before and bb after."""
+    if abs(a - bb) <= EQUAL_RATE_RTOL * a:
+        return 1.0 / a
+    return math.log1p((a - bb) / bb) / (a - bb)
 
 
 def network_from_json(source) -> SynapticNetwork:

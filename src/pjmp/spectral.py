@@ -164,13 +164,14 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
 
 
 def _dense_nullspace_solve(q_supp: np.ndarray) -> np.ndarray:
-    """Least-squares solve of mu^T Q = 0, sum(mu) = 1 on the support."""
+    """LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support, where
+    Q^T has rank n - 1 and the normalisation replaces its last equation."""
     n = q_supp.shape[0]
-    a = np.vstack([q_supp.T, np.ones((1, n))])
-    b = np.zeros(n + 1)
+    a = q_supp.T.copy()
+    a[-1] = 1.0
+    b = np.zeros(n)
     b[-1] = 1.0
-    mu, *_ = np.linalg.lstsq(a, b, rcond=None)
-    mu = np.clip(mu, 0.0, None)
+    mu = np.clip(np.linalg.solve(a, b), 0.0, None)
     return mu / mu.sum()
 
 
@@ -228,7 +229,7 @@ def stationary(gen, dense_cutoff: int = DENSE_CUTOFF) -> StationaryDistribution:
     Requires a unique closed communicating class; otherwise raises naming two
     states that cannot communicate. The primary solve is GTH elimination
     (componentwise relative accuracy, needed because tail states can carry
-    mass far below the absolute float noise floor of a least-squares solve);
+    mass far below the absolute float noise floor of a dense LU solve);
     the dense null-space solve and power iteration on the uniformized kernel
     run as cross-checks at small and any dimension respectively.
     """
@@ -239,13 +240,9 @@ def stationary(gen, dense_cutoff: int = DENSE_CUTOFF) -> StationaryDistribution:
         a = int(np.nonzero(labels == closed[0])[0][0])
         b = int(np.nonzero(labels == closed[1])[0][0])
         space = gen.space if isinstance(gen, SparseGenerator) else None
-        if space is not None:
-            sa, sb = space.states[a], space.states[b]
-            detail = f"states {sa.numerators} and {sb.numerators}"
-        else:
-            detail = f"states #{a} and #{b}"
+        sa, sb = (f"#{k}" if space is None else tuple(space.numerators[k].tolist()) for k in (a, b))
         raise DegenerateModelError(
-            f"chain has {len(closed)} closed classes; {detail} do not communicate"
+            f"chain has {len(closed)} closed classes; states {sa} and {sb} do not communicate"
         )
     support = np.nonzero(labels == closed[0])[0]
     q_supp = q[support][:, support]

@@ -5,18 +5,28 @@ drift condition pushes the process back into. Jumps that would leave the box
 are saturated coordinate-wise, which keeps probability flow conservative: a
 saturated jump that lands back on its own source is a no-op and contributes
 nothing to the generator.
+
+The enumeration is held as three (n_states, N) tables: the integer
+numerators of every state, the index of the state each neuron's saturated
+jump lands on, and whether that jump needed saturation. Every consumer
+(generator, masks, certificates) reads these tables; ``PotentialState``
+objects for the whole box are built only on request, through ``states``,
+``index``, ``position`` and ``in``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
+from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
 from scipy.io import mmwrite
 
-from .model import PotentialState, SynapticNetwork, intensity_at, jump_map
+from .model import PotentialState, SynapticNetwork
 
 __all__ = [
     "EnumeratedSpace",
@@ -30,53 +40,62 @@ __all__ = [
 ]
 
 DEFAULT_MAX_STATES = 200_000
+_INT64_MAX = int(np.iinfo(np.int64).max)
 
 
 class StateSpaceCapExceeded(RuntimeError):
     """Enumeration aborted because the box holds more states than allowed."""
 
 
-_CAP_MEMO: dict = {}
-
-
 def _cap_numerator(m_box, den: int) -> int:
     """Largest integer numerator with value <= m_box, exactly."""
-    key = (m_box, den)
-    cap = _CAP_MEMO.get(key)
-    if cap is None:
-        exact = Fraction(m_box) * den
-        cap = int(exact) if exact.denominator == 1 else int(exact.numerator // exact.denominator)
-        _CAP_MEMO[key] = cap
-    return cap
+    if not 0 < m_box < math.inf:
+        raise ValueError(f"box bound must be finite and positive, got {m_box}")
+    return math.floor(Fraction(m_box) * den)
 
 
 def saturate(x: PotentialState, m_box) -> PotentialState:
     """Cap every coordinate at the largest lattice value <= m_box. Idempotent."""
-    if m_box <= 0:
-        raise ValueError(f"box bound must be positive, got {m_box}")
     cap = _cap_numerator(m_box, x.denominator)
     if all(n <= cap for n in x.numerators):
         return x
     return PotentialState(tuple(min(n, cap) for n in x.numerators), x.denominator)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnumeratedSpace:
     """All states reachable from the origin under saturated jumps.
 
     Ordering is breadth-first layer by layer, each layer sorted
     lexicographically by numerators, so the enumeration (and everything
-    derived from it) is identical across runs and platforms.
+    derived from it) is identical across runs and platforms. Row k of
+    ``numerators`` is state k over ``net.denominator``; ``targets[k, i]`` is
+    the index of the state neuron i's saturated jump lands on (k itself for a
+    saturated self-jump) and ``saturated[k, i]`` says whether that jump was
+    capped.
     """
 
     net: SynapticNetwork
-    states: tuple[PotentialState, ...]
     m_box: float
-    origin: PotentialState
-    index: dict = field(repr=False)
+    numerators: np.ndarray = field(repr=False)
+    targets: np.ndarray = field(repr=False)
+    saturated: np.ndarray = field(repr=False)
 
     def __len__(self) -> int:
-        return len(self.states)
+        return len(self.numerators)
+
+    @property
+    def origin(self) -> PotentialState:
+        return PotentialState(tuple(self.numerators[0].tolist()), self.net.denominator)
+
+    @cached_property
+    def states(self) -> tuple[PotentialState, ...]:
+        den = self.net.denominator
+        return tuple(PotentialState(tuple(row), den) for row in self.numerators.tolist())
+
+    @cached_property
+    def index(self) -> dict:
+        return {s: k for k, s in enumerate(self.states)}
 
     def __contains__(self, x: PotentialState) -> bool:
         return x in self.index
@@ -86,29 +105,19 @@ class EnumeratedSpace:
 
     def interior_mask(self) -> np.ndarray:
         """True where no jump from the state needs saturation."""
-        out = np.zeros(len(self.states), dtype=bool)
-        for k, x in enumerate(self.states):
-            targets = [jump_map(self.net, x, i) for i in range(self.net.n_neurons)]
-            out[k] = all(saturate(y, self.m_box) == y for y in targets)
-        return out
+        return ~self.saturated.any(axis=1)
 
     def coordinate_values(self) -> np.ndarray:
         """(N, n_states) array of float coordinates."""
-        den = self.net.denominator
-        return np.array(
-            [[x.numerators[i] / den for x in self.states] for i in range(self.net.n_neurons)]
-        )
+        return np.ascontiguousarray(self.numerators.T) / self.net.denominator
 
     def totals(self) -> np.ndarray:
         """sum_i x^i per state."""
-        den = self.net.denominator
-        return np.array([sum(x.numerators) / den for x in self.states])
+        return self.numerators.sum(axis=1) / self.net.denominator
 
     def total_rates(self) -> np.ndarray:
         """Total firing rate per state."""
-        d = float(self.net.intensity.delta)
-        s = float(self.net.intensity.slope)
-        return self.net.n_neurons * d + s * self.totals()
+        return self.net.n_neurons * self.net._delta_f + self.net._slope_f * self.totals()
 
 
 def enumerate_states(
@@ -117,34 +126,48 @@ def enumerate_states(
     m_box,
     max_states: int = DEFAULT_MAX_STATES,
 ) -> EnumeratedSpace:
-    """Breadth-first closure of {saturate(x0)} under saturated jumps."""
-    if m_box <= 0:
-        raise ValueError(f"box bound must be positive, got {m_box}")
-    origin = saturate(x0, m_box)
-    seen = {origin}
-    order = [origin]
-    frontier = [origin]
-    while frontier:
-        discovered = set()
-        for x in sorted(frontier, key=lambda s: s.numerators):
-            for i in range(net.n_neurons):
-                y = saturate(jump_map(net, x, i), m_box)
-                if y not in seen:
-                    seen.add(y)
-                    discovered.add(y)
-        frontier = sorted(discovered, key=lambda s: s.numerators)
-        order.extend(frontier)
-        if len(order) > max_states:
+    """Breadth-first closure of {saturate(x0)} under saturated jumps.
+
+    Each layer fires every neuron from every frontier state at once and caps
+    the targets at the box. Rows are looked up by their big-endian bytes,
+    whose order is the lexicographic order of nonnegative numerators, so the
+    unseen targets, sorted, form the next layer.
+    """
+    if x0.denominator != net.denominator:
+        raise ValueError("x0 must lie on the network's lattice")
+    n = net.n_neurons
+    # numerators above int64 cannot occur, so the cap compares as int64
+    cap = min(_cap_numerator(m_box, net.denominator), _INT64_MAX)
+    w = np.array(net.weight_numerators, dtype=np.int64)
+    limit = _INT64_MAX - int(w.max())
+    reset = np.arange(n)
+    row_bytes = np.dtype((np.void, 8 * n))
+    layers = [np.array([saturate(x0, m_box).numerators], dtype=">i8")]
+    lookup = {layers[0].view(row_bytes).item(): 0}
+    targets, saturated = [], []
+    for frontier in layers:  # grows while it is walked
+        if frontier.max() > limit:
+            raise ValueError("potential numerators exceed the int64 range")
+        jumped = frontier[:, None, :] + w
+        jumped[:, reset, reset] = 0
+        saturated.append((jumped > cap).any(axis=2))
+        keys = np.minimum(jumped, cap).astype(">i8").view(row_bytes).ravel().tolist()
+        fresh = sorted({k for k in keys if k not in lookup})
+        lookup.update(zip(fresh, count(len(lookup))))
+        targets.append(np.fromiter(map(lookup.__getitem__, keys), np.int64, len(keys)))
+        if len(lookup) > max_states:
             raise StateSpaceCapExceeded(
                 f"box m_box={m_box} holds more than {max_states} reachable states; "
                 f"raise max_states or shrink the box"
             )
+        if fresh:
+            layers.append(np.frombuffer(b"".join(fresh), dtype=">i8").reshape(-1, n))
     return EnumeratedSpace(
         net=net,
-        states=tuple(order),
         m_box=float(m_box),
-        origin=origin,
-        index={s: k for k, s in enumerate(order)},
+        numerators=np.concatenate(layers, dtype=np.int64),
+        targets=np.concatenate(targets).reshape(-1, n),
+        saturated=np.concatenate(saturated),
     )
 
 
@@ -181,19 +204,14 @@ def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGe
     """
     if space.net != net:
         raise ValueError("space was enumerated for a different network")
-    rows, cols, vals = [], [], []
-    diag = np.zeros(len(space))
-    for k, x in enumerate(space.states):
-        for i in range(net.n_neurons):
-            y = saturate(jump_map(net, x, i), space.m_box)
-            if y == x:
-                continue
-            rows.append(k)
-            cols.append(space.position(y))
-            vals.append(intensity_at(net, x, i))
-            diag[k] -= vals[-1]
     n = len(space)
-    off = sp.coo_matrix((vals, (rows, cols)), shape=(n, n))
+    rates = net._delta_f + net._slope_f * (space.numerators / net.denominator)
+    moves = space.targets != np.arange(n)[:, None]
+    diag = np.zeros(n)
+    for i in range(net.n_neurons):  # subtracted neuron by neuron, in order
+        diag -= np.where(moves[:, i], rates[:, i], 0.0)
+    k, i = moves.nonzero()  # row-major: state by state, neuron by neuron
+    off = sp.coo_matrix((rates[k, i], (k, space.targets[k, i])), shape=(n, n))
     q = (off + sp.diags(diag)).tocsr()
     q.sum_duplicates()
     return SparseGenerator(matrix=q, space=space)
@@ -207,11 +225,12 @@ def export_matrix_market(gen: SparseGenerator, path, comment: str = "") -> None:
 def export_state_table(space: EnumeratedSpace, path, header_comment: str = "") -> None:
     """CSV listing of the enumeration: index, numerators, shared denominator."""
     n = space.net.n_neurons
+    den = space.net.denominator
     with open(path, "w", encoding="utf-8", newline="") as fh:
         if header_comment:
             fh.write(f"# {header_comment}\n")
         cols = ",".join(f"n{i}" for i in range(n))
         fh.write(f"index,{cols},denominator\n")
-        for k, s in enumerate(space.states):
-            nums = ",".join(str(v) for v in s.numerators)
-            fh.write(f"{k},{nums},{s.denominator}\n")
+        for k, row in enumerate(space.numerators.tolist()):
+            nums = ",".join(str(v) for v in row)
+            fh.write(f"{k},{nums},{den}\n")

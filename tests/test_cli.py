@@ -184,6 +184,76 @@ class TestSolverFailureExitCode:
         assert str(exc) in err
 
 
+class TestNonFiniteOptions:
+    """A non-finite numeric option is bad input: exit 2, one line, no report."""
+
+    REPORTS = {
+        "stationary": "stationary.json",
+        "gap": "gap.json",
+        "verify-lyapunov": "lyapunov.json",
+        "verify-poincare": "poincare.json",
+        "concentration": "concentration.json",
+        "semigroup-report": "semigroup.json",
+    }
+
+    def _refused(self, tmp_path, capsys, argv, message):
+        import pjmp.cli as cli
+
+        out = tmp_path / "out"
+        code = cli.main([*argv, "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2, err
+        assert err.startswith(f"error: {message}") and err.count("\n") == 1, err
+        report = self.REPORTS[argv[0]]
+        assert not (out / report).exists()
+
+    @pytest.mark.parametrize("command", sorted(REPORTS))
+    @pytest.mark.parametrize("m_box", ["inf", "nan", "-inf"])
+    def test_m_box(self, tmp_path, capsys, command, m_box):
+        self._refused(
+            tmp_path, capsys, [command, RING2, f"--m-box={m_box}"], "box bound must be finite"
+        )
+
+    @pytest.mark.parametrize("t_grid", ["inf", "nan", "5,inf"])
+    def test_t_grid(self, tmp_path, capsys, t_grid):
+        argv = ["semigroup-report", RING2, "--m-box", "10", "--t-grid", t_grid]
+        self._refused(tmp_path, capsys, argv, "times must be finite")
+
+    @pytest.mark.parametrize("r_grid", ["nan", "inf", "1,nan"])
+    def test_r_grid(self, tmp_path, capsys, r_grid):
+        argv = ["concentration", RING2, "--m-box", "10", "--r-grid", r_grid]
+        self._refused(tmp_path, capsys, argv, "tail levels must be finite")
+
+    def test_huge_box_hits_the_state_cap(self, tmp_path, capsys):
+        # the cap numerator of --m-box 1e300 overflows int64; enumeration
+        # grows unsaturated until the state cap, as it always did
+        argv = ["stationary", RING2, "--m-box", "1e300", "--max-states", "500"]
+        self._refused(tmp_path, capsys, argv, "box m_box=1e+300 holds more than 500")
+
+
+class TestStateObjects:
+    def test_no_command_builds_the_whole_box(self, tmp_path, monkeypatch):
+        # EnumeratedSpace.states (and index, position, in, built on it) is
+        # the API edge; every command reads the tables instead
+        import pjmp.cli as cli
+        from pjmp.statespace import EnumeratedSpace
+
+        def refuse(self):
+            raise AssertionError("PotentialState objects built for the whole box")
+
+        monkeypatch.setattr(EnumeratedSpace, "states", property(refuse))
+        for argv in (
+            ["stationary", "--export-generator"],
+            ["gap"],
+            ["verify-lyapunov"],
+            ["verify-poincare", "--n-functions", "20"],
+            ["concentration"],
+            ["semigroup-report"],
+        ):
+            out = tmp_path / argv[0]
+            assert cli.main([argv[0], RING2, "--m-box", "10", *argv[1:], "--out", str(out)]) == 0
+
+
 class TestManifest:
     def test_model_content_in_hash(self, tmp_path):
         # two different models, both named model.json
