@@ -280,9 +280,9 @@ def cmd_concentration(args) -> int:
     net, space, gen, mu = _solve(args)
     gap = poincare_constant(gen, mu)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     manifest = _manifest(args, net, "concentration", ["concentration.json", "tails.csv"])
     if gap.degenerate:
+        out.mkdir(parents=True, exist_ok=True)
         _write_json(out / "concentration.json", manifest, {"degenerate": True})
         print("degenerate model: single-state support", file=sys.stderr)
         return EXIT_DEGENERATE
@@ -298,7 +298,9 @@ def cmd_concentration(args) -> int:
         margin=adm.margin,
     )
     r_grid = args.r_grid if args.r_grid else list(range(1, 13))
+    # talagrand_verdict refuses a non-finite --r-grid before anything is written
     report = talagrand_verdict(cert, space, mu, r_grid)
+    out.mkdir(parents=True, exist_ok=True)
     _write_json(
         out / "concentration.json",
         manifest,

@@ -10,18 +10,31 @@ Replica r of a run seeded with s draws only from its own counter-based Philox
 stream keyed by (s, r) (Salmon et al., SC'11). Its event k uses uniforms 2k
 and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's log1p, so bits
 repeat per numpy build and CPU family) and the neuron is the first whose rate
-sum, left to right, exceeds u_2k+1 * total. ``_draws`` pulls CHUNK events at a
-time for ``_race_block``, which steps BLOCK replicas in lockstep as a (B, N)
-int64 array, and for ``_walk``, the scalar walker of the single-path functions.
-Both do the same float arithmetic: no replica depends on the replica count,
-BLOCK or CHUNK, and replica 0 walks ``simulate_path``'s path for that seed.
-Reductions over replicas use numpy's pairwise sum in replica order.
+sum, left to right, exceeds u_2k+1 * total. The total is the same left-to-right
+sum over all neurons, not builtin sum(), which compensates from Python 3.12.
+``_draws`` pulls CHUNK events at a time for ``_race_block``, which steps BLOCK
+replicas in lockstep as a (B, N) int64 array, and for ``_walk``, the scalar
+walker of the single-path functions. Both do the same float arithmetic: no
+replica depends on the replica count, BLOCK or CHUNK, and replica 0 walks
+``simulate_path``'s path for that seed. Reductions over replicas use numpy's
+pairwise sum in replica order.
+
+A long path revisits few states, so ``_walk`` interns each visited state once
+with its cumulative rates and a lazily filled successor row, and records each
+event as three numbers in array buffers: the state's index, the holding time
+and the firing neuron. The single-path functions read those arrays: event
+times are their running sum, ``ergodic_average`` calls f once per distinct
+state, and both occupation scans add their segments left to right, in event
+order, as a loop over events would.
 """
 
 from __future__ import annotations
 
 import math
+from array import array
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -96,30 +109,52 @@ def _draws(rngs, n_events: int):
     return -np.log1p(-u[:, 0::2]), u[:, 1::2]
 
 
-def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, chunk: int):
-    """Scalar race from numerators nums: yields (nums, holding time, neuron).
+def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: float, chunk: int):
+    """Scalar race from numerators nums up to the first event that ends past horizon.
 
-    The firing is applied when the next event is requested, so a caller that
-    stops keeps the state it stopped in. Draws come ``chunk`` events at a time.
+    Each visited numerator tuple is interned once, in first-visit order, with
+    its left-to-right cumulative rates (the last is the total rate) and a
+    successor row filled the first time each neuron fires there. Returns
+    that table and three per-event buffers: the pre-state's index in the
+    table, the holding time and the firing neuron. The last event ends past
+    the horizon and does not fire; every earlier one does. Draws come
+    ``chunk`` events at a time.
     """
     n, den = net.n_neurons, net.denominator
     delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
     wnum = net.weight_numerators
+    table, index, rows = [], {}, []
+
+    def visit(nums):
+        index[nums] = len(table)
+        table.append(nums)
+        cum = list(accumulate(delta + slope * (v / den) for v in nums))
+        rows.append((cum, cum[-1], [None] * n))
+        return index[nums]
+
+    ids, taus, picks = array("i"), array("d"), array("i")
+    sid = visit(nums)
+    cum, total, succ = rows[sid]
+    t = 0.0
     while True:
         exps, us = _draws([rng], chunk)
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
-            rates = [delta + slope * (v / den) for v in nums]
-            total = sum(rates)
-            u *= total
-            pick, acc = n - 1, 0.0
-            for i in range(n - 1):
-                acc += rates[i]
-                if u < acc:
-                    pick = i
-                    break
-            yield nums, e / total, pick
-            row = wnum[pick]
-            nums = tuple(0 if j == pick else nums[j] + row[j] for j in range(n))
+            tau = e / total
+            # the first of neurons 0..n-2 whose rate sum exceeds u * total, else n-1
+            pick = bisect_right(cum, u * total, 0, n - 1)
+            ids.append(sid)
+            taus.append(tau)
+            picks.append(pick)
+            t += tau
+            if t > horizon:
+                return table, ids, taus, picks
+            nxt = succ[pick]
+            if nxt is None:
+                nums, row = table[sid], wnum[pick]
+                after = tuple(0 if j == pick else nums[j] + row[j] for j in range(n))
+                nxt = succ[pick] = index[after] if after in index else visit(after)
+            sid = nxt
+            cum, total, succ = rows[sid]
 
 
 def _race_block(net: SynapticNetwork, x: PotentialState, t: float, rngs):
@@ -184,22 +219,20 @@ def next_event(net: SynapticNetwork, x: PotentialState, rng: np.random.Generator
     at x. The holding time is Exponential(total rate) and neuron i fires with
     probability rate_i / total.
     """
-    _nums, tau, i = next(_walk(net, x.numerators, rng, 1))
-    return tau, i
+    _table, _ids, taus, picks = _walk(net, x.numerators, rng, -math.inf, 1)
+    return taus[0], picks[0]
 
 
 def simulate_path(net: SynapticNetwork, x0: PotentialState, horizon: float, seed: int) -> Trajectory:
     """Exact trajectory on [0, horizon], bitwise reproducible from the seed."""
     _check_times(horizon)
-    den = x0.denominator
-    t = 0.0
-    events = []
-    for nums, tau, i in _walk(net, x0.numerators, replica_rng(seed, 0), CHUNK):
-        if t + tau > horizon:
-            break
-        t += tau
-        events.append(TrajectoryEvent(time=t, neuron=i, pre_state=PotentialState(nums, den)))
-    return Trajectory(events=tuple(events), final_state=PotentialState(nums, den), horizon=horizon)
+    table, ids, taus, picks = _walk(net, x0.numerators, replica_rng(seed, 0), horizon, CHUNK)
+    states = [PotentialState(nums, x0.denominator) for nums in table]
+    pre = [states[k] for k in ids]
+    # cumsum adds left to right, as t += tau does; the last event does not fire
+    times = np.cumsum(np.frombuffer(taus))[:-1].tolist()
+    events = tuple(map(TrajectoryEvent, times, picks[:-1], pre[:-1]))
+    return Trajectory(events=events, final_state=pre[-1], horizon=horizon)
 
 
 def estimate_semigroup(
@@ -232,33 +265,25 @@ def estimate_semigroup(
     )
 
 
-def _occupation_scan(
-    net: SynapticNetwork, f, burn_in: float, horizon: float, seed: int, n_batches: int
-):
-    """Time-weighted integral of f over (burn_in, horizon], split into equal batches."""
-    den = net.denominator
-    batch_len = (horizon - burn_in) / n_batches
-    batch_acc = np.zeros(n_batches)
-    t = 0.0
-    for nums, tau, _i in _walk(net, (0,) * net.n_neurons, replica_rng(seed, 0), CHUNK):
-        seg_a, seg_b = t, min(t + tau, horizon)
-        if seg_b > burn_in:
-            a = max(seg_a, burn_in)
-            val = f(PotentialState(nums, den))
-            # spread the segment over the batch windows it crosses
-            ka = int((a - burn_in) / batch_len)
-            kb = int((seg_b - burn_in) / batch_len)
-            kb = min(kb, n_batches - 1)
-            for k in range(ka, kb + 1):
-                lo = burn_in + k * batch_len
-                hi = lo + batch_len
-                overlap = min(seg_b, hi) - max(a, lo)
-                if overlap > 0:
-                    batch_acc[k] += val * overlap
-        t += tau
-        if t >= horizon:
-            break
-    return batch_acc, batch_len
+def _segments(net: SynapticNetwork, burn_in: float, horizon: float, seed: int):
+    """Holding segments inside (burn_in, horizon] of the path from zero, in event order.
+
+    Returns the visited numerator tuples and, per segment of positive length,
+    the index of its state and its clipped start and end.
+    """
+    table, ids, taus, _picks = _walk(
+        net, (0,) * net.n_neurons, replica_rng(seed, 0), horizon, CHUNK
+    )
+    ends = np.cumsum(np.frombuffer(taus))
+    starts = np.concatenate(([0.0], ends[:-1]))
+    a, b = np.maximum(starts, burn_in), np.minimum(ends, horizon)
+    live = b > a
+    return table, np.frombuffer(ids, dtype=np.intc)[live], a[live], b[live]
+
+
+def _running_sum(x: np.ndarray) -> float:
+    """Left-to-right sum of x, as a loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(x)[-1]) if x.size else 0.0
 
 
 def ergodic_average(
@@ -275,12 +300,30 @@ def ergodic_average(
     correct sampling of the invariant law for a continuous-time chain. The
     standard error uses batch means over n_batches equal time windows; that
     is a heuristic, adequate once windows are much longer than the mixing
-    time.
+    time. f must depend on the state only: it is called once per distinct
+    state the path holds in (burn_in, horizon].
     """
     _check_times(horizon, burn_in)
     if not isinstance(n_batches, (int, np.integer)) or n_batches < 2:
         raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
-    batch_acc, batch_len = _occupation_scan(net, f, burn_in, horizon, seed, n_batches)
+    table, ids, a, b = _segments(net, burn_in, horizon, seed)
+    seen = np.unique(ids)
+    vals = np.zeros(len(table))
+    den = net.denominator
+    vals[seen] = np.fromiter((f(PotentialState(table[k], den)) for k in seen.tolist()), float)
+    # spread each segment over the batch windows ka..kb it crosses
+    batch_len = (horizon - burn_in) / n_batches
+    ka = ((a - burn_in) / batch_len).astype(np.int64)
+    kb = np.minimum(((b - burn_in) / batch_len).astype(np.int64), n_batches - 1)
+    counts = np.maximum(kb - ka + 1, 0)
+    seg = np.repeat(np.arange(len(a)), counts)
+    k = ka[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+    lo = burn_in + k * batch_len
+    overlap = np.minimum(b[seg], lo + batch_len) - np.maximum(a[seg], lo)
+    hit = overlap > 0
+    batch_acc = np.zeros(n_batches)
+    # add.at adds in index order, the event order of a loop over segments
+    np.add.at(batch_acc, k[hit], vals[ids[seg[hit]]] * overlap[hit])
     batch_means = batch_acc / batch_len
     mean = float(np.sum(batch_acc) / (horizon - burn_in))
     se = float(np.std(batch_means, ddof=1) / math.sqrt(n_batches))
@@ -296,19 +339,16 @@ def empirical_tail(
 ) -> np.ndarray:
     """Occupation-time fraction of {sum_i x^i >= r} for each r in the grid."""
     r_grid = np.asarray(r_grid, dtype=float)
+    if not np.isfinite(r_grid).all():
+        raise ValueError(f"tail levels must be finite, got {r_grid.tolist()}")
     if r_grid.size == 0 or np.any(np.diff(r_grid) <= 0):
         raise ValueError("r_grid must be nonempty and strictly increasing")
     _check_times(horizon, burn_in)
+    table, ids, a, b = _segments(net, burn_in, horizon, seed)
     den = net.denominator
-    occupation = np.zeros_like(r_grid)
-    t = 0.0
-    for nums, tau, _i in _walk(net, (0,) * net.n_neurons, replica_rng(seed, 0), CHUNK):
-        seg = min(t + tau, horizon) - max(t, burn_in)
-        if seg > 0:
-            occupation += seg * (sum(nums) / den >= r_grid)
-        t += tau
-        if t >= horizon:
-            break
+    level = np.array([sum(nums) / den for nums in table])[ids]
+    seg = b - a
+    occupation = np.array([_running_sum(seg[level >= r]) for r in r_grid.tolist()])
     return occupation / (horizon - burn_in)
 
 

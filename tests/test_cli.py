@@ -223,6 +223,7 @@ class TestNonFiniteOptions:
     def test_r_grid(self, tmp_path, capsys, r_grid):
         argv = ["concentration", RING2, "--m-box", "10", "--r-grid", r_grid]
         self._refused(tmp_path, capsys, argv, "tail levels must be finite")
+        assert not (tmp_path / "out").exists()
 
     def test_huge_box_hits_the_state_cap(self, tmp_path, capsys):
         # the cap numerator of --m-box 1e300 overflows int64; enumeration

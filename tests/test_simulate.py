@@ -9,6 +9,7 @@ import pytest
 import scipy.stats
 
 from pjmp import (
+    PotentialState,
     assemble_generator,
     empirical_tail,
     enumerate_states,
@@ -179,6 +180,11 @@ class TestEstimators:
     def test_tail_grid_validated(self, ring2):
         with pytest.raises(ValueError):
             empirical_tail(ring2, [2.0, 1.0], 0.0, 10.0, seed=0)
+
+    @pytest.mark.parametrize("r_grid", [[math.nan], [math.inf], [1.0, math.nan], [-math.inf, 1.0]])
+    def test_tail_levels_must_be_finite(self, ring2, r_grid):
+        with pytest.raises(ValueError, match="tail levels must be finite"):
+            empirical_tail(ring2, r_grid, 1.0, 50.0, seed=0)
 
     def test_weight_effort_zero_time(self, ring2):
         est = estimate_weight_F(ring2, ring2.zero_state(), 0.0, 10, seed=0)
@@ -373,3 +379,203 @@ class TestDeterminism:
                 eff = estimate_weight_F(ring2, ring2.zero_state(), 1.5, 600, seed=13)
                 results[threads] = (mean, var, eff)
         assert results["1"] == results["4"]
+
+
+# The per-event walker and loops the single-path functions used before the
+# interned-state walker, kept as oracles. The only edit: the total rate is the
+# left-to-right sum, because builtin sum() adds floats with compensation from
+# Python 3.12 and the block kernel's cumsum does not.
+
+
+def _walk_oracle(net, nums, rng, chunk):
+    """Scalar race from numerators nums: yields (nums, holding time, neuron)."""
+    n, den = net.n_neurons, net.denominator
+    delta, slope = net._delta_f, net._slope_f
+    wnum = net.weight_numerators
+    while True:
+        exps, us = simulate._draws([rng], chunk)
+        for e, u in zip(exps[0].tolist(), us[0].tolist()):
+            rates = [delta + slope * (v / den) for v in nums]
+            total = 0.0
+            for r in rates:
+                total += r
+            u *= total
+            pick, acc = n - 1, 0.0
+            for i in range(n - 1):
+                acc += rates[i]
+                if u < acc:
+                    pick = i
+                    break
+            yield nums, e / total, pick
+            row = wnum[pick]
+            nums = tuple(0 if j == pick else nums[j] + row[j] for j in range(n))
+
+
+def _path_oracle(net, x0, horizon, seed, chunk=32):
+    den = x0.denominator
+    t = 0.0
+    events = []
+    for nums, tau, i in _walk_oracle(net, x0.numerators, replica_rng(seed, 0), chunk):
+        if t + tau > horizon:
+            break
+        t += tau
+        events.append(simulate.TrajectoryEvent(time=t, neuron=i, pre_state=PotentialState(nums, den)))
+    return simulate.Trajectory(
+        events=tuple(events), final_state=PotentialState(nums, den), horizon=horizon
+    )
+
+
+def _ergodic_oracle(net, f, burn_in, horizon, seed, n_batches=50, chunk=32):
+    den = net.denominator
+    batch_len = (horizon - burn_in) / n_batches
+    batch_acc = np.zeros(n_batches)
+    t = 0.0
+    for nums, tau, _i in _walk_oracle(net, (0,) * net.n_neurons, replica_rng(seed, 0), chunk):
+        seg_a, seg_b = t, min(t + tau, horizon)
+        if seg_b > burn_in:
+            a = max(seg_a, burn_in)
+            val = f(PotentialState(nums, den))
+            ka = int((a - burn_in) / batch_len)
+            kb = int((seg_b - burn_in) / batch_len)
+            kb = min(kb, n_batches - 1)
+            for k in range(ka, kb + 1):
+                lo = burn_in + k * batch_len
+                hi = lo + batch_len
+                overlap = min(seg_b, hi) - max(a, lo)
+                if overlap > 0:
+                    batch_acc[k] += val * overlap
+        t += tau
+        if t >= horizon:
+            break
+    batch_means = batch_acc / batch_len
+    mean = float(np.sum(batch_acc) / (horizon - burn_in))
+    se = float(np.std(batch_means, ddof=1) / math.sqrt(n_batches))
+    return simulate.EstimatorResult(mean=mean, std_error=se, n_samples=n_batches, seed=seed)
+
+
+def _tail_oracle(net, r_grid, burn_in, horizon, seed, chunk=32):
+    r_grid = np.asarray(r_grid, dtype=float)
+    den = net.denominator
+    occupation = np.zeros_like(r_grid)
+    t = 0.0
+    for nums, tau, _i in _walk_oracle(net, (0,) * net.n_neurons, replica_rng(seed, 0), chunk):
+        seg = min(t + tau, horizon) - max(t, burn_in)
+        if seg > 0:
+            occupation += seg * (sum(nums) / den >= r_grid)
+        t += tau
+        if t >= horizon:
+            break
+    return occupation / (horizon - burn_in)
+
+
+def _compensated_sum(xs):
+    """builtin sum() of floats from Python 3.12 (Neumaier's compensation)."""
+    hi = lo = 0.0
+    for x in xs:
+        t = hi + x
+        lo += (hi - t) + x if abs(hi) >= abs(x) else (x - t) + hi
+        hi = t
+    return hi + lo if lo and math.isfinite(lo) else hi
+
+
+def _total(y):
+    return y.total()
+
+
+def _square(y):
+    return y.total() ** 2
+
+
+class TestInternedWalker:
+    """The interned-state walker and its array consumers against the old loops."""
+
+    R_GRID = [1.0, 2.0, 3.5, 5.0]
+
+    @pytest.fixture(scope="class", params=["ring2", "rand3", "rand4"])
+    def net(self, request, ring2):
+        if request.param == "ring2":
+            return ring2
+        return make_random_net(1) if request.param == "rand3" else make_random_net(5, n=4)
+
+    def _assert_same(self, net, x0, horizon, burn_in, seed, n_batches=50, chunk=32):
+        traj = simulate_path(net, x0, horizon, seed)
+        assert traj == _path_oracle(net, x0, horizon, seed, chunk)
+        assert all(type(ev.time) is float and type(ev.neuron) is int for ev in traj.events)
+        if horizon > burn_in:
+            for f in (_total, _square):
+                got = ergodic_average(net, f, burn_in, horizon, seed, n_batches=n_batches)
+                assert got == _ergodic_oracle(net, f, burn_in, horizon, seed, n_batches, chunk)
+            got = empirical_tail(net, self.R_GRID, burn_in, horizon, seed)
+            assert np.array_equal(got, _tail_oracle(net, self.R_GRID, burn_in, horizon, seed, chunk))
+        return traj
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_oracle(self, net, seed):
+        traj = self._assert_same(net, net.zero_state(), 60.0, 5.0, seed)
+        assert len(traj.events) > 3 * simulate.CHUNK
+
+    def test_off_origin_start(self, net):
+        x0 = PotentialState(tuple(range(1, net.n_neurons + 1)), net.denominator)
+        for seed in range(5):
+            self._assert_same(net, x0, 20.0, 1.0, seed)
+
+    def test_zero_horizon(self, net):
+        for seed in range(5):
+            traj = self._assert_same(net, net.zero_state(), 0.0, 0.0, seed)
+            assert traj.events == () and traj.final_state == net.zero_state()
+
+    def test_horizon_at_an_event_time(self, net):
+        # the event at exactly the horizon fires in simulate_path and closes
+        # the occupation scans
+        tau, _i = next_event(net, net.zero_state(), replica_rng(7, 0))
+        assert len(self._assert_same(net, net.zero_state(), tau, 0.0, 7).events) == 1
+        times = [ev.time for ev in simulate_path(net, net.zero_state(), 30.0, seed=7).events]
+        for horizon in times[40:45]:
+            traj = self._assert_same(net, net.zero_state(), horizon, 2.0, 7)
+            assert traj.events[-1].time == horizon
+
+    def test_burn_in_inside_a_segment(self, net):
+        times = [ev.time for ev in simulate_path(net, net.zero_state(), 30.0, seed=9).events]
+        for k in (5, 20, 60):
+            burn_in = (times[k] + times[k + 1]) / 2
+            self._assert_same(net, net.zero_state(), 30.0, burn_in, 9)
+
+    def test_segments_span_many_windows(self, net):
+        # windows of 0.004 are far shorter than a holding time
+        for seed in range(3):
+            self._assert_same(net, net.zero_state(), 4.0, 0.5, seed, n_batches=875)
+
+    def test_chunk_of_one(self, net, monkeypatch):
+        monkeypatch.setattr(simulate, "CHUNK", 1)
+        for seed in range(3):
+            self._assert_same(net, net.zero_state(), 30.0, 3.0, seed)
+
+    def test_next_event_matches_oracle(self, net):
+        # two uniforms per call, from any start
+        x = PotentialState(tuple(range(net.n_neurons)), net.denominator)
+        rng, ref = replica_rng(2, 3), replica_rng(2, 3)
+        for _ in range(50):
+            got = next_event(net, x, rng)
+            nums, tau, i = next(_walk_oracle(net, x.numerators, ref, 1))
+            assert got == (tau, i) and type(got[0]) is float and type(got[1]) is int
+            x = jump_map(net, x, i)
+        assert np.array_equal(rng.random(4), ref.random(4))
+
+    def test_f_called_once_per_distinct_state(self, net):
+        seen = []
+        ergodic_average(net, lambda y: seen.append(y) or 1.0, 1.0, 40.0, seed=3)
+        traj = simulate_path(net, net.zero_state(), 40.0, seed=3)
+        visited = {ev.pre_state for ev in traj.events if ev.time > 1.0}
+        assert len(seen) == len(set(seen)) and visited <= set(seen)
+
+    def test_total_rate_is_the_left_to_right_sum(self):
+        # here builtin sum() from Python 3.12 differs from the left-to-right
+        # sum in the last bit; the walker must keep the block kernel's total
+        net = make_random_net(1)
+        x = PotentialState((0, 2, 0), net.denominator)
+        rates = [intensity_at(net, x, j) for j in range(3)]
+        total = float(np.cumsum(rates)[-1])
+        assert _compensated_sum(rates) != total
+        exps, _us = simulate._draws([replica_rng(4, 0)], 1)
+        tau, _i = next_event(net, x, replica_rng(4, 0))
+        assert tau == exps[0, 0] / total
