@@ -34,6 +34,7 @@ from .simulate import (
     TrajectoryEvent,
     empirical_tail,
     ergodic_average,
+    estimate_ensemble,
     estimate_semigroup,
     estimate_weight_F,
     next_event,

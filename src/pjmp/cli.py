@@ -1,10 +1,11 @@
 """Batch command-line front end.
 
-One command per process; all randomness flows from --seed (default 0); every
-output file carries the hash of its run manifest so results can be traced
-back to the exact invocation and model content. Exit codes: 0 success or
-PASS, 2 usage, bad input or a numerical failure (a solver that did not
-converge, out of memory), 3 degenerate model, 4 a verdict failed.
+One command per process; all randomness flows from --seed, an integer in
+[0, 2**64) (default 0); every output file carries the hash of its run
+manifest so results can be traced back to the exact invocation and model
+content. Exit codes: 0 success or PASS, 2 usage, bad input or a numerical
+failure (a solver that did not converge, out of memory), 3 degenerate
+model, 4 a verdict failed.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from .model import (
     network_from_json,
     network_to_json,
 )
-from .simulate import estimate_semigroup, estimate_weight_F, simulate_path
+from .simulate import estimate_ensemble, simulate_path
 from .spectral import (
     DegenerateModelError,
     poincare_constant,
@@ -127,10 +128,9 @@ def cmd_simulate(args) -> int:
     (out / "trajectory.csv").write_text("".join(lines), encoding="utf-8")
 
     total = lambda y: y.total()
-    mean_est, var_est = estimate_semigroup(
+    mean_est, var_est, effort = estimate_ensemble(
         net, total, net.zero_state(), args.t, args.replicas, args.seed
     )
-    effort = estimate_weight_F(net, net.zero_state(), args.t, args.replicas, args.seed)
     _write_json(
         out / "estimates.json",
         manifest,
@@ -401,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("model", help="model JSON file")
         p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
+        p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64) (default 0)")
         p.add_argument("--alpha", type=float, default=0.8, help="drift trade-off in (0,1)")
         p.add_argument("--m-box", type=float, default=None, dest="m_box",
                        help="coordinate cap of the truncation box (default: drift m)")

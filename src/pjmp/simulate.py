@@ -7,17 +7,19 @@ discretization exists anywhere in this module; an event at exactly the
 horizon fires.
 
 Replica r of a run seeded with s draws only from its own counter-based Philox
-stream keyed by (s, r) (Salmon et al., SC'11). Its event k uses uniforms 2k
-and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's log1p, so bits
-repeat per numpy build and CPU family) and the neuron is the first whose rate
-sum, left to right, exceeds u_2k+1 * total. The total is the same left-to-right
-sum over all neurons, not builtin sum(), which compensates from Python 3.12.
-``_draws`` pulls CHUNK events at a time for ``_race_block``, which steps BLOCK
-replicas in lockstep as a (B, N) int64 array, and for ``_walk``, the scalar
-walker of the single-path functions. Both do the same float arithmetic: no
-replica depends on the replica count, BLOCK or CHUNK, and replica 0 walks
-``simulate_path``'s path for that seed. Reductions over replicas use numpy's
-pairwise sum in replica order.
+stream keyed by (s, r) (Salmon et al., SC'11), ``replica_rng``. Its event k
+uses uniforms 2k and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's
+log1p, so bits repeat per numpy build and CPU family) and the neuron is the
+first whose rate sum, left to right, exceeds u_2k+1 * total. The total is the
+same left-to-right sum over all neurons, not builtin sum(), which compensates
+from Python 3.12. Draws come CHUNK events at a time. ``_race_block`` steps
+BLOCK replicas in lockstep as a (B, N) int64 array; one Philox per ensemble,
+its key and counter set before each refill, reads every replica's stream.
+``_walk``, the scalar walker of the single-path functions, reads one stream
+from its start. Both do the same float arithmetic: no replica depends on the
+replica count, BLOCK or CHUNK, and replica 0 walks ``simulate_path``'s path
+for that seed. Reductions over replicas use numpy's pairwise sum in replica
+order.
 
 A long path revisits few states, so ``_walk`` interns each visited state once
 with its cumulative rates and a lazily filled successor row, and records each
@@ -50,14 +52,17 @@ __all__ = [
     "ergodic_average",
     "empirical_tail",
     "estimate_weight_F",
+    "estimate_ensemble",
 ]
 
-BLOCK = 512  # replicas stepped in lockstep; bounds the live streams and buffers
+BLOCK = 512  # replicas stepped in lockstep; bounds the state and draw buffers
 CHUNK = 32  # events drawn per refill of a stream
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
-    """Independent counter-based stream for one replica of a seeded run."""
+    """Philox stream keyed by (seed, replica): the reference definition of its draws."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     key = np.array([seed, replica], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -101,12 +106,41 @@ def _check_times(horizon: float, burn_in: float | None = None) -> None:
         raise ValueError("horizon must exceed burn_in")
 
 
+def _exp_pick(u: np.ndarray):
+    """Exp(1) and pick uniforms of rows of event uniforms, two per event."""
+    return -np.log1p(-u[:, 0::2]), u[:, 1::2]
+
+
 def _draws(rngs, n_events: int):
     """Exp(1) and pick uniforms of the next n_events of each stream, one row each."""
     u = np.empty((len(rngs), 2 * n_events))
     for row, rng in zip(u, rngs):
         rng.random(out=row)
-    return -np.log1p(-u[:, 0::2]), u[:, 1::2]
+    return _exp_pick(u)
+
+
+def _keyed_uniforms(seed: int):
+    """Reader of every replica's stream of a seeded run through one repositioned Philox.
+
+    read(replicas, k) returns the uniforms replica_rng(seed, r) draws for
+    events k..k+CHUNK-1, one row per replica r.
+    """
+    rng = replica_rng(seed, 0)
+    state = rng.bit_generator.state
+    key, counter = [seed, 0], [0, 0, 0, 0]  # lists: the state setter reads them by element
+    state["state"] = {"key": key, "counter": counter}
+
+    def read(replicas: np.ndarray, k: int) -> np.ndarray:
+        skip = 2 * k % 4  # uniform 2k sits this far into its 4-uniform Philox block
+        counter[0] = 2 * k // 4
+        u = np.empty((len(replicas), skip + 2 * CHUNK))
+        for row, r in zip(u, replicas.tolist()):
+            key[1] = r
+            rng.bit_generator.state = state
+            rng.random(out=row)
+        return u[:, skip:]
+
+    return read
 
 
 def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: float, chunk: int):
@@ -157,24 +191,25 @@ def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: 
             cum, total, succ = rows[sid]
 
 
-def _race_block(net: SynapticNetwork, x: PotentialState, t: float, rngs):
-    """Run the race from x for time t, one replica per stream, in lockstep.
+def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.ndarray, read):
+    """Run the race from x for time t of the given replicas, in lockstep.
 
-    Returns the final numerators, shape (len(rngs), N), and each replica's
-    exact effort integral_0^t (total rate) ds. Live replicas are always at
-    the same event index, so one refill serves all of them.
+    read is a ``_keyed_uniforms`` reader. Returns the final numerators, shape
+    (len(replicas), N), and each replica's exact effort integral_0^t (total
+    rate) ds. Live replicas are always at the same event index, so one refill
+    serves all of them.
     """
     n, den = net.n_neurons, net.denominator
     delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
     w = np.array(net.weight_numerators, dtype=np.int64).reshape(n, n)
-    b = len(rngs)
+    b = len(replicas)
     finals = np.tile(np.array(x.numerators, dtype=np.int64), (b, 1))
     nums, clock, effort, efforts = finals.copy(), np.zeros(b), np.zeros(b), np.zeros(b)
     live, k = np.arange(b), 0
     while live.size:
         col = k % CHUNK
         if col == 0:
-            exps, us = _draws([rngs[r] for r in live], CHUNK)
+            exps, us = _exp_pick(read(replicas[live], k))
             slot = np.arange(live.size)  # row of each live replica in the draws
         acc = np.cumsum(delta + slope * (nums / den), axis=1)  # left to right
         total = acc[:, -1]
@@ -202,12 +237,12 @@ def _replicas(net: SynapticNetwork, x: PotentialState, t: float, n_replicas: int
     _check_times(t)
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
+    read = _keyed_uniforms(seed)
     finals = np.empty((n_replicas, net.n_neurons), dtype=np.int64)
     efforts = np.empty(n_replicas)
     for lo in range(0, n_replicas, BLOCK):
         hi = min(lo + BLOCK, n_replicas)
-        rngs = [replica_rng(seed, r) for r in range(lo, hi)]
-        finals[lo:hi], efforts[lo:hi] = _race_block(net, x, t, rngs)
+        finals[lo:hi], efforts[lo:hi] = _race_block(net, x, t, np.arange(lo, hi), read)
     return finals, efforts
 
 
@@ -249,10 +284,14 @@ def estimate_semigroup(
     for Var[f(X_t)] (unbiased sample variance; its standard error comes from
     the usual fourth-moment formula).
     """
-    finals, _effort = _replicas(net, x, t, n_replicas, seed)
-    states = (PotentialState(tuple(row.tolist()), x.denominator) for row in finals)
-    vals = np.fromiter(map(f, states), float, n_replicas)
-    n = n_replicas
+    return _score_semigroup(f, _replicas(net, x, t, n_replicas, seed)[0], x.denominator, seed)
+
+
+def _score_semigroup(f, finals: np.ndarray, den: int, seed: int):
+    """estimate_semigroup's (mean, variance) of f at the final numerators."""
+    states = (PotentialState(tuple(row.tolist()), den) for row in finals)
+    n = len(finals)
+    vals = np.fromiter(map(f, states), float, n)
     mean = float(np.sum(vals) / n)
     centered = vals - mean
     s2 = float(np.sum(centered**2) / (n - 1))
@@ -365,9 +404,20 @@ def estimate_weight_F(
     integral is computed exactly; only the replica average is random. Its
     mean equals the expected number of firings in [0, t].
     """
-    _finals, vals = _replicas(net, x, t, n_replicas, seed)
-    mean = float(np.sum(vals) / n_replicas)
+    return _score_effort(_replicas(net, x, t, n_replicas, seed)[1], seed)
+
+
+def _score_effort(vals: np.ndarray, seed: int) -> EstimatorResult:
+    """estimate_weight_F's mean of the effort integrals."""
+    n = len(vals)
+    mean = float(np.sum(vals) / n)
     s = float(np.std(vals, ddof=1))
-    return EstimatorResult(
-        mean=mean, std_error=s / math.sqrt(n_replicas), n_samples=n_replicas, seed=seed
-    )
+    return EstimatorResult(mean=mean, std_error=s / math.sqrt(n), n_samples=n, seed=seed)
+
+
+def estimate_ensemble(
+    net: SynapticNetwork, f, x: PotentialState, t: float, n_replicas: int, seed: int
+):
+    """What estimate_semigroup and estimate_weight_F return, from one race: (mean, var, effort)."""
+    finals, efforts = _replicas(net, x, t, n_replicas, seed)
+    return (*_score_semigroup(f, finals, x.denominator, seed), _score_effort(efforts, seed))

@@ -59,6 +59,17 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: time must be finite")
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+    def test_out_of_range_seed(self, tmp_path, seed):
+        # the Philox key is two uint64 words; these ended in an OverflowError traceback
+        proc = run_cli(
+            ["simulate", RING2, "--seed", seed, "--replicas", "2", "--out", "sim"], tmp_path
+        )
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert lines == [f"error: seed must be in [0, 2**64), got {seed}"]
+        assert not (tmp_path / "sim").exists()
+
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["frobnicate", RING2], tmp_path)
         assert proc.returncode == 2, proc.stderr

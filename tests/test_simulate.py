@@ -1,5 +1,6 @@
 """Exact event-driven simulation and the Monte Carlo estimators."""
 
+import importlib.resources
 import math
 import os
 from unittest import mock
@@ -14,6 +15,7 @@ from pjmp import (
     empirical_tail,
     enumerate_states,
     ergodic_average,
+    estimate_ensemble,
     estimate_semigroup,
     estimate_weight_F,
     intensity_at,
@@ -23,7 +25,7 @@ from pjmp import (
     stationary,
     weighted_F_exact,
 )
-from pjmp import simulate
+from pjmp import cli, simulate
 from pjmp.simulate import replica_rng
 
 from conftest import make_random_net
@@ -317,6 +319,77 @@ class TestLockstepKernel:
         estimate_semigroup(rand4, lambda y: seen.append(y) or 0.0, rand4.zero_state(), 1.0, 5, seed=0)
         assert len(seen) == 5
         assert all(type(v) is int for y in seen for v in y.numerators)
+
+
+class TestKeyedStreams:
+    """One repositioned Philox reads every replica's stream as replica_rng draws it."""
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    @pytest.mark.parametrize("chunk", [1, 3, 32])
+    def test_rows_match_replica_rng(self, monkeypatch, seed, chunk):
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        read = simulate._keyed_uniforms(seed)
+        replicas = [0, 511, 512, 513]
+        # one reader, moved back and forth; k = 1, 31, 33 start mid-way
+        # through a 4-uniform Philox block
+        for k in (100, 0, 33, 1, 32, 31):
+            rows = read(np.array(replicas), k)
+            assert rows.shape == (len(replicas), 2 * chunk)
+            for row, r in zip(rows, replicas):
+                want = replica_rng(seed, r).random(2 * (k + chunk))[2 * k :]
+                assert np.array_equal(row, want)
+
+
+class TestSeedRange:
+    CALLS = {
+        "replica_rng": lambda net, seed: replica_rng(seed, 0),
+        "simulate_path": lambda net, seed: simulate_path(net, net.zero_state(), 1.0, seed),
+        "estimate_semigroup": lambda net, seed: estimate_semigroup(
+            net, lambda y: 0.0, net.zero_state(), 1.0, 2, seed
+        ),
+        "estimate_weight_F": lambda net, seed: estimate_weight_F(
+            net, net.zero_state(), 1.0, 2, seed
+        ),
+        "estimate_ensemble": lambda net, seed: estimate_ensemble(
+            net, lambda y: 0.0, net.zero_state(), 1.0, 2, seed
+        ),
+        "ergodic_average": lambda net, seed: ergodic_average(net, lambda y: 0.0, 1.0, 10.0, seed),
+        "empirical_tail": lambda net, seed: empirical_tail(net, [1.0], 1.0, 10.0, seed),
+    }
+
+    @pytest.mark.parametrize("name", sorted(CALLS))
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_out_of_range_seed_refused(self, ring2, name, seed):
+        # numpy's uint64 key conversion raised OverflowError
+        with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+            self.CALLS[name](ring2, seed)
+
+
+class TestEnsembleRacedOnce:
+    @pytest.mark.parametrize("net_name", ["ring2", "rand4"])
+    @pytest.mark.parametrize("seed", [0, 3, 2**64 - 1])
+    def test_equals_the_separate_estimators(self, ring2, net_name, seed):
+        net = ring2 if net_name == "ring2" else make_random_net(5, n=4)
+        x, total = net.zero_state(), lambda y: y.total()
+        got = estimate_ensemble(net, total, x, 2.0, 700, seed)
+        mean, var = estimate_semigroup(net, total, x, 2.0, 700, seed)
+        assert got == (mean, var, estimate_weight_F(net, x, 2.0, 700, seed))
+
+    @pytest.mark.parametrize("n_replicas", [2, 512, 1100])
+    def test_simulate_races_each_block_once(self, tmp_path, monkeypatch, n_replicas):
+        calls = []
+        real = simulate._race_block
+
+        def counted(net, x, t, replicas, read):
+            calls.append(replicas.tolist())
+            return real(net, x, t, replicas, read)
+
+        monkeypatch.setattr(simulate, "_race_block", counted)
+        model = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
+        argv = ["simulate", model, "--t", "1", "--replicas", str(n_replicas)]
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+        assert len(calls) == -(-n_replicas // simulate.BLOCK)
+        assert sum(calls, []) == list(range(n_replicas))
 
 
 class TestMarkovConsistency:
