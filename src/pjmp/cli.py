@@ -100,7 +100,7 @@ def _solve(args):
 
 
 def _maybe_export_generator(args, manifest, space, gen, out: Path):
-    if getattr(args, "export_generator", False):
+    if args.export_generator:
         export_matrix_market(gen, out / "generator.mtx", comment=_manifest_hash(manifest))
         export_state_table(space, out / "states.csv", header_comment=f"manifest_hash={_manifest_hash(manifest)}")
 
@@ -110,7 +110,7 @@ def _estimate_doc(est) -> dict:
 
 
 def cmd_simulate(args) -> int:
-    net, _cert, _m = _load(args)
+    net = network_from_json(args.model)
     if args.replicas < 2:
         raise ValueError("--replicas must be at least 2")
     # simulate_path refuses a negative or non-finite --t before anything is written
@@ -398,55 +398,47 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"pjmp {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, text, box=True):
+        p = sub.add_parser(name, help=text)
+        p.set_defaults(func=func)
         p.add_argument("model", help="model JSON file")
         p.add_argument("--out", default=".", help="output directory")
         p.add_argument("--seed", type=int, default=0, help="master seed in [0, 2**64) (default 0)")
-        p.add_argument("--alpha", type=float, default=0.8, help="drift trade-off in (0,1)")
-        p.add_argument("--m-box", type=float, default=None, dest="m_box",
-                       help="coordinate cap of the truncation box (default: drift m)")
-        p.add_argument("--max-states", type=int, default=200_000, dest="max_states")
-        p.add_argument("--eps", type=float, default=1e-12, help="series truncation error")
+        if box:
+            p.add_argument("--alpha", type=float, default=0.8, help="drift trade-off in (0,1)")
+            p.add_argument("--m-box", type=float, default=None, dest="m_box",
+                           help="coordinate cap of the truncation box (default: drift m)")
+            p.add_argument("--max-states", type=int, default=200_000, dest="max_states")
+        return p
+
+    p = command("simulate", cmd_simulate, "trajectory plus Monte Carlo estimates", box=False)
+    p.add_argument("--t", type=float, default=10.0, help="horizon")
+    p.add_argument("--replicas", type=int, default=1000)
+
+    for name, func, text in (
+        ("stationary", cmd_stationary, "stationary law of the truncated chain"),
+        ("gap", cmd_gap, "optimal variance-to-energy constant"),
+    ):
+        p = command(name, func, text)
         p.add_argument("--export-generator", action="store_true", dest="export_generator",
                        help="also write generator.mtx and states.csv")
 
-    p = sub.add_parser("simulate", help="trajectory plus Monte Carlo estimates")
-    common(p)
-    p.add_argument("--t", type=float, default=10.0, help="horizon")
-    p.add_argument("--replicas", type=int, default=1000)
-    p.set_defaults(func=cmd_simulate)
+    command("verify-lyapunov", cmd_verify_lyapunov, "pointwise drift inequality sweep")
 
-    p = sub.add_parser("stationary", help="stationary law of the truncated chain")
-    common(p)
-    p.set_defaults(func=cmd_stationary)
-
-    p = sub.add_parser("gap", help="optimal variance-to-energy constant")
-    common(p)
-    p.set_defaults(func=cmd_gap)
-
-    p = sub.add_parser("verify-lyapunov", help="pointwise drift inequality sweep")
-    common(p)
-    p.set_defaults(func=cmd_verify_lyapunov)
-
-    p = sub.add_parser("verify-poincare", help="variance domination checks")
-    common(p)
+    p = command("verify-poincare", cmd_verify_poincare, "variance domination checks")
     p.add_argument("--n-functions", type=int, default=1000, dest="n_functions")
-    p.set_defaults(func=cmd_verify_poincare)
 
-    p = sub.add_parser("concentration", help="certified exponential tail bound")
-    common(p)
+    p = command("concentration", cmd_concentration, "certified exponential tail bound")
     p.add_argument("--lambda-margin", type=float, default=0.1, dest="lambda_margin")
     p.add_argument("--r-grid", type=_float_list, default=None, dest="r_grid",
                    help="comma-separated tail levels (default 1..12)")
-    p.set_defaults(func=cmd_concentration)
 
-    p = sub.add_parser("semigroup-report", help="measured weighted-inequality constants")
-    common(p)
+    p = command("semigroup-report", cmd_semigroup_report, "measured weighted-inequality constants")
+    p.add_argument("--eps", type=float, default=1e-12, help="series truncation error")
     p.add_argument("--t-grid", type=_float_list, default=None, dest="t_grid",
                    help="comma-separated times, all >= t1 (default t1*{1,2,4,8})")
     p.add_argument("--suite-size", type=int, default=50, dest="suite_size")
     p.add_argument("--inner-frac", type=float, default=0.5, dest="inner_frac")
-    p.set_defaults(func=cmd_semigroup_report)
 
     return parser
 
@@ -455,6 +447,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if not 0 <= args.seed < 2**64:  # checked before any output is written
+            raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
         return args.func(args)
     except DegenerateModelError as exc:
         print(f"degenerate model: {exc}", file=sys.stderr)

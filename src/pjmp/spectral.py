@@ -14,7 +14,6 @@ stationary mass and are excluded from all spectral computations.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -41,6 +40,8 @@ __all__ = [
 ]
 
 DENSE_CUTOFF = 2000
+GTH_DENSE_STATES = 200
+GTH_DENSE_FILL = 0.1
 POWER_TOL = 1e-15
 POWER_MAXITER = 500_000
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -78,6 +79,13 @@ def _closed_classes(q: sp.csr_matrix):
     return closed, labels
 
 
+def _off_diagonal(m) -> sp.csr_matrix:
+    """The nonzero off-diagonal entries of m, as CSR."""
+    coo = sp.coo_matrix(m, dtype=float)
+    off = (coo.row != coo.col) & (coo.data != 0)
+    return sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=coo.shape)
+
+
 def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     """Stationary vector of an irreducible generator by GTH elimination.
 
@@ -85,81 +93,62 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     relative accuracy even when the stationary mass spans hundreds of orders
     of magnitude.
 
-    States are eliminated from the last to the first. Row k is formed when
-    it becomes the pivot (left-looking order): it starts from its rates and
-    receives a[k, m] times the normalised row m of every eliminated state
-    m > k it reaches, in decreasing m, where a[k, m] is final once every
-    larger state is done. These are the additions, in the same order, that
-    the right-looking dense update a[:m, :m] += outer(a[:m, m], a[m, :m])
-    makes to row k, so the result is bitwise that of the dense form.
-    Eliminated rows are kept as (columns, values) pairs, and forming a row
-    touches only the patterns of the rows it reaches, so time and memory
-    follow the fill. What remains quadratic is three vectorised passes per
-    pivot over the dense work row: its sum, its nonzeros and its reset.
-
-    The exit-rate sum runs over a dense length-k row and the
-    back-substitution dot product over a strided dense column, laid out as
-    in the dense form, so numpy and BLAS reduce them in the same order.
+    While more than GTH_DENSE_STATES states remain and their symmetrised
+    pattern is less than GTH_DENSE_FILL dense, a round eliminates the set S
+    of states whose (degree, index) is below that of every neighbour; state
+    0, the anchor, is never picked and never blocks a neighbour. S has no
+    inner edges, so with s_S the rates from S into the rest C, one sparse
+    product A_CC += A_CS diag(1/s_S) A_SC eliminates it; the diagonal it
+    makes is dropped. The states left are eliminated densely, from the last
+    to the first, by rank-1 updates, and the rounds are undone in reverse
+    as mu_S = mu_C A_CS / s_S. Up to GTH_DENSE_STATES states no round runs.
     """
-    n = q_supp.shape[0]
-    if n == 1:
-        return np.ones(1)
-    coo = sp.coo_matrix(q_supp, dtype=float)
-    off = (coo.row != coo.col) & (coo.data != 0)
-    a = sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=(n, n))
-    row = np.zeros(n)  # the pivot row being formed, dense
-    eliminated = [None] * n  # normalised row k: (columns below k, values)
-    exit_rate = np.zeros(n)
-    up_col, up_row, up_val = [], [], []  # final a[k, m] with m > k
-    for k in range(n - 1, -1, -1):
-        cols = a.indices[a.indptr[k] : a.indptr[k + 1]]
-        row[cols] = a.data[a.indptr[k] : a.indptr[k + 1]]
-        # columns m > k of row k still to use, largest first; a column is
-        # pushed when an update first reaches it
-        heap = (-cols[cols > k]).tolist()
-        heapq.heapify(heap)
-        while heap:
-            m = -heapq.heappop(heap)
-            a_km = row[m]
-            if a_km == 0.0:  # its products underflowed; may be pushed twice
-                continue
-            row[m] = 0.0
-            up_col.append(m)
-            up_row.append(k)
-            up_val.append(a_km)
-            cols_m, vals_m = eliminated[m]
-            fill = cols_m[cols_m.searchsorted(k, "right") :]
-            fill = fill[row[fill] == 0.0]
-            row[cols_m] += a_km * vals_m
-            for j in fill.tolist():
-                heapq.heappush(heap, -j)
-        if k == 0:
+    a = _off_diagonal(q_supp)
+    rest = np.arange(a.shape[0])  # support indices not yet eliminated
+    rounds = []
+    while len(rest) > GTH_DENSE_STATES:
+        k = len(rest)
+        pattern = (a + a.T).tocsr()
+        if pattern.nnz >= GTH_DENSE_FILL * k * k:
             break
-        s = row[:k].sum()
+        degree = np.diff(pattern.indptr).astype(np.int64)
+        key = degree * k + np.arange(k)
+        key[0] = np.iinfo(np.int64).max  # the anchor is below no neighbour
+        lowest = np.full(k, np.iinfo(np.int64).max)
+        np.minimum.at(lowest, np.repeat(np.arange(k), degree), key[pattern.indices])
+        picked = key < lowest
+        s_idx, c_idx = np.flatnonzero(picked), np.flatnonzero(~picked)
+        a_sc = a[s_idx][:, c_idx]
+        exit_rate = np.asarray(a_sc.sum(axis=1)).ravel()
+        if not exit_rate.min() > 0:
+            bad = rest[s_idx[exit_rate.argmin()]]
+            raise ValueError(f"state {bad} cannot reach the others; generator not irreducible")
+        a_cs = a[c_idx][:, s_idx]
+        a = _off_diagonal(a[c_idx][:, c_idx] + a_cs @ (sp.diags(1.0 / exit_rate) @ a_sc))
+        rounds.append((s_idx, c_idx, a_cs, exit_rate))
+        rest = rest[c_idx]
+
+    a = a.toarray()
+    k = len(rest)
+    exit_rate = np.zeros(k)
+    for j in range(k - 1, 0, -1):
+        s = a[j, :j].sum()
         if s <= 0:
             raise ValueError(
-                f"state {k} cannot reach earlier states; generator not irreducible"
+                f"state {rest[j]} cannot reach earlier states; generator not irreducible"
             )
-        exit_rate[k] = s
-        cols_k = (row[:k] != 0.0).nonzero()[0]
-        eliminated[k] = (cols_k, row[cols_k] / s)
-        row[: k + 1] = 0.0
-
-    up_col = np.array(up_col, dtype=np.int64)
-    order = np.argsort(up_col, kind="stable")
-    starts = np.searchsorted(up_col[order], np.arange(n + 1)).tolist()
-    up_row = np.array(up_row, dtype=np.int64)[order]
-    up_val = np.array(up_val, dtype=float)[order]
-    # a non-unit stride, like a column of the dense matrix, keeps BLAS on the
-    # same summation order
-    column = np.zeros(2 * n)[::2]
-    mu = np.zeros(n)
+        exit_rate[j] = s
+        a[j, :j] /= s
+        a[:j, :j] += np.outer(a[:j, j], a[j, :j])
+    mu = np.zeros(k)
     mu[0] = 1.0
-    for k in range(1, n):
-        rows_k = up_row[starts[k] : starts[k + 1]]
-        column[rows_k] = up_val[starts[k] : starts[k + 1]]
-        mu[k] = (mu[:k] @ column[:k]) / exit_rate[k]
-        column[rows_k] = 0.0
+    for j in range(1, k):
+        mu[j] = (mu[:j] @ a[:j, j]) / exit_rate[j]
+    for s_idx, c_idx, a_cs, exit_rate in reversed(rounds):
+        full = np.empty(len(s_idx) + len(c_idx))
+        full[c_idx] = mu
+        full[s_idx] = (a_cs.T @ mu) / exit_rate
+        mu = full
     return mu / mu.sum()
 
 
@@ -183,10 +172,11 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     lam = _uniformization_rate(q_supp)
     if lam <= 0:
         raise ValueError("support has no motion; power iteration undefined")
-    p = _discrete_kernel(q_supp, lam)
+    # v @ P, as the transposed kernel applied to v; built once
+    p_t = _discrete_kernel(q_supp, lam).T.tocsr()
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAXITER):
-        v2 = v @ p
+        v2 = p_t @ v
         delta = 0.5 * np.abs(v2 - v).sum()
         v = v2
         if delta < POWER_TOL:
@@ -223,15 +213,16 @@ class StationaryDistribution:
         return float(self.probabilities @ np.asarray(f, dtype=float))
 
 
-def stationary(gen, dense_cutoff: int = DENSE_CUTOFF) -> StationaryDistribution:
+def stationary(gen) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
     Requires a unique closed communicating class; otherwise raises naming two
-    states that cannot communicate. The primary solve is GTH elimination
-    (componentwise relative accuracy, needed because tail states can carry
-    mass far below the absolute float noise floor of a dense LU solve);
-    the dense null-space solve and power iteration on the uniformized kernel
-    run as cross-checks at small and any dimension respectively.
+    states that cannot communicate. The primary solve is GTH elimination,
+    sparse rounds and then a dense tail (see _gth_solve), with
+    componentwise relative accuracy, needed because tail states can carry
+    mass far below the absolute float noise floor of a dense LU solve. The
+    dense null-space solve (up to DENSE_CUTOFF support states) and power
+    iteration on the uniformized kernel (at any size) run as cross-checks.
     """
     q = _as_matrix(gen)
     n = q.shape[0]
@@ -249,7 +240,7 @@ def stationary(gen, dense_cutoff: int = DENSE_CUTOFF) -> StationaryDistribution:
     mu_supp = _gth_solve(q_supp)
 
     dense_tv = None
-    if len(support) <= dense_cutoff:
+    if len(support) <= DENSE_CUTOFF:
         mu_dense = _dense_nullspace_solve(q_supp.toarray())
         dense_tv = float(0.5 * np.abs(mu_supp - mu_dense).sum())
     mu_power = _power_iteration_solve(q_supp)
@@ -412,9 +403,7 @@ class GapResult:
     residual: float | None = None
 
 
-def poincare_constant(
-    gen, mu: StationaryDistribution, dense_cutoff: int = DENSE_CUTOFF, method: str = "auto"
-) -> GapResult:
+def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
     """Best constant C with Var_mu(f) <= C * mu(Gamma(f,f)) on the support.
 
     Computed as 1/lambda_1, with lambda_1 the smallest nonzero eigenvalue of
@@ -440,16 +429,14 @@ def poincare_constant(
     q_supp = q[np.ix_(support, support)]
     sq = np.sqrt(mu_s)
 
-    if method == "auto":
-        method = "direct" if ns <= dense_cutoff else "iterative"
-
+    method = "direct" if ns <= DENSE_CUTOFF else "iterative"
     if method == "direct":
         m = -q_supp.toarray() * (sq[:, None] / sq[None, :])
         b = 0.5 * (m + m.T)
         vals, vecs = np.linalg.eigh(b)
         lam1 = float(vals[1])
         vec = vecs[:, 1]
-    elif method == "iterative":
+    else:
         scale_l = sp.diags(sq)
         scale_r = sp.diags(1.0 / sq)
         m = (-(scale_l @ q_supp @ scale_r)).tocsr()
@@ -463,8 +450,6 @@ def poincare_constant(
         order = np.argsort(vals)
         lam1 = float(vals[order[0]])
         vec = vecs[:, order[0]]
-    else:
-        raise ValueError(f"unknown method {method!r}")
 
     residual = float(np.linalg.norm(b @ vec - lam1 * vec))
     if method == "iterative" and not residual <= EIGEN_RESIDUAL_TOL:

@@ -59,16 +59,35 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: time must be finite")
         assert not (tmp_path / "sim").exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "verify-poincare", "semigroup-report"])
     @pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
-    def test_out_of_range_seed(self, tmp_path, seed):
-        # the Philox key is two uint64 words; these ended in an OverflowError traceback
-        proc = run_cli(
-            ["simulate", RING2, "--seed", seed, "--replicas", "2", "--out", "sim"], tmp_path
-        )
+    def test_out_of_range_seed(self, tmp_path, command, seed):
+        # the Philox key is two uint64 words; these ended in an OverflowError
+        # traceback, in numpy's unnamed error, or were accepted
+        proc = run_cli([command, RING2, "--seed", seed, "--out", "out"], tmp_path)
         assert proc.returncode == 2, proc.stderr
         lines = proc.stderr.strip().splitlines()
         assert lines == [f"error: seed must be in [0, 2**64), got {seed}"]
-        assert not (tmp_path / "sim").exists()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["gap", "--eps", "5"],
+            ["verify-poincare", "--export-generator"],
+            ["simulate", "--alpha", "0.5"],
+            ["simulate", "--m-box", "3"],
+            ["simulate", "--max-states", "10"],
+        ],
+    )
+    def test_option_the_command_ignores_is_refused(self, tmp_path, capsys, argv):
+        import pjmp.cli as cli
+
+        with pytest.raises(SystemExit) as exc:
+            cli.main([argv[0], RING2, *argv[1:], "--out", str(tmp_path / "out")])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_command(self, tmp_path):
         proc = run_cli(["frobnicate", RING2], tmp_path)

@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,7 +33,8 @@ from pjmp import (
 def _dense_gth_oracle(q_supp: np.ndarray) -> np.ndarray:
     """GTH elimination on a dense copy, updating the whole leading block.
 
-    The reference the sparse solver must reproduce bit for bit.
+    The reference the solver must reproduce bit for bit up to
+    GTH_DENSE_STATES states, where it runs no elimination round.
     """
     n = q_supp.shape[0]
     if n == 1:
@@ -54,6 +56,56 @@ def _dense_gth_oracle(q_supp: np.ndarray) -> np.ndarray:
     for k in range(1, n):
         mu[k] = (mu[:k] @ a[:k, k]) / exit_rate[k]
     return mu / mu.sum()
+
+
+def _exact_gth_oracle(rows) -> np.ndarray:
+    """GTH elimination in exact rationals, rounded to floats at the end.
+
+    rows[k] maps each state j != k to the rate k -> j as a Fraction. The
+    elimination runs from the last state to the first, as in the dense
+    oracle, so every entry of the result is the correctly rounded
+    stationary probability.
+    """
+    a = [dict(row) for row in rows]
+    n = len(a)
+    exit_rate = [None] * n
+    for k in range(n - 1, 0, -1):
+        row = {j: v for j, v in a[k].items() if j < k}
+        exit_rate[k] = sum(row.values())
+        for i in range(k):
+            a_ik = a[i].get(k)
+            if a_ik:
+                for j, v in row.items():
+                    a[i][j] = a[i].get(j, 0) + a_ik * v / exit_rate[k]
+    mu = [Fraction(1)]
+    for k in range(1, n):
+        mu.append(sum(mu[i] * a[i].get(k, 0) for i in range(k)) / exit_rate[k])
+    total = sum(mu)
+    return np.array([float(m / total) for m in mu])
+
+
+def _exact_rates(net, m_box):
+    """Rows of rational rates k -> j on the closed class of the box, in the
+    order stationary() gives its support, and the matching float generator."""
+    space = enumerate_states(net, net.zero_state(), m_box)
+    q = assemble_generator(net, space).matrix
+    closed, labels = spectral._closed_classes(q)
+    support = np.nonzero(labels == closed[0])[0]
+    position = {int(k): j for j, k in enumerate(support)}
+    delta, slope = net.intensity.delta, net.intensity.slope
+    rows = []
+    for k in support.tolist():
+        row = {}
+        for i, target in enumerate(space.targets[k].tolist()):
+            if target != k:
+                x = Fraction(int(space.numerators[k, i]), net.denominator)
+                row[position[target]] = row.get(position[target], 0) + delta + slope * x
+        rows.append(row)
+    return rows, q[support][:, support]
+
+
+def _max_relative_error(got, want) -> float:
+    return float(np.max(np.abs(got - want) / want))
 
 
 def _support_generator(net, m_box) -> sp.csr_matrix:
@@ -82,16 +134,54 @@ def irreducible_generators(draw):
     return q
 
 
+def _eliminated_by_rounds(q_supp):
+    """_gth_solve with every state but the anchor eliminated in rounds.
+
+    Every round must shrink the matrix, so a round that picked no state
+    fails here instead of looping forever. Returns the solution and the
+    sizes the rounds went through.
+    """
+    sizes = []
+    off_diagonal = spectral._off_diagonal
+
+    def shrinking(m):
+        assert not sizes or m.shape[0] < sizes[-1], "a round picked no state"
+        sizes.append(m.shape[0])
+        return off_diagonal(m)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "GTH_DENSE_STATES", 1)
+        mp.setattr(spectral, "GTH_DENSE_FILL", 2.0)
+        mp.setattr(spectral, "_off_diagonal", shrinking)
+        return spectral._gth_solve(q_supp), sizes
+
+
+REDUCIBLE = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
+
+
 class TestGTHSolver:
-    @pytest.mark.parametrize(
-        "model, m_box",
-        [("ring2", 34.0), ("ring2", 68.0), ("rand3", 8.0), ("rand3", 10.0), ("rand3", 12.0)],
-    )
-    def test_bitwise_equal_to_dense_oracle(self, ring2, model, m_box):
-        net = ring2 if model == "ring2" else make_random_net(1)
-        q_supp = _support_generator(net, m_box)
+    @pytest.mark.parametrize("m_box", [34.0, 68.0])
+    def test_bitwise_equal_to_dense_oracle(self, ring2, m_box):
+        # at most GTH_DENSE_STATES support states: no round runs
+        q_supp = _support_generator(ring2, m_box)
+        assert q_supp.shape[0] <= spectral.GTH_DENSE_STATES
         mu = spectral._gth_solve(q_supp)
         assert np.array_equal(mu, _dense_gth_oracle(q_supp.toarray()))
+
+    @pytest.mark.parametrize("m_box", [8.0, 10.0, 12.0])
+    def test_rounds_match_dense_oracle(self, m_box):
+        q_supp = _support_generator(make_random_net(1), m_box)
+        assert q_supp.shape[0] > spectral.GTH_DENSE_STATES
+        mu = spectral._gth_solve(q_supp)
+        assert _max_relative_error(mu, _dense_gth_oracle(q_supp.toarray())) <= 1e-13
+
+    @pytest.mark.parametrize("model, m_box", [("ring2", 10.0), ("rand3", 6.0)])
+    def test_matches_exact_oracle(self, ring2, model, m_box):
+        # rand3 at box 6 has 282 support states, so rounds run before the tail
+        net = ring2 if model == "ring2" else make_random_net(1)
+        rows, q_supp = _exact_rates(net, m_box)
+        mu = spectral._gth_solve(q_supp)
+        assert _max_relative_error(mu, _exact_gth_oracle(rows)) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(irreducible_generators())
@@ -99,11 +189,22 @@ class TestGTHSolver:
         mu = spectral._gth_solve(sp.csr_matrix(q))
         assert np.array_equal(mu, _dense_gth_oracle(q))
 
+    @settings(max_examples=200, deadline=None)
+    @given(irreducible_generators())
+    def test_rounds_down_to_the_anchor(self, q):
+        mu, sizes = _eliminated_by_rounds(sp.csr_matrix(q))
+        assert sizes[0] == len(q) and sizes[-1] == 1
+        rows = [{j: Fraction(v) for j, v in enumerate(r) if j != k and v} for k, r in enumerate(q)]
+        assert _max_relative_error(mu, _exact_gth_oracle(rows)) <= 1e-13
+
     def test_reducible_generator_rejected(self):
         # state 1 only leads to state 2, which only leads back to state 1
-        q = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
         with pytest.raises(ValueError, match="not irreducible"):
-            spectral._gth_solve(sp.csr_matrix(q))
+            spectral._gth_solve(sp.csr_matrix(REDUCIBLE))
+
+    def test_reducible_generator_rejected_in_rounds(self):
+        with pytest.raises(ValueError, match="not irreducible"):
+            _eliminated_by_rounds(sp.csr_matrix(REDUCIBLE))
 
     def test_no_dense_copy_above_cutoff(self):
         # rand3 at box 16 has a 2107-state support, above DENSE_CUTOFF; a
@@ -357,9 +458,10 @@ class TestStationary:
         assert mu.probabilities.sum() == pytest.approx(1.0, abs=1e-14)
         assert (mu.probabilities >= 0).all()
 
-    def test_dense_check_skipped_above_cutoff(self, ring2_box10):
+    def test_dense_check_skipped_above_cutoff(self, ring2_box10, monkeypatch):
         _space, gen, _mu = ring2_box10
-        mu = stationary(gen, dense_cutoff=5)
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
+        mu = stationary(gen)
         assert mu.dense_tv is None
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
 
@@ -494,26 +596,22 @@ class TestPoincare:
         assert sup_ratio <= gap.c_opt + 1e-12
         assert var_s / en_s == pytest.approx(gap.c_opt, rel=1e-6)
 
-    def test_iterative_agrees_with_direct(self, ring2):
+    def test_iterative_agrees_with_direct(self, ring2, monkeypatch):
         space = enumerate_states(ring2, ring2.zero_state(), 30.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
-        direct = poincare_constant(gen, mu, method="direct")
-        iterative = poincare_constant(gen, mu, method="iterative")
-        assert iterative.method == "iterative"
+        direct = poincare_constant(gen, mu)
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+        iterative = poincare_constant(gen, mu)
+        assert (direct.method, iterative.method) == ("direct", "iterative")
         assert iterative.c_opt == pytest.approx(direct.c_opt, rel=1e-8)
 
-    def test_auto_dispatch_above_cutoff(self, ring2):
-        space = enumerate_states(ring2, ring2.zero_state(), 30.0)
-        gen = assemble_generator(ring2, space)
-        mu = stationary(gen)
-        gap = poincare_constant(gen, mu, dense_cutoff=10)
-        assert gap.method == "iterative"
-
-    def test_eigenpair_residual_reported(self, ring2_box10):
+    def test_eigenpair_residual_reported(self, ring2_box10, monkeypatch):
         _space, gen, mu = ring2_box10
-        for method in ("direct", "iterative"):
-            gap = poincare_constant(gen, mu, method=method)
+        for cutoff, method in ((spectral.DENSE_CUTOFF, "direct"), (5, "iterative")):
+            monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+            gap = poincare_constant(gen, mu)
+            assert gap.method == method
             assert gap.residual is not None
             assert gap.residual <= spectral.EIGEN_RESIDUAL_TOL
 
@@ -528,8 +626,9 @@ class TestPoincare:
             return vals * 1.01, vecs
 
         monkeypatch.setattr(spectral.spla, "lobpcg", inflated)
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
         with pytest.raises(RuntimeError, match="residual"):
-            poincare_constant(gen, mu, method="iterative")
+            poincare_constant(gen, mu)
 
 
 class TestWeightedIntegral:
