@@ -65,7 +65,6 @@ from .spectral import (
     weighted_F_vector,
 )
 from .certificates import (
-    AdmissibleLambda,
     C3GeneralReport,
     C3SumReport,
     ConcentrationCertificate,

@@ -40,7 +40,6 @@ __all__ = [
     "compute_C3_general",
     "lambda0_product",
     "solve_admissible_lambda",
-    "AdmissibleLambda",
     "admissible_lambda",
     "ConcentrationCertificate",
     "TalagrandRow",
@@ -336,10 +335,14 @@ def solve_admissible_lambda(
 
 
 @dataclass(frozen=True)
-class AdmissibleLambda:
+class ConcentrationCertificate:
+    """Everything needed to evaluate the certified exponential tail bound."""
+
+    c0: float
+    c3: float
+    n0: float
     lam: float
     lam0: float
-    c3: float
     q: float
     margin: float
 
@@ -351,7 +354,7 @@ def admissible_lambda(
     c0: float,
     margin: float = 0.1,
     tol: float = 1e-12,
-) -> AdmissibleLambda:
+) -> ConcentrationCertificate:
     """Admissible exponential rate for the summed-potential observable.
 
     The coefficient c3 itself grows with lambda through its boundary term, so
@@ -368,24 +371,13 @@ def admissible_lambda(
             "certificate degenerate"
         )
     lam = solve_admissible_lambda(c0, c3_fn, margin=margin)
-    c3 = c3_fn(lam)
+    c3_report = compute_C3_sum_function(net, space, mu, lam)
+    c3 = c3_report.total
     q = lam * lam * c0 * c3
     lam0 = lambda0_product(c0, c3, lam, tol=tol)
-    return AdmissibleLambda(lam=lam, lam0=lam0, c3=c3, q=q, margin=margin)
-
-
-@dataclass(frozen=True)
-class ConcentrationCertificate:
-    """Everything needed to evaluate the certified exponential tail bound."""
-
-    c0: float
-    c0_source: str  # "spectral" or "path"
-    c3: float
-    n0: float
-    lam: float
-    lam0: float
-    q: float
-    margin: float
+    return ConcentrationCertificate(
+        c0=c0, c3=c3, n0=c3_report.n0, lam=lam, lam0=lam0, q=q, margin=margin
+    )
 
 
 # -- certified tails ----------------------------------------------------------

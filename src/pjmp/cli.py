@@ -1,11 +1,17 @@
 """Batch command-line front end.
 
 One command per process; all randomness flows from --seed, an integer in
-[0, 2**64) (default 0); every output file carries the hash of its run
-manifest so results can be traced back to the exact invocation and model
-content. Exit codes: 0 success or PASS, 2 usage, bad input or a numerical
-failure (a solver that did not converge, out of memory), 3 degenerate
-model, 4 a verdict failed.
+[0, 2**64) (default 0). Each ``cmd_*`` function only computes: it returns a
+Report of the files it would write, its stdout and stderr lines and its exit
+code. ``_write`` then makes --out, builds the run manifest (whose
+``outputs`` are the names of the files handed to it), writes every file with
+the manifest's hash embedded, and prints. A command that raises writes
+nothing. JSON reports have sorted keys; CSV cells are plain decimal ints and
+float reprs.
+
+Exit codes: 0 success or PASS, 2 usage, bad input or a numerical failure (a
+solver that did not converge, out of memory), 3 degenerate model, 4 a
+verdict failed.
 """
 
 from __future__ import annotations
@@ -15,13 +21,13 @@ import hashlib
 import json
 import sys
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .certificates import (
     admissible_lambda,
-    ConcentrationCertificate,
     path_method_C0,
     semigroup_poincare_report,
     talagrand_verdict,
@@ -52,108 +58,124 @@ EXIT_DEGENERATE = 3
 EXIT_VERDICT_FAIL = 4
 
 
-def _manifest(args, net, command: str, outputs: list) -> dict:
-    skip = {"func", "out", "model", "command"}
-    params = {
-        k: v for k, v in sorted(vars(args).items()) if k not in skip and v is not None
-    }
+class Report(NamedTuple):
+    """What a command computed: the files to write, its exit code and its lines.
+
+    ``files`` maps each file name to a JSON payload (dict), a CSV column
+    header with its rows (tuple), or a function that writes the file given
+    its path and the manifest hash (the generator exports).
+    """
+
+    files: dict
+    code: int = EXIT_OK
+    stdout: str = ""
+    stderr: str = ""
+
+
+def _cell(value) -> str:
+    return str(int(value)) if isinstance(value, (int, np.integer)) else repr(float(value))
+
+
+def _write(args, net, report: Report) -> int:
+    """Make --out, write every file under one manifest, print, return the exit code."""
     model_doc = json.dumps(network_to_json(net), sort_keys=True)
-    return {
-        "command": command,
+    manifest = {
+        "command": args.command,
         "model": Path(args.model).name,
         "model_sha256": hashlib.sha256(model_doc.encode("utf-8")).hexdigest(),
-        "parameters": params,
+        "parameters": {
+            k: v
+            for k, v in sorted(vars(args).items())
+            if k not in {"func", "out", "model", "command"} and v is not None
+        },
         "tool_version": __version__,
-        "outputs": sorted(outputs),
+        "outputs": sorted(report.files),
     }
-
-
-def _manifest_hash(manifest: dict) -> str:
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, content in report.files.items():
+        path = out / name
+        if isinstance(content, dict):
+            doc = {"manifest": manifest, "manifest_hash": digest, **content}
+            path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+        elif isinstance(content, tuple):
+            header, rows = content
+            lines = [f"# manifest_hash={digest}\n{header}\n"]
+            lines += [",".join(map(_cell, row)) + "\n" for row in rows]
+            path.write_text("".join(lines), encoding="utf-8")
+        else:
+            content(path, digest)
+    if report.stdout:
+        print(report.stdout)
+    if report.stderr:
+        print(report.stderr, file=sys.stderr)
+    return report.code
 
 
-def _write_json(path: Path, manifest: dict, payload: dict) -> None:
-    doc = {"manifest": manifest, "manifest_hash": _manifest_hash(manifest)}
-    doc.update(payload)
-    path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+def _verdict(passed: bool) -> tuple:
+    return ("PASS", EXIT_OK) if passed else ("FAIL", EXIT_VERDICT_FAIL)
 
 
-def _csv_header(manifest: dict) -> str:
-    return f"# manifest_hash={_manifest_hash(manifest)}\n"
+def _single_state(name: str) -> Report:
+    message = "degenerate model: single-state support"
+    return Report({name: {"degenerate": True}}, EXIT_DEGENERATE, stderr=message)
 
 
-def _load(args):
-    net = network_from_json(args.model)
-    alpha = args.alpha
-    cert = lyapunov_constants(net, alpha)
-    m_box = args.m_box if args.m_box is not None else cert.m
-    return net, cert, float(m_box)
-
-
-def _solve(args):
-    """Model, enumerated box, generator and stationary law of a command."""
-    net, _cert, m_box = _load(args)
+def _solve(args, net):
+    """Enumerated box, generator and stationary law of a command."""
+    m = lyapunov_constants(net, args.alpha).m
+    m_box = float(args.m_box if args.m_box is not None else m)
     space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
     gen = assemble_generator(net, space)
-    return net, space, gen, stationary(gen)
+    return space, gen, stationary(gen)
 
 
-def _maybe_export_generator(args, manifest, space, gen, out: Path):
-    if args.export_generator:
-        export_matrix_market(gen, out / "generator.mtx", comment=_manifest_hash(manifest))
-        export_state_table(space, out / "states.csv", header_comment=f"manifest_hash={_manifest_hash(manifest)}")
+def _exports(args, space, gen) -> dict:
+    """generator.mtx and states.csv, when --export-generator asks for them."""
+    if not args.export_generator:
+        return {}
+    return {
+        "generator.mtx": lambda path, digest: export_matrix_market(gen, path, comment=digest),
+        "states.csv": lambda path, digest: export_state_table(
+            space, path, header_comment=f"manifest_hash={digest}"
+        ),
+    }
 
 
 def _estimate_doc(est) -> dict:
     return dict(value=est.mean, std_error=est.std_error, n=est.n_samples, seed=est.seed)
 
 
-def cmd_simulate(args) -> int:
-    net = network_from_json(args.model)
+def cmd_simulate(args, net) -> Report:
     if args.replicas < 2:
         raise ValueError("--replicas must be at least 2")
-    # simulate_path refuses a negative or non-finite --t before anything is written
     traj = simulate_path(net, net.zero_state(), args.t, args.seed)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, net, "simulate", ["trajectory.csv", "estimates.json"])
-
-    lines = [_csv_header(manifest)]
-    cols = ",".join(f"n{i}" for i in range(net.n_neurons))
-    lines.append(f"time,neuron,{cols},denominator\n")
-    for ev in traj.events:
-        nums = ",".join(str(v) for v in ev.pre_state.numerators)
-        lines.append(f"{ev.time!r},{ev.neuron},{nums},{ev.pre_state.denominator}\n")
-    (out / "trajectory.csv").write_text("".join(lines), encoding="utf-8")
-
     total = lambda y: y.total()
     mean_est, var_est, effort = estimate_ensemble(
         net, total, net.zero_state(), args.t, args.replicas, args.seed
     )
-    _write_json(
-        out / "estimates.json",
-        manifest,
-        {
+    cols = ",".join(f"n{i}" for i in range(net.n_neurons))
+    rows = [
+        (ev.time, ev.neuron, *ev.pre_state.numerators, ev.pre_state.denominator)
+        for ev in traj.events
+    ]
+    return Report({
+        "trajectory.csv": (f"time,neuron,{cols},denominator", rows),
+        "estimates.json": {
             "n_events": len(traj.events),
             "total_potential_mean": _estimate_doc(mean_est),
             "total_potential_variance": _estimate_doc(var_est),
             "firing_effort": _estimate_doc(effort),
         },
-    )
-    return EXIT_OK
+    })
 
 
-def cmd_stationary(args) -> int:
-    net, space, gen, mu = _solve(args)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, net, "stationary", ["stationary.json", "mu.csv"])
-    _maybe_export_generator(args, manifest, space, gen, out)
-    _write_json(
-        out / "stationary.json",
-        manifest,
-        {
+def cmd_stationary(args, net) -> Report:
+    space, gen, mu = _solve(args, net)
+    return Report({
+        "stationary.json": {
             "dims": {"states": len(space), "support": int(len(mu.support))},
             "m_box": space.m_box,
             "residual": mu.residual,
@@ -161,26 +183,16 @@ def cmd_stationary(args) -> int:
             "power_tv": mu.power_tv,
             "mean_total_potential": mu.expectation(space.totals()),
         },
-    )
-    lines = [_csv_header(manifest), "index,probability\n"]
-    for k, v in enumerate(mu.probabilities):
-        lines.append(f"{k},{v!r}\n")
-    (out / "mu.csv").write_text("".join(lines), encoding="utf-8")
-    return EXIT_OK
+        "mu.csv": ("index,probability", enumerate(mu.probabilities)),
+        **_exports(args, space, gen),
+    })
 
 
-def cmd_gap(args) -> int:
-    net, space, gen, mu = _solve(args)
+def cmd_gap(args, net) -> Report:
+    space, gen, mu = _solve(args, net)
     gap = poincare_constant(gen, mu)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    outputs = ["gap.json"] + ([] if gap.degenerate else ["eigenfunction.csv"])
-    manifest = _manifest(args, net, "gap", outputs)
-    _maybe_export_generator(args, manifest, space, gen, out)
-    _write_json(
-        out / "gap.json",
-        manifest,
-        {
+    files = {
+        "gap.json": {
             "degenerate": gap.degenerate,
             "C_opt": gap.c_opt,
             "gap": gap.gap,
@@ -188,55 +200,41 @@ def cmd_gap(args) -> int:
             "residuals": {"stationary": mu.residual, "eigenpair": gap.residual},
             "dims": {"states": len(space), "support": int(len(mu.support))},
         },
-    )
+        **_exports(args, space, gen),
+    }
     if gap.degenerate:
-        print("degenerate model: support has a single state; no gap defined", file=sys.stderr)
-        return EXIT_DEGENERATE
-    lines = [_csv_header(manifest), "index,value\n"]
-    for k, v in enumerate(gap.optimizer):
-        lines.append(f"{k},{v!r}\n")
-    (out / "eigenfunction.csv").write_text("".join(lines), encoding="utf-8")
-    return EXIT_OK
+        message = "degenerate model: support has a single state; no gap defined"
+        return Report(files, EXIT_DEGENERATE, stderr=message)
+    files["eigenfunction.csv"] = ("index,value", enumerate(gap.optimizer))
+    return Report(files)
 
 
-def cmd_verify_lyapunov(args) -> int:
-    net, cert, _m = _load(args)
+def cmd_verify_lyapunov(args, net) -> Report:
+    cert = lyapunov_constants(net, args.alpha)
     m_box = args.m_box if args.m_box is not None else 2.0 * cert.m
     space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
     min_slack = float(np.min(check_lyapunov_pointwise(net, cert, space.numerators)))
-    passed = min_slack >= -1e-12
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, net, "verify-lyapunov", ["lyapunov.json"])
-    _write_json(
-        out / "lyapunov.json",
-        manifest,
-        {
-            "alpha": cert.alpha,
-            "theta": cert.theta,
-            "b": cert.b,
-            "m": cert.m,
-            "strong": cert.strong,
-            "m_box": float(m_box),
-            "n_states": len(space),
-            "min_slack": min_slack,
-            "verdict": "PASS" if passed else "FAIL",
-        },
-    )
-    print(f"lyapunov drift: {'PASS' if passed else 'FAIL'} (min slack {min_slack:.3e})")
-    return EXIT_OK if passed else EXIT_VERDICT_FAIL
+    verdict, code = _verdict(min_slack >= -1e-12)
+    doc = {
+        "alpha": cert.alpha,
+        "theta": cert.theta,
+        "b": cert.b,
+        "m": cert.m,
+        "strong": cert.strong,
+        "m_box": float(m_box),
+        "n_states": len(space),
+        "min_slack": min_slack,
+        "verdict": verdict,
+    }
+    line = f"lyapunov drift: {verdict} (min slack {min_slack:.3e})"
+    return Report({"lyapunov.json": doc}, code, line)
 
 
-def cmd_verify_poincare(args) -> int:
-    net, space, gen, mu = _solve(args)
+def cmd_verify_poincare(args, net) -> Report:
+    space, gen, mu = _solve(args, net)
     gap = poincare_constant(gen, mu)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, net, "verify-poincare", ["poincare.json"])
     if gap.degenerate:
-        _write_json(out / "poincare.json", manifest, {"degenerate": True})
-        print("degenerate model: single-state support", file=sys.stderr)
-        return EXIT_DEGENERATE
+        return _single_state("poincare.json")
 
     rng = np.random.default_rng(args.seed)
     worst_excess = -float("inf")
@@ -256,90 +254,65 @@ def cmd_verify_poincare(args) -> int:
         "optimizer_achieves_C_opt": bool(abs(achieved - gap.c_opt) <= 1e-6 * gap.c_opt),
         "path_bound_dominates": bool(path.c0 >= gap.c_opt),
     }
-    passed = all(checks.values())
-    _write_json(
-        out / "poincare.json",
-        manifest,
-        {
-            "C_opt": gap.c_opt,
-            "sup_rayleigh": sup_rayleigh,
-            "worst_excess": worst_excess,
-            "optimizer_ratio": achieved,
-            "path_c0": path.c0,
-            "path_max_length": path.max_path_length,
-            "n_functions": args.n_functions,
-            "checks": checks,
-            "verdict": "PASS" if passed else "FAIL",
-        },
-    )
-    print(f"poincare: {'PASS' if passed else 'FAIL'} (C_opt {gap.c_opt:.6g})")
-    return EXIT_OK if passed else EXIT_VERDICT_FAIL
+    verdict, code = _verdict(all(checks.values()))
+    doc = {
+        "C_opt": gap.c_opt,
+        "sup_rayleigh": sup_rayleigh,
+        "worst_excess": worst_excess,
+        "optimizer_ratio": achieved,
+        "path_c0": path.c0,
+        "path_max_length": path.max_path_length,
+        "n_functions": args.n_functions,
+        "checks": checks,
+        "verdict": verdict,
+    }
+    return Report({"poincare.json": doc}, code, f"poincare: {verdict} (C_opt {gap.c_opt:.6g})")
 
 
-def cmd_concentration(args) -> int:
-    net, space, gen, mu = _solve(args)
+def cmd_concentration(args, net) -> Report:
+    space, gen, mu = _solve(args, net)
     gap = poincare_constant(gen, mu)
-    out = Path(args.out)
-    manifest = _manifest(args, net, "concentration", ["concentration.json", "tails.csv"])
     if gap.degenerate:
-        out.mkdir(parents=True, exist_ok=True)
-        _write_json(out / "concentration.json", manifest, {"degenerate": True})
-        print("degenerate model: single-state support", file=sys.stderr)
-        return EXIT_DEGENERATE
-    adm = admissible_lambda(net, space, mu, gap.c_opt, margin=args.lambda_margin)
-    cert = ConcentrationCertificate(
-        c0=gap.c_opt,
-        c0_source="spectral",
-        c3=adm.c3,
-        n0=float(max(net.row_sums)),
-        lam=adm.lam,
-        lam0=adm.lam0,
-        q=adm.q,
-        margin=adm.margin,
-    )
+        return _single_state("concentration.json")
+    cert = admissible_lambda(net, space, mu, gap.c_opt, margin=args.lambda_margin)
     r_grid = args.r_grid if args.r_grid else list(range(1, 13))
-    # talagrand_verdict refuses a non-finite --r-grid before anything is written
     report = talagrand_verdict(cert, space, mu, r_grid)
-    out.mkdir(parents=True, exist_ok=True)
-    _write_json(
-        out / "concentration.json",
-        manifest,
-        {
-            "C0": cert.c0,
-            "C3": cert.c3,
-            "N0": cert.n0,
-            "lambda": cert.lam,
-            "lambda0": cert.lam0,
-            "q": cert.q,
-            "mu_F": report.mu_F,
-            "rows": [
-                {
-                    "r": row.r,
-                    "exact": row.exact_tail,
-                    "bound": row.bound,
-                    "centered_exact": row.centered_exact,
-                    "centered_bound": row.centered_bound,
-                    "ok": row.ok,
-                }
-                for row in report.rows
-            ],
-            "verdict": "PASS" if report.passed else "FAIL",
-        },
-    )
-    lines = [_csv_header(manifest), "r,exact,bound,centered_exact,centered_bound\n"]
-    for row in report.rows:
-        lines.append(
-            f"{row.r!r},{row.exact_tail!r},{row.bound!r},"
-            f"{row.centered_exact!r},{row.centered_bound!r}\n"
-        )
-    (out / "tails.csv").write_text("".join(lines), encoding="utf-8")
-    print(f"concentration: {'PASS' if report.passed else 'FAIL'} "
-          f"(lambda {cert.lam:.6g}, lambda0 {cert.lam0:.6g})")
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAIL
+    verdict, code = _verdict(report.passed)
+    doc = {
+        "C0": cert.c0,
+        "C3": cert.c3,
+        "N0": cert.n0,
+        "lambda": cert.lam,
+        "lambda0": cert.lam0,
+        "q": cert.q,
+        "mu_F": report.mu_F,
+        "rows": [
+            {
+                "r": row.r,
+                "exact": row.exact_tail,
+                "bound": row.bound,
+                "centered_exact": row.centered_exact,
+                "centered_bound": row.centered_bound,
+                "ok": row.ok,
+            }
+            for row in report.rows
+        ],
+        "verdict": verdict,
+    }
+    tails = [
+        (row.r, row.exact_tail, row.bound, row.centered_exact, row.centered_bound)
+        for row in report.rows
+    ]
+    files = {
+        "concentration.json": doc,
+        "tails.csv": ("r,exact,bound,centered_exact,centered_bound", tails),
+    }
+    line = f"concentration: {verdict} (lambda {cert.lam:.6g}, lambda0 {cert.lam0:.6g})"
+    return Report(files, code, line)
 
 
-def cmd_semigroup_report(args) -> int:
-    net, space, gen, mu = _solve(args)
+def cmd_semigroup_report(args, net) -> Report:
+    space, gen, mu = _solve(args, net)
     report = semigroup_poincare_report(
         net,
         space,
@@ -351,38 +324,31 @@ def cmd_semigroup_report(args) -> int:
         inner_frac=args.inner_frac,
         eps=args.eps,
     )
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    manifest = _manifest(args, net, "semigroup-report", ["semigroup.json"])
-    _write_json(
-        out / "semigroup.json",
-        manifest,
-        {
-            "theta": report.theta,
-            "t0_max": report.t0_max,
-            "t1": report.t1,
-            "t_grid": list(report.t_grid),
-            "d1_hat": list(report.d1_hat),
-            "d2_hat": list(report.d2_hat),
-            "slope_d1": report.slope_d1,
-            "slope_d2": report.slope_d2,
-            "outside_term_max": report.outside_term_max,
-            "fit_violation": report.fit_violation,
-            "n_suite": report.n_suite,
-            "n_outside": report.n_outside,
-            "inner_box": report.inner_box,
-            "enlarged_box": report.enlarged_box,
-            "checks": {
-                "d1_growth_cap": report.d1_cap_ok,
-                "d2_growth_cap": report.d2_cap_ok,
-                "outside_one_term": report.outside_one_term_ok,
-            },
-            "verdict": "PASS" if report.passed else "FAIL",
+    verdict, code = _verdict(report.passed)
+    doc = {
+        "theta": report.theta,
+        "t0_max": report.t0_max,
+        "t1": report.t1,
+        "t_grid": list(report.t_grid),
+        "d1_hat": list(report.d1_hat),
+        "d2_hat": list(report.d2_hat),
+        "slope_d1": report.slope_d1,
+        "slope_d2": report.slope_d2,
+        "outside_term_max": report.outside_term_max,
+        "fit_violation": report.fit_violation,
+        "n_suite": report.n_suite,
+        "n_outside": report.n_outside,
+        "inner_box": report.inner_box,
+        "enlarged_box": report.enlarged_box,
+        "checks": {
+            "d1_growth_cap": report.d1_cap_ok,
+            "d2_growth_cap": report.d2_cap_ok,
+            "outside_one_term": report.outside_one_term_ok,
         },
-    )
-    print(f"semigroup report: {'PASS' if report.passed else 'FAIL'} "
-          f"(slopes {report.slope_d1}, {report.slope_d2})")
-    return EXIT_OK if report.passed else EXIT_VERDICT_FAIL
+        "verdict": verdict,
+    }
+    line = f"semigroup report: {verdict} (slopes {report.slope_d1}, {report.slope_d2})"
+    return Report({"semigroup.json": doc}, code, line)
 
 
 def _float_list(text: str):
@@ -447,9 +413,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if not 0 <= args.seed < 2**64:  # checked before any output is written
+        if not 0 <= args.seed < 2**64:
             raise ValueError(f"seed must be in [0, 2**64), got {args.seed}")
-        return args.func(args)
+        net = network_from_json(args.model)
+        return _write(args, net, args.func(args, net))
     except DegenerateModelError as exc:
         print(f"degenerate model: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

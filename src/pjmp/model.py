@@ -77,10 +77,6 @@ class IntensityFunction:
     both conditions checkable by inspection. A user-supplied monotone
     intensity would additionally have to declare its own (delta, c) pair and
     is left as an extension point.
-
-    ``lyapunov_strong`` records whether ``delta > 1`` and ``slope > 1``, the
-    regime in which the drift rate alpha * min(slope, delta) can be pushed
-    above 1.
     """
 
     delta: Fraction
@@ -89,14 +85,6 @@ class IntensityFunction:
     def __post_init__(self):
         if self.delta <= 0 or self.slope <= 0:
             raise ValueError("intensity requires delta > 0 and slope > 0")
-
-    @property
-    def lyapunov_strong(self) -> bool:
-        return self.delta > 1 and self.slope > 1
-
-    def rate(self, x: Fraction | float) -> float:
-        """phi(x) as a float; always >= delta for x >= 0."""
-        return float(self.delta) + float(self.slope) * float(x)
 
 
 @dataclass(frozen=True)
@@ -187,9 +175,6 @@ class PotentialState:
 
     def value(self, i: int) -> float:
         return self.numerators[i] / self.denominator
-
-    def values(self) -> tuple[float, ...]:
-        return tuple(n / self.denominator for n in self.numerators)
 
     def total(self) -> float:
         return sum(self.numerators) / self.denominator

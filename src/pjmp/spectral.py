@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -154,13 +155,17 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
 
 def _dense_nullspace_solve(q_supp: np.ndarray) -> np.ndarray:
     """LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support, where
-    Q^T has rank n - 1 and the normalisation replaces its last equation."""
+    Q^T has rank n - 1 and the normalisation replaces its last equation.
+
+    scipy.linalg, not numpy.linalg, as in poincare_constant: numpy and scipy
+    each carry their own OpenBLAS thread pool, and alternating between the
+    two pools makes their threads compete for the cores."""
     n = q_supp.shape[0]
     a = q_supp.T.copy()
     a[-1] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = np.clip(np.linalg.solve(a, b), 0.0, None)
+    mu = np.clip(sla.solve(a, b), 0.0, None)
     return mu / mu.sum()
 
 
@@ -201,13 +206,8 @@ class StationaryDistribution:
     probabilities: np.ndarray
     residual: float
     support: np.ndarray
-    method: str
     dense_tv: float | None = None
     power_tv: float | None = None
-
-    @property
-    def on_support(self) -> np.ndarray:
-        return self.probabilities[self.support]
 
     def expectation(self, f: np.ndarray) -> float:
         return float(self.probabilities @ np.asarray(f, dtype=float))
@@ -253,7 +253,6 @@ def stationary(gen) -> StationaryDistribution:
         probabilities=mu,
         residual=residual,
         support=support,
-        method="gth",
         dense_tv=dense_tv,
         power_tv=power_tv,
     )
@@ -433,7 +432,7 @@ def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
     if method == "direct":
         m = -q_supp.toarray() * (sq[:, None] / sq[None, :])
         b = 0.5 * (m + m.T)
-        vals, vecs = np.linalg.eigh(b)
+        vals, vecs = sla.eigh(b, subset_by_index=[0, 1])
         lam1 = float(vals[1])
         vec = vecs[:, 1]
     else:

@@ -16,7 +16,6 @@ import pytest
 import scipy.sparse as sp
 
 from pjmp import (
-    ConcentrationCertificate,
     SparseGenerator,
     admissible_lambda,
     apply_generator,
@@ -246,17 +245,7 @@ def test_criterion_6_concentration_pipeline(ring2, ring2_m):
         lam0_b = lambda0_product(gap.c_opt, adm.c3, adm.lam, tol=1e-14)
         assert abs(lam0_a - lam0_b) <= 1e-10 * lam0_a
 
-        cert = ConcentrationCertificate(
-            c0=gap.c_opt,
-            c0_source="spectral",
-            c3=adm.c3,
-            n0=float(max(ring2.row_sums)),
-            lam=adm.lam,
-            lam0=adm.lam0,
-            q=adm.q,
-            margin=adm.margin,
-        )
-        report = talagrand_verdict(cert, space, mu, range(1, 13))
+        report = talagrand_verdict(adm, space, mu, range(1, 13))
         assert report.passed
         budget.check()
     except Exception:

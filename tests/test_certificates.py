@@ -10,7 +10,6 @@ import pjmp.certificates as certificates
 import pjmp.spectral as spectral
 from conftest import make_random_net
 from pjmp import (
-    ConcentrationCertificate,
     DegenerateModelError,
     StationaryDistribution,
     admissible_lambda,
@@ -124,7 +123,7 @@ class TestPathMethod:
         origin = space.position(ring2.zero_state())
         support = np.sort(np.append(mu.support, origin))
         probs = np.full(len(space), 1.0 / len(support))
-        fake = StationaryDistribution(probs, 0.0, support, "test")
+        fake = StationaryDistribution(probs, 0.0, support)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
         report = path_method_C0(ring2, space, fake)
         adj = certificates._support_adjacency(ring2, space, support)
@@ -287,17 +286,7 @@ class TestTalagrand:
     def _certificate(self, ring2_solved):
         space, gen, mu = ring2_solved
         gap = poincare_constant(gen, mu)
-        adm = admissible_lambda(space.net, space, mu, gap.c_opt)
-        return ConcentrationCertificate(
-            c0=gap.c_opt,
-            c0_source="spectral",
-            c3=adm.c3,
-            n0=1.0,
-            lam=adm.lam,
-            lam0=adm.lam0,
-            q=adm.q,
-            margin=adm.margin,
-        )
+        return admissible_lambda(space.net, space, mu, gap.c_opt)
 
     def test_r_zero_bound_covers_everything(self, ring2_solved):
         space, _gen, mu = ring2_solved

@@ -305,6 +305,73 @@ class TestManifest:
         assert hashes[0] != hashes[1]
 
 
+ZERO = {"n": 2, "weights": [[0, 0], [0, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
+
+
+def _run_in_process(tmp_path, argv, model=RING2):
+    import pjmp.cli as cli
+
+    out = tmp_path / "out"
+    code = cli.main([argv[0], model, *argv[1:], "--out", str(out)])
+    return code, out
+
+
+class TestReportFiles:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["simulate", "--t", "2", "--replicas", "10"],
+            ["stationary", "--m-box", "10"],
+            ["gap", "--m-box", "10"],
+            ["concentration", "--m-box", "10"],
+        ],
+    )
+    def test_csv_cells_are_numbers(self, tmp_path, argv):
+        # numpy 2 scalars formatted with !r read np.float64(...)
+        code, out = _run_in_process(tmp_path, argv)
+        assert code == 0
+        csvs = sorted(out.glob("*.csv"))
+        assert csvs
+        for path in csvs:
+            lines = path.read_text().splitlines()
+            assert lines[0].startswith("# manifest_hash=")
+            assert len(lines) > 2
+            for line in lines[2:]:
+                for cell in line.split(","):
+                    try:
+                        int(cell)
+                    except ValueError:
+                        float(cell)
+
+    @pytest.mark.parametrize(
+        "model, argv, code",
+        [
+            ("ring2", ["simulate", "--t", "2", "--replicas", "10"], 0),
+            ("ring2", ["stationary", "--m-box", "10"], 0),
+            ("ring2", ["stationary", "--m-box", "10", "--export-generator"], 0),
+            ("ring2", ["gap", "--m-box", "10"], 0),
+            ("ring2", ["gap", "--m-box", "10", "--export-generator"], 0),
+            ("ring2", ["verify-lyapunov"], 0),
+            ("ring2", ["verify-poincare", "--m-box", "10", "--n-functions", "20"], 0),
+            ("ring2", ["concentration", "--m-box", "10"], 0),
+            ("ring2", ["semigroup-report", "--m-box", "10"], 0),
+            ("zero", ["gap", "--m-box", "5"], 3),
+            ("zero", ["verify-poincare", "--m-box", "5"], 3),
+            ("zero", ["concentration", "--m-box", "5"], 3),
+        ],
+    )
+    def test_manifest_names_what_was_written(self, tmp_path, model, argv, code):
+        zero = tmp_path / "zero.json"
+        zero.write_text(json.dumps(ZERO))
+        models = {"ring2": RING2, "zero": str(zero)}
+        got, out = _run_in_process(tmp_path, argv, models[model])
+        assert got == code
+        written = sorted(path.name for path in out.iterdir())
+        (report,) = [name for name in written if name.endswith(".json")]
+        doc = json.loads((out / report).read_text())
+        assert doc["manifest"]["outputs"] == written
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "cmd",

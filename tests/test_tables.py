@@ -162,7 +162,7 @@ def _tail_ratio_oracle(net, states, inner_box):
 def _fake_law(n, support):
     probs = np.zeros(n)
     probs[support] = 1.0 / len(support)
-    return StationaryDistribution(probs, 0.0, np.asarray(support), "test")
+    return StationaryDistribution(probs, 0.0, np.asarray(support))
 
 
 def assert_tables_match(net, m_box, x0=None, seed=0):
