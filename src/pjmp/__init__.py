@@ -32,6 +32,7 @@ from .simulate import (
     EstimatorResult,
     Trajectory,
     TrajectoryEvent,
+    TrajectoryEvents,
     empirical_tail,
     ergodic_average,
     estimate_ensemble,

@@ -558,7 +558,10 @@ def semigroup_poincare_report(
     t1 = 1/delta + max peak time) the averaged variance of each suite
     function is compared against d1 * energy + d2 * weighted term, and the
     lexicographically smallest (d1, d2) covering the whole suite is recorded.
+    inner_frac must be nonnegative; at 0, D is the origin.
     """
+    if not inner_frac >= 0:
+        raise ValueError(f"inner_frac must be a nonnegative number, got {inner_frac!r}")
     theta = (net.n_neurons * math.e) ** net.n_neurons
     t0_max = max_peak_time(net, space)
     t1 = 1.0 / float(net.intensity.delta) + t0_max

@@ -6,8 +6,9 @@ Report of the files it would write, its stdout and stderr lines and its exit
 code. ``_write`` then makes --out, builds the run manifest (whose
 ``outputs`` are the names of the files handed to it), writes every file with
 the manifest's hash embedded, and prints. A command that raises writes
-nothing. JSON reports have sorted keys; CSV cells are plain decimal ints and
-float reprs.
+nothing. JSON reports are strict JSON with sorted keys: a report that would
+hold an inf or a nan is refused (exit 2) and nothing is written. CSV cells
+are plain decimal ints and float reprs.
 
 Exit codes: 0 success or PASS, 2 usage, bad input or a numerical failure (a
 solver that did not converge, out of memory), 3 degenerate model, 4 a
@@ -91,22 +92,30 @@ def _write(args, net, report: Report) -> int:
         "tool_version": __version__,
         "outputs": sorted(report.files),
     }
-    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"))
+    blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"), allow_nan=False)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    texts, writers = {}, {}
     for name, content in report.files.items():
-        path = out / name
         if isinstance(content, dict):
             doc = {"manifest": manifest, "manifest_hash": digest, **content}
-            path.write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+            try:
+                texts[name] = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+            except ValueError as exc:  # strict JSON has no inf or nan
+                raise ValueError(f"{name} would hold a non-finite value ({exc})") from None
         elif isinstance(content, tuple):
             header, rows = content
             lines = [f"# manifest_hash={digest}\n{header}\n"]
             lines += [",".join(map(_cell, row)) + "\n" for row in rows]
-            path.write_text("".join(lines), encoding="utf-8")
+            texts[name] = "".join(lines)
         else:
-            content(path, digest)
+            writers[name] = content
+    # every report is rendered before --out is touched, so a refused one writes nothing
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        (out / name).write_text(text, encoding="utf-8")
+    for name, write in writers.items():
+        write(out / name, digest)
     if report.stdout:
         print(report.stdout)
     if report.stderr:
@@ -157,9 +166,11 @@ def cmd_simulate(args, net) -> Report:
         net, total, net.zero_state(), args.t, args.replicas, args.seed
     )
     cols = ",".join(f"n{i}" for i in range(net.n_neurons))
+    events = traj.events  # columns; one row per firing, read without building events
+    pre = map(events.states.__getitem__, events.state_ids.tolist())
     rows = [
-        (ev.time, ev.neuron, *ev.pre_state.numerators, ev.pre_state.denominator)
-        for ev in traj.events
+        (t, i, *x.numerators, x.denominator)
+        for t, i, x in zip(events.times.tolist(), events.neurons.tolist(), pre)
     ]
     return Report({
         "trajectory.csv": (f"time,neuron,{cols},denominator", rows),
@@ -231,6 +242,8 @@ def cmd_verify_lyapunov(args, net) -> Report:
 
 
 def cmd_verify_poincare(args, net) -> Report:
+    if args.n_functions < 1:
+        raise ValueError(f"--n-functions must be at least 1, got {args.n_functions}")
     space, gen, mu = _solve(args, net)
     gap = poincare_constant(gen, mu)
     if gap.degenerate:

@@ -27,14 +27,18 @@ event as three numbers in array buffers: the state's index, the holding time
 and the firing neuron. The single-path functions read those arrays: event
 times are their running sum, ``ergodic_average`` calls f once per distinct
 state, and both occupation scans add their segments left to right, in event
-order, as a loop over events would.
+order, as a loop over events would. ``simulate_path`` keeps the path as those
+columns: ``Trajectory.events`` is a read-only ``TrajectoryEvents`` sequence
+over them, not a tuple, and builds a ``TrajectoryEvent`` only when one is read.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import accumulate
 
@@ -44,6 +48,7 @@ from .model import PotentialState, SynapticNetwork
 
 __all__ = [
     "TrajectoryEvent",
+    "TrajectoryEvents",
     "Trajectory",
     "EstimatorResult",
     "next_event",
@@ -76,9 +81,68 @@ class TrajectoryEvent:
     pre_state: PotentialState
 
 
+class TrajectoryEvents(Sequence):
+    """The firings of a path as read-only columns; an event is built when read.
+
+    ``times`` (float64) and ``neurons`` hold one entry per firing, and
+    ``state_ids`` the index of its pre-state in ``states``, a tuple with one
+    PotentialState per distinct state. Indexing builds one TrajectoryEvent,
+    a slice a tuple of them. Equality with any sequence is item by item, and
+    the hash is that of the tuple of events, so the columns compare and hash
+    as that tuple does.
+    """
+
+    __slots__ = ("times", "neurons", "state_ids", "states")
+
+    def __init__(self, times: np.ndarray, neurons: np.ndarray, state_ids: np.ndarray, states):
+        for column in (times, neurons, state_ids):
+            column.flags.writeable = False
+        self.times, self.neurons, self.state_ids, self.states = times, neurons, state_ids, states
+
+    def __len__(self) -> int:
+        return len(self.times)
+
+    def _event(self, k: int) -> TrajectoryEvent:
+        pre = self.states[self.state_ids[k]]
+        return TrajectoryEvent(float(self.times[k]), int(self.neurons[k]), pre)
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            return tuple(map(self._event, range(*key.indices(len(self)))))
+        k = operator.index(key)
+        if not -len(self) <= k < len(self):
+            raise IndexError("event index out of range")
+        return self._event(k)
+
+    def __iter__(self):
+        pre = map(self.states.__getitem__, self.state_ids.tolist())
+        return map(TrajectoryEvent, self.times.tolist(), self.neurons.tolist(), pre)
+
+    def __eq__(self, other):
+        if not isinstance(other, Sequence) or isinstance(other, (str, bytes)):
+            return NotImplemented
+        return len(self) == len(other) and all(map(operator.eq, self, other))
+
+    def __hash__(self) -> int:
+        return hash(tuple(self))
+
+    def __reduce__(self):
+        # through __init__, so a copy's columns are read-only too
+        return TrajectoryEvents, (self.times, self.neurons, self.state_ids, self.states)
+
+    def __repr__(self) -> str:
+        return f"<TrajectoryEvents: {len(self)} events over {len(self.states)} states>"
+
+
 @dataclass(frozen=True)
 class Trajectory:
-    events: tuple[TrajectoryEvent, ...]
+    """A simulated path: its firings in time order, the state at the horizon, the horizon.
+
+    ``simulate_path`` stores the firings as columns (``TrajectoryEvents``);
+    ``events`` may be any sequence of TrajectoryEvent.
+    """
+
+    events: Sequence[TrajectoryEvent]
     final_state: PotentialState
     horizon: float
 
@@ -262,12 +326,12 @@ def simulate_path(net: SynapticNetwork, x0: PotentialState, horizon: float, seed
     """Exact trajectory on [0, horizon], bitwise reproducible from the seed."""
     _check_times(horizon)
     table, ids, taus, picks = _walk(net, x0.numerators, replica_rng(seed, 0), horizon, CHUNK)
-    states = [PotentialState(nums, x0.denominator) for nums in table]
-    pre = [states[k] for k in ids]
+    states = tuple(PotentialState(nums, x0.denominator) for nums in table)
+    ids = np.frombuffer(ids, dtype=np.intc)
     # cumsum adds left to right, as t += tau does; the last event does not fire
-    times = np.cumsum(np.frombuffer(taus))[:-1].tolist()
-    events = tuple(map(TrajectoryEvent, times, picks[:-1], pre[:-1]))
-    return Trajectory(events=events, final_state=pre[-1], horizon=horizon)
+    times = np.cumsum(np.frombuffer(taus))[:-1]
+    events = TrajectoryEvents(times, np.frombuffer(picks, dtype=np.intc)[:-1], ids[:-1], states)
+    return Trajectory(events=events, final_state=states[ids[-1]], horizon=horizon)
 
 
 def estimate_semigroup(

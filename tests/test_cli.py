@@ -112,6 +112,32 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: eps must lie in (0, 1)")
         assert not (tmp_path / "sg" / "semigroup.json").exists()
 
+    @pytest.mark.parametrize("frac", ["-1", "-0.25"])
+    def test_negative_inner_frac(self, tmp_path, frac):
+        # a negative fraction made an empty inner box and a FAIL verdict
+        argv = ["semigroup-report", RING2, "--inner-frac", frac, "--out", "sg"]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert lines == [f"error: inner_frac must be a nonnegative number, got {float(frac)!r}"]
+        assert not (tmp_path / "sg").exists()
+
+    def test_zero_inner_frac_is_the_origin(self, tmp_path):
+        argv = ["semigroup-report", RING2, "--inner-frac", "0", "--out", "sg"]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads((tmp_path / "sg" / "semigroup.json").read_text())["inner_box"] == 0.0
+
+    @pytest.mark.parametrize("n", ["0", "-3"])
+    def test_n_functions_below_one(self, tmp_path, n):
+        # no test functions left worst_excess at -inf and passed
+        argv = ["verify-poincare", RING2, "--n-functions", n, "--m-box", "10", "--out", "vp"]
+        proc = run_cli(argv, tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert lines == [f"error: --n-functions must be at least 1, got {n}"]
+        assert not (tmp_path / "vp").exists()
+
     def test_pass_commands_exit_zero(self, tmp_path):
         for cmd in (
             ["verify-lyapunov", RING2],
@@ -212,6 +238,57 @@ class TestSolverFailureExitCode:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(exc) in err
+
+
+class TestStrictJson:
+    """Reports are strict JSON: one that would hold an inf or a nan exits 2 and writes nothing."""
+
+    @staticmethod
+    def _strict(text: str) -> dict:
+        def refuse(name):
+            raise AssertionError(f"{name} in a report")
+
+        return json.loads(text, parse_constant=refuse)
+
+    def test_reports_parse_as_strict_json(self, tmp_path):
+        import pjmp.cli as cli
+
+        for argv in (
+            ["verify-poincare", "--n-functions", "1", "--m-box", "10"],
+            ["concentration", "--m-box", "10"],
+            ["simulate", "--replicas", "2"],
+        ):
+            out = tmp_path / argv[0]
+            assert cli.main([argv[0], RING2, *argv[1:], "--out", str(out)]) == 0
+            for path in out.glob("*.json"):
+                self._strict(path.read_text())
+
+    @pytest.mark.parametrize("value", [float("-inf"), float("nan")])
+    def test_non_finite_slack_is_refused(self, tmp_path, monkeypatch, capsys, value):
+        import numpy as np
+        import pjmp.cli as cli
+
+        monkeypatch.setattr(cli, "check_lyapunov_pointwise", lambda net, cert, x: np.array([value]))
+        out = tmp_path / "out"
+        assert cli.main(["verify-lyapunov", RING2, "--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: lyapunov.json would hold a non-finite value")
+        assert captured.err.count("\n") == 1 and captured.out == ""
+        assert not out.exists()
+
+    def test_no_file_of_a_refused_run_is_written(self, tmp_path, monkeypatch, capsys):
+        # trajectory.csv comes before estimates.json, and must not be written either
+        import pjmp.cli as cli
+        from pjmp.simulate import EstimatorResult
+
+        nan = EstimatorResult(mean=float("nan"), std_error=0.0, n_samples=2, seed=0)
+        monkeypatch.setattr(cli, "estimate_ensemble", lambda *args: (nan, nan, nan))
+        out = tmp_path / "out"
+        assert cli.main(["simulate", RING2, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: estimates.json would hold a non-finite value")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
 
 class TestNonFiniteOptions:

@@ -3,6 +3,7 @@
 import importlib.resources
 import math
 import os
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -652,3 +653,74 @@ class TestInternedWalker:
         exps, _us = simulate._draws([replica_rng(4, 0)], 1)
         tau, _i = next_event(net, x, replica_rng(4, 0))
         assert tau == exps[0, 0] / total
+
+
+class TestTrajectoryEvents:
+    """simulate_path keeps a path as columns and builds an event only when one is read."""
+
+    HORIZON = 15_000.0  # about 120,000 events over under 200 distinct states
+    SEED = 41
+
+    @pytest.fixture(scope="class")
+    def rand3(self):
+        return make_random_net(1)
+
+    @pytest.fixture(scope="class")
+    def pair(self, rand3):
+        x0 = rand3.zero_state()
+        traj = simulate_path(rand3, x0, self.HORIZON, self.SEED)
+        return traj, _path_oracle(rand3, x0, self.HORIZON, self.SEED)
+
+    def test_reading_the_end_builds_one_event(self, rand3, monkeypatch):
+        built = []
+        event = simulate.TrajectoryEvent
+
+        def counting(*args):
+            built.append(args)
+            return event(*args)
+
+        monkeypatch.setattr(simulate, "TrajectoryEvent", counting)
+        traj = simulate_path(rand3, rand3.zero_state(), self.HORIZON, self.SEED)
+        n = len(traj.events)
+        last = traj.events[-1]
+        final = traj.final_state
+        assert n > 100_000 and len(built) <= 1
+        assert type(last) is event and last.time <= self.HORIZON
+        assert final == jump_map(rand3, last.pre_state, last.neuron)
+
+    def test_equal_to_the_tuple_of_events(self, pair):
+        traj, want = pair
+        events, ref = traj.events, want.events
+        assert isinstance(ref, tuple) and not isinstance(events, tuple)
+        assert traj == want and want == traj
+        assert events == ref and ref == events and events == list(ref)
+        assert hash(traj) == hash(want) and hash(events) == hash(ref)
+        assert events != ref[:-1] and events != ref[:-1] + ref[:1] and events != ()
+        assert all(type(ev.time) is float and type(ev.neuron) is int for ev in events[:50])
+
+    def test_indices_and_slices(self, pair):
+        traj, want = pair
+        events, ref = traj.events, want.events
+        n = len(ref)
+        assert len(events) == n and events
+        for k in (0, 1, n // 2, n - 1, -1, -2, -n, np.int64(7)):
+            assert events[k] == ref[k]
+        for k in (n, -n - 1):
+            with pytest.raises(IndexError):
+                events[k]
+        for key in (slice(0, 5), slice(-3, None), slice(None, None, 997), slice(40, 2, -3),
+                    slice(n + 5, None)):
+            got = events[key]
+            assert type(got) is tuple and got == ref[key]
+        assert next(reversed(events)) == ref[-1] and events.index(ref[2]) == 2
+
+    def test_columns_are_read_only(self, rand3, pair):
+        events = pair[0].events
+        copied = pickle.loads(pickle.dumps(pair[0]))
+        assert copied == pair[0] and copied.events == events
+        for column in (events.times, events.neurons, events.state_ids,
+                       copied.events.times, copied.events.state_ids):
+            with pytest.raises(ValueError):
+                column[0] = 1
+        assert type(events.states) is tuple and len(events.states) < 200
+        assert not simulate_path(rand3, rand3.zero_state(), 0.0, 0).events
