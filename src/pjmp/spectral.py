@@ -316,12 +316,18 @@ def _uniformized_sum(op, v: np.ndarray, weights) -> np.ndarray:
     return acc
 
 
-def _series_setup(gen, t: float, eps: float):
-    """(Q, Lambda) for a series up to time t >= 0 with truncation error eps in (0, 1)."""
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+def _check_series_args(times, eps: float) -> None:
+    """Refuse a time that is not finite and nonnegative, or eps outside (0, 1)."""
+    for t in times:
+        if not 0.0 <= t < math.inf:  # also refuses nan
+            raise ValueError(f"time must be finite and nonnegative, got {t}")
     if not 0.0 < eps < 1.0:  # also refuses nan
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
+
+
+def _series_setup(gen, t: float, eps: float):
+    """(Q, Lambda) for a series up to a finite time t >= 0 with truncation error eps in (0, 1)."""
+    _check_series_args([t], eps)
     q = _as_matrix(gen)
     return q, _uniformization_rate(q)
 
@@ -524,13 +530,22 @@ def semigroup_variance_profile(
 
     f is one function of shape (n,) or k functions as the columns of an
     (n, k) block; lhs and weighted then have shape (len(t_grid), k) and
-    energy shape (k,). Each t takes one propagation of the block
-    [f, f^2, Gamma(f, f) * 1_D] and one time integral of phibar.
+    energy shape (k,). Rows follow t_grid, which may be unsorted and hold
+    repeats; times must be finite and nonnegative.
+
+    The distinct times are walked in increasing order, one leg d = t' - t
+    at a time, by the Markov property: P_t' = P_d P_t and
+    F_t' = F_d + P_d F_t. F_t rides as the last column of the block
+    [f, f^2, Gamma(f, f) * 1_D, F_t], so each leg takes one propagation of
+    the block and one time integral of phibar, and the grid costs
+    Lambda * max(t_grid) series terms instead of Lambda * sum(t_grid).
+    Each leg's series drops at most eps, relative to the size of what it
+    carries, and P_d does not enlarge an earlier leg's error, so the walk
+    is within (number of legs) * eps of running every time from 0.
     """
-    q = _as_matrix(gen)
     t_grid = [float(t) for t in t_grid]
-    if any(t < 0 for t in t_grid):
-        raise ValueError("t_grid must be nonnegative")
+    _check_series_args(t_grid, eps)
+    q = _as_matrix(gen)
     f = np.asarray(f, dtype=float)
     if phibar is None:
         if not isinstance(gen, SparseGenerator) or gen.space is None:
@@ -542,16 +557,17 @@ def semigroup_variance_profile(
     p = mu.probabilities
     gam = gamma_vector(q, fs)
     energy = _column_means(p, gam)
-    block = np.hstack([fs, fs * fs, gam * ind[:, None]])
-    lhs, weighted = [], []
-    for t in t_grid:
-        prop = propagate_function(q, block, t, eps)
-        ptf, ptf2, pt_loc = np.split(prop, 3, axis=1)
-        lhs.append(_column_means(p, ptf2 - ptf**2))
-        fv = weighted_F_vector(q, phibar, t, eps)
-        weighted.append(_column_means(p, fv[:, None] * pt_loc))
-    lhs = np.array(lhs).reshape(len(t_grid), k)
-    weighted = np.array(weighted).reshape(len(t_grid), k)
+    cur = np.hstack([fs, fs * fs, gam * ind[:, None], np.zeros((f.shape[0], 1))])
+    rows = {}
+    t_prev = 0.0
+    for t in sorted(set(t_grid)):
+        cur = propagate_function(q, cur, t - t_prev, eps)
+        cur[:, -1] += weighted_F_vector(q, phibar, t - t_prev, eps)
+        t_prev = t
+        ptf, ptf2, pt_loc, fv = np.split(cur, [k, 2 * k, 3 * k], axis=1)
+        rows[t] = (_column_means(p, ptf2 - ptf**2), _column_means(p, fv * pt_loc))
+    lhs = np.array([rows[t][0] for t in t_grid]).reshape(len(t_grid), k)
+    weighted = np.array([rows[t][1] for t in t_grid]).reshape(len(t_grid), k)
     if f.ndim == 1:
         return lhs[:, 0], float(energy[0]), weighted[:, 0]
     return lhs, energy, weighted

@@ -1,5 +1,6 @@
 """Certificate constants: path bound, exponential-moment coefficients, tails."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -334,6 +335,21 @@ class TestTalagrand:
         assert drop == pytest.approx(-cert.lam, rel=1e-9)
 
 
+def _assert_report_close(report, want):
+    """The report walks its grid leg by leg and the oracle runs every time
+    from 0: the coefficients agree to rounding, the slopes and the fit
+    violation to an absolute bound (a slope over a constant sequence has no
+    relative scale), and everything else exactly."""
+    np.testing.assert_allclose(report.d1_hat, want.d1_hat, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(report.d2_hat, want.d2_hat, rtol=1e-12, atol=0)
+    for name in ("slope_d1", "slope_d2", "fit_violation"):
+        got, ref = getattr(report, name), getattr(want, name)
+        assert (got is None) == (ref is None)
+        assert got is None or abs(got - ref) <= 1e-12
+    loose = ("d1_hat", "d2_hat", "slope_d1", "slope_d2", "fit_violation")
+    assert dataclasses.replace(report, **{k: getattr(want, k) for k in loose}) == want
+
+
 class TestSemigroupReport:
     def test_theta_value(self, ring2_solved):
         space, gen, mu = ring2_solved
@@ -375,7 +391,7 @@ class TestSemigroupReport:
             with monkeypatch.context() as m:
                 m.setattr(certificates, "semigroup_variance_profile", profile_oracle)
                 want = semigroup_poincare_report(net, space, gen, mu, seed=seed)
-            assert report == want
+            _assert_report_close(report, want)
 
     def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
         space, gen, mu = ring2_solved

@@ -365,14 +365,18 @@ class TestUniformizationKernel:
         got = weighted_F_vector(gen, rates, t)
         assert np.array_equal(got, _weighted_oracle(gen.matrix, rates, t))
 
-    def test_profile_bitwise_equal_to_oracle(self, kernel_case):
+    def test_profile_matches_oracle(self, kernel_case):
+        # the profile walks the grid leg by leg; the oracle runs every time
+        # from 0, so the two agree to rounding, with the energy exact
         space, gen, mu, block = kernel_case
         t_grid = list(self.TIMES)
         indicator = (np.arange(len(space)) % 3 == 0).astype(float)
         got = semigroup_variance_profile(gen, mu, block, t_grid, indicator=indicator)
         want = profile_oracle(gen, mu, block, t_grid, indicator=indicator)
         assert got[0].shape == got[2].shape == (3, 3) and got[1].shape == (3,)
-        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
+        assert np.array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
         for j in range(block.shape[1]):
             # one function alone gives its column of the block profile
             one = semigroup_variance_profile(gen, mu, block[:, j], t_grid, indicator=indicator)
@@ -382,7 +386,7 @@ class TestUniformizationKernel:
 
     @pytest.mark.parametrize("eps", [0.0, 1.0, 2.0, -1e-12, float("nan"), float("inf")])
     def test_eps_outside_unit_interval_rejected(self, kernel_case, eps):
-        space, gen, _mu, block = kernel_case
+        space, gen, mu, block = kernel_case
         for t in (0.0, 1.0):
             with pytest.raises(ValueError, match="eps"):
                 transient_distribution(gen, 0, t, eps=eps)
@@ -390,6 +394,42 @@ class TestUniformizationKernel:
                 propagate_function(gen, block, t, eps=eps)
             with pytest.raises(ValueError, match="eps"):
                 weighted_F_vector(gen, space.total_rates(), t, eps=eps)
+        for t_grid in ([], [0.0, 1.0]):
+            with pytest.raises(ValueError, match="eps"):
+                semigroup_variance_profile(gen, mu, block, t_grid, eps=eps)
+
+    @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0])
+    def test_time_not_finite_and_nonnegative_rejected(self, kernel_case, t):
+        space, gen, mu, block = kernel_case
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            transient_distribution(gen, 0, t)
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            propagate_function(gen, block, t)
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            weighted_F_vector(gen, space.total_rates(), t)
+        with pytest.raises(ValueError, match="time must be finite and nonnegative"):
+            semigroup_variance_profile(gen, mu, block, [1.0, t])
+
+    def test_profile_rows_follow_the_grid(self, kernel_case):
+        # an unsorted grid with a repeat walks the same legs as its sorted,
+        # distinct form; 0 takes no series step, so its row is the oracle's
+        _space, gen, mu, block = kernel_case
+        got = semigroup_variance_profile(gen, mu, block, [5.0, 0.0, 1.7, 0.3, 1.7])
+        walk = semigroup_variance_profile(gen, mu, block, [0.0, 0.3, 1.7, 5.0])
+        order = [3, 0, 2, 1, 2]
+        assert np.array_equal(got[0], walk[0][order]) and np.array_equal(got[1], walk[1])
+        assert np.array_equal(got[2], walk[2][order])
+        want = profile_oracle(gen, mu, block, [0.0])
+        assert np.array_equal(got[0][1], want[0][0]) and np.array_equal(got[2][1], want[2][0])
+
+    def test_long_grid_matches_oracle(self, kernel_case):
+        # eight legs, each dropping at most eps of the series
+        _space, gen, mu, block = kernel_case
+        t_grid = [0.1, 0.3, 0.7, 1.2, 2.0, 3.1, 4.5, 6.0]
+        got = semigroup_variance_profile(gen, mu, block, t_grid)
+        want = profile_oracle(gen, mu, block, t_grid)
+        np.testing.assert_allclose(got[0], want[0], rtol=1e-11, atol=0)
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
 
     def test_series_cap(self, kernel_case):
         # at Lambda t = 50 the accumulated Poisson mass never passes 1 - 1e-17
