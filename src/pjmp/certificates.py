@@ -66,7 +66,6 @@ class PathMethodReport:
     """
 
     c0: float
-    min_mu: float
     max_path_length: int
     n_support: int
     disconnected_pairs: tuple = ()
@@ -101,15 +100,9 @@ def path_method_C0(
     ns = len(support)
     min_mu = float(mu.probabilities[support].min())
     delta = float(net.intensity.delta)
+    c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
     if ns <= 1:
-        return PathMethodReport(
-            c0=float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta),
-            min_mu=min_mu,
-            max_path_length=0,
-            n_support=ns,
-            degenerate=True,
-        )
-    c0 = net.n_neurons**2 / (2.0 * min_mu * delta)
+        return PathMethodReport(c0=c0, max_path_length=0, n_support=ns, degenerate=True)
     adj = _support_adjacency(net, space, support)
     max_len = 0
     disconnected = []
@@ -124,7 +117,6 @@ def path_method_C0(
             disconnected.append(tuple(tuple(space.numerators[k].tolist()) for k in pair))
     return PathMethodReport(
         c0=c0,
-        min_mu=min_mu,
         max_path_length=max_len,
         n_support=ns,
         disconnected_pairs=tuple(disconnected),
@@ -177,7 +169,6 @@ class C3SumReport:
     total: float
     n0: float
     per_neuron: tuple
-    lam: float
     degenerate: bool
 
 
@@ -205,13 +196,7 @@ def compute_C3_sum_function(
         t3 = n0**2 * (delta + slope * n0) * exp_term
         rows.append({"moment": t1, "ess_sup": t2, "boundary": t3})
         total += max(t1, t2, t3)
-    return C3SumReport(
-        total=total,
-        n0=n0,
-        per_neuron=tuple(rows),
-        lam=lam,
-        degenerate=total == 0.0,
-    )
+    return C3SumReport(total=total, n0=n0, per_neuron=tuple(rows), degenerate=total == 0.0)
 
 
 @dataclass(frozen=True)
@@ -285,19 +270,18 @@ def lambda0_product(c0: float, c3: float, lam: float, tol: float = 1e-12) -> flo
     return math.exp(log_sum)
 
 
-def solve_admissible_lambda(
-    c0: float,
-    c3_of_lambda,
-    margin: float = 0.1,
-    min_lambda: float = 1e-8,
-    interval_tol: float = 1e-12,
-):
+MIN_LAMBDA = 1e-8  # smallest rate worth certifying
+INTERVAL_TOL = 1e-12  # width of the final bisection interval
+
+
+def solve_admissible_lambda(c0: float, c3_of_lambda, margin: float = 0.1):
     """Largest lambda with lambda^2 * c0 * c3(lambda) = 1 - margin, by bisection.
 
     c3_of_lambda must be nondecreasing, which makes the target function
-    strictly increasing. Degenerate situations (no admissible lambda above
-    min_lambda, or a coefficient that vanishes identically so every lambda is
-    admissible) raise DegenerateModelError.
+    strictly increasing. Bisection stops once the interval is INTERVAL_TOL
+    wide and returns its lower end. Degenerate situations (no admissible
+    lambda above MIN_LAMBDA, or a coefficient that vanishes identically so
+    every lambda is admissible) raise DegenerateModelError.
     """
     if not 0 < margin < 1:
         raise ValueError("margin must lie in (0, 1)")
@@ -311,9 +295,9 @@ def solve_admissible_lambda(
             return math.inf
         return lam * lam * c0 * c3
 
-    if g(min_lambda) >= target:
+    if g(MIN_LAMBDA) >= target:
         raise DegenerateModelError(
-            f"no admissible lambda above {min_lambda}: the coefficient is too large"
+            f"no admissible lambda above {MIN_LAMBDA}: the coefficient is too large"
         )
     hi = 1.0
     for _ in range(200):
@@ -325,7 +309,7 @@ def solve_admissible_lambda(
             "coefficient vanishes; every lambda is admissible (degenerate certificate)"
         )
     lo = 0.0
-    while hi - lo > interval_tol:
+    while hi - lo > INTERVAL_TOL:
         mid = 0.5 * (lo + hi)
         if g(mid) < target:
             lo = mid
@@ -344,7 +328,6 @@ class ConcentrationCertificate:
     lam: float
     lam0: float
     q: float
-    margin: float
 
 
 def admissible_lambda(
@@ -353,7 +336,6 @@ def admissible_lambda(
     mu: StationaryDistribution,
     c0: float,
     margin: float = 0.1,
-    tol: float = 1e-12,
 ) -> ConcentrationCertificate:
     """Admissible exponential rate for the summed-potential observable.
 
@@ -374,10 +356,8 @@ def admissible_lambda(
     c3_report = compute_C3_sum_function(net, space, mu, lam)
     c3 = c3_report.total
     q = lam * lam * c0 * c3
-    lam0 = lambda0_product(c0, c3, lam, tol=tol)
-    return ConcentrationCertificate(
-        c0=c0, c3=c3, n0=c3_report.n0, lam=lam, lam0=lam0, q=q, margin=margin
-    )
+    lam0 = lambda0_product(c0, c3, lam)
+    return ConcentrationCertificate(c0=c0, c3=c3, n0=c3_report.n0, lam=lam, lam0=lam0, q=q)
 
 
 # -- certified tails ----------------------------------------------------------
@@ -396,8 +376,6 @@ class TalagrandRow:
 class TalagrandReport:
     rows: tuple
     passed: bool
-    lam: float
-    lam0: float
     mu_F: float
 
 
@@ -406,7 +384,6 @@ def talagrand_verdict(
     space: EnumeratedSpace,
     mu: StationaryDistribution,
     r_grid,
-    f_values=None,
 ) -> TalagrandReport:
     """Certified vs exact tails of the summed potential under mu.
 
@@ -418,7 +395,7 @@ def talagrand_verdict(
     r_grid = [float(r) for r in r_grid]
     if not all(map(math.isfinite, r_grid)):
         raise ValueError(f"tail levels must be finite, got {r_grid}")
-    f = space.totals() if f_values is None else np.asarray(f_values, dtype=float)
+    f = space.totals()
     p = mu.probabilities
     mu_f = float(p @ f)
     rows = []
@@ -443,7 +420,7 @@ def talagrand_verdict(
                 ok=ok,
             )
         )
-    return TalagrandReport(rows=tuple(rows), passed=passed, lam=cert.lam, lam0=cert.lam0, mu_F=mu_f)
+    return TalagrandReport(rows=tuple(rows), passed=passed, mu_F=mu_f)
 
 
 # -- weighted semigroup inequality, measured constants ------------------------
@@ -582,7 +559,7 @@ def semigroup_poincare_report(
     inside_idx = [j for j in range(len(suite)) if j not in set(outside_idx)]
 
     lhs_t, energies, wterm_t = semigroup_variance_profile(
-        gen, mu, np.column_stack(suite), t_grid, eps, indicator, space.total_rates()
+        gen, mu, np.column_stack(suite), t_grid, eps, indicator
     )
 
     d1_hat, d2_hat = [], []

@@ -18,6 +18,7 @@ verdict failed.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import sys
@@ -47,6 +48,7 @@ from .spectral import (
     variance_and_energy,
 )
 from .statespace import (
+    DEFAULT_MAX_STATES,
     assemble_generator,
     enumerate_states,
     export_matrix_market,
@@ -227,11 +229,7 @@ def cmd_verify_lyapunov(args, net) -> Report:
     min_slack = float(np.min(check_lyapunov_pointwise(net, cert, space.numerators)))
     verdict, code = _verdict(min_slack >= -1e-12)
     doc = {
-        "alpha": cert.alpha,
-        "theta": cert.theta,
-        "b": cert.b,
-        "m": cert.m,
-        "strong": cert.strong,
+        **dataclasses.asdict(cert),
         "m_box": float(m_box),
         "n_states": len(space),
         "min_slack": min_slack,
@@ -338,28 +336,13 @@ def cmd_semigroup_report(args, net) -> Report:
         eps=args.eps,
     )
     verdict, code = _verdict(report.passed)
-    doc = {
-        "theta": report.theta,
-        "t0_max": report.t0_max,
-        "t1": report.t1,
-        "t_grid": list(report.t_grid),
-        "d1_hat": list(report.d1_hat),
-        "d2_hat": list(report.d2_hat),
-        "slope_d1": report.slope_d1,
-        "slope_d2": report.slope_d2,
-        "outside_term_max": report.outside_term_max,
-        "fit_violation": report.fit_violation,
-        "n_suite": report.n_suite,
-        "n_outside": report.n_outside,
-        "inner_box": report.inner_box,
-        "enlarged_box": report.enlarged_box,
-        "checks": {
-            "d1_growth_cap": report.d1_cap_ok,
-            "d2_growth_cap": report.d2_cap_ok,
-            "outside_one_term": report.outside_one_term_ok,
-        },
-        "verdict": verdict,
+    doc = dataclasses.asdict(report)
+    doc["checks"] = {
+        "d1_growth_cap": doc.pop("d1_cap_ok"),
+        "d2_growth_cap": doc.pop("d2_cap_ok"),
+        "outside_one_term": doc.pop("outside_one_term_ok"),
     }
+    doc["verdict"] = verdict
     line = f"semigroup report: {verdict} (slopes {report.slope_d1}, {report.slope_d2})"
     return Report({"semigroup.json": doc}, code, line)
 
@@ -387,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--alpha", type=float, default=0.8, help="drift trade-off in (0,1)")
             p.add_argument("--m-box", type=float, default=None, dest="m_box",
                            help="coordinate cap of the truncation box (default: drift m)")
-            p.add_argument("--max-states", type=int, default=200_000, dest="max_states")
+            p.add_argument("--max-states", type=int, default=DEFAULT_MAX_STATES, dest="max_states")
         return p
 
     p = command("simulate", cmd_simulate, "trajectory plus Monte Carlo estimates", box=False)

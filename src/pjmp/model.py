@@ -362,7 +362,7 @@ def _peak_time(a: float, bb: float) -> float:
 
 
 def network_from_json(source) -> SynapticNetwork:
-    """Load a model from a JSON document, file path, or already-parsed dict.
+    """Load a model from the path of a JSON file or from an already-parsed dict.
 
     Schema: {"n": int, "weights": [[rationals]], "intensity": {"delta": num,
     "slope": num}}. Rational entries may be integers, "p/q" strings, or
@@ -370,8 +370,6 @@ def network_from_json(source) -> SynapticNetwork:
     """
     if isinstance(source, dict):
         doc = source
-    elif isinstance(source, str) and source.lstrip().startswith("{"):
-        doc = json.loads(source)
     else:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)

@@ -516,7 +516,6 @@ def semigroup_variance_profile(
     t_grid,
     eps: float = 1e-12,
     indicator: np.ndarray | None = None,
-    phibar: np.ndarray | None = None,
 ):
     """Per-time functionals entering the weighted variance inequality.
 
@@ -524,9 +523,10 @@ def semigroup_variance_profile(
         lhs(t)      = mu( Var under P_t of f ),
         energy      = mu( Gamma(f, f) ),
         weighted(t) = mu( F_t * P_t(Gamma(f, f) * 1_D) ),
-    where F_t is the state-wise expected firing effort up to t and 1_D the
-    supplied indicator (all-ones when None). phibar defaults to the total
-    firing rate read off the enumerated space.
+    where F_t is the state-wise expected firing effort up to t (the time
+    integral of phibar, the total firing rate, read from gen.space) and 1_D
+    the supplied indicator (all-ones when None). gen must be a
+    SparseGenerator that carries its enumerated space.
 
     f is one function of shape (n,) or k functions as the columns of an
     (n, k) block; lhs and weighted then have shape (len(t_grid), k) and
@@ -547,10 +547,9 @@ def semigroup_variance_profile(
     _check_series_args(t_grid, eps)
     q = _as_matrix(gen)
     f = np.asarray(f, dtype=float)
-    if phibar is None:
-        if not isinstance(gen, SparseGenerator) or gen.space is None:
-            raise ValueError("phibar is required when gen has no enumerated space")
-        phibar = gen.space.total_rates()
+    if not isinstance(gen, SparseGenerator) or gen.space is None:
+        raise ValueError("gen must carry its enumerated space, which gives phibar")
+    phibar = gen.space.total_rates()
     fs = f.reshape(f.shape[0], -1)
     k = fs.shape[1]
     ind = np.ones(f.shape[0]) if indicator is None else np.asarray(indicator, dtype=float)

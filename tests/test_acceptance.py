@@ -299,13 +299,11 @@ def test_criterion_8_truncation_robustness(ring2, ring2_m):
     done(True)
 
 
-def _run_cli(args, cwd, threads="1"):
-    env = child_env()
-    env["PJMP_THREADS"] = threads
+def _run_cli(args, cwd):
     proc = subprocess.run(
         [sys.executable, "-m", "pjmp", *args],
         cwd=cwd,
-        env=env,
+        env=child_env(),
         capture_output=True,
         text=True,
     )
@@ -313,7 +311,7 @@ def _run_cli(args, cwd, threads="1"):
 
 
 def test_criterion_9_cli_determinism(tmp_path):
-    done = _register(9, "every command byte-identical across runs and thread counts")
+    done = _register(9, "every command byte-identical across runs")
     try:
         commands = {
             "simulate": ["simulate", RING2_PATH, "--t", "2", "--replicas", "60", "--seed", "3"],
@@ -325,16 +323,11 @@ def test_criterion_9_cli_determinism(tmp_path):
             "semigroup-report": ["semigroup-report", RING2_PATH, "--m-box", "20", "--suite-size", "12"],
         }
         for name, cmd in commands.items():
-            runs = [
-                ("run1", "1"),
-                ("run2", "1"),
-                ("run4", "4"),
-            ]
-            for label, threads in runs:
-                _run_cli(cmd + ["--out", str(tmp_path / name / label)], tmp_path, threads)
+            for label in ("run1", "run2", "run3"):
+                _run_cli(cmd + ["--out", str(tmp_path / name / label)], tmp_path)
             base = sorted((tmp_path / name / "run1").iterdir())
             assert base, name
-            for label in ("run2", "run4"):
+            for label in ("run2", "run3"):
                 for path in base:
                     other = tmp_path / name / label / path.name
                     assert path.read_bytes() == other.read_bytes(), (name, label, path.name)

@@ -15,7 +15,6 @@ RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
 def run_cli(args, cwd, env_extra=None, timeout=None):
     env = child_env()
-    env.pop("PJMP_THREADS", None)
     if env_extra:
         env.update(env_extra)
     return subprocess.run(
@@ -447,6 +446,79 @@ class TestReportFiles:
         (report,) = [name for name in written if name.endswith(".json")]
         doc = json.loads((out / report).read_text())
         assert doc["manifest"]["outputs"] == written
+
+
+def _key_paths(doc: dict, prefix: str = "") -> list:
+    """Dotted key paths of a report; a list of dicts is read through its first entry."""
+    paths = []
+    for key, value in doc.items():
+        paths.append(prefix + key)
+        if key == "manifest":
+            continue
+        if isinstance(value, dict):
+            paths += _key_paths(value, f"{prefix}{key}.")
+        elif isinstance(value, list) and value and isinstance(value[0], dict):
+            paths += _key_paths(value[0], f"{prefix}{key}[].")
+    return paths
+
+
+_HEAD = ("manifest", "manifest_hash")
+_ESTIMATES = tuple(
+    name + field
+    for name in ("firing_effort", "total_potential_mean", "total_potential_variance")
+    for field in ("", ".n", ".seed", ".std_error", ".value")
+)
+REPORT_KEYS = {
+    ("simulate", "--t", "2", "--replicas", "10"): (
+        "estimates.json",
+        (*_HEAD, "n_events", *_ESTIMATES),
+    ),
+    ("stationary", "--m-box", "10"): (
+        "stationary.json",
+        (*_HEAD, "dense_tv", "dims", "dims.states", "dims.support", "m_box",
+         "mean_total_potential", "power_tv", "residual"),
+    ),
+    ("gap", "--m-box", "10"): (
+        "gap.json",
+        (*_HEAD, "C_opt", "degenerate", "dims", "dims.states", "dims.support", "gap",
+         "method", "residuals", "residuals.eigenpair", "residuals.stationary"),
+    ),
+    ("verify-lyapunov",): (
+        "lyapunov.json",
+        (*_HEAD, "alpha", "b", "m", "m_box", "min_slack", "n_states", "strong", "theta",
+         "verdict"),
+    ),
+    ("verify-poincare", "--m-box", "10", "--n-functions", "20"): (
+        "poincare.json",
+        (*_HEAD, "C_opt", "checks", "checks.optimizer_achieves_C_opt",
+         "checks.path_bound_dominates", "checks.sup_rayleigh_below_C_opt",
+         "checks.variance_dominated", "n_functions", "optimizer_ratio", "path_c0",
+         "path_max_length", "sup_rayleigh", "verdict", "worst_excess"),
+    ),
+    ("concentration", "--m-box", "10"): (
+        "concentration.json",
+        (*_HEAD, "C0", "C3", "N0", "lambda", "lambda0", "mu_F", "q", "rows", "rows[].bound",
+         "rows[].centered_bound", "rows[].centered_exact", "rows[].exact", "rows[].ok",
+         "rows[].r", "verdict"),
+    ),
+    ("semigroup-report", "--m-box", "10"): (
+        "semigroup.json",
+        (*_HEAD, "checks", "checks.d1_growth_cap", "checks.d2_growth_cap",
+         "checks.outside_one_term", "d1_hat", "d2_hat", "enlarged_box", "fit_violation",
+         "inner_box", "n_outside", "n_suite", "outside_term_max", "slope_d1", "slope_d2",
+         "t0_max", "t1", "t_grid", "theta", "verdict"),
+    ),
+}
+
+
+class TestReportKeys:
+    @pytest.mark.parametrize("argv", list(REPORT_KEYS), ids=lambda argv: argv[0])
+    def test_report_keys_are_pinned(self, tmp_path, argv):
+        name, keys = REPORT_KEYS[argv]
+        code, out = _run_in_process(tmp_path, list(argv))
+        assert code == 0
+        doc = json.loads((out / name).read_text())
+        assert sorted(_key_paths(doc)) == sorted(keys)
 
 
 class TestDeterminism:

@@ -2,9 +2,7 @@
 
 import importlib.resources
 import math
-import os
 import pickle
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -442,17 +440,6 @@ class TestDeterminism:
         a = estimate_weight_F(ring2, ring2.zero_state(), 2.0, 500, seed=77)
         b = estimate_weight_F(ring2, ring2.zero_state(), 2.0, 500, seed=77)
         assert a == b
-
-    def test_thread_count_does_not_change_results(self, ring2):
-        results = {}
-        for threads in ("1", "4"):
-            with mock.patch.dict(os.environ, {"PJMP_THREADS": threads}):
-                mean, var = estimate_semigroup(
-                    ring2, lambda y: y.total(), ring2.zero_state(), 1.5, 600, seed=13
-                )
-                eff = estimate_weight_F(ring2, ring2.zero_state(), 1.5, 600, seed=13)
-                results[threads] = (mean, var, eff)
-        assert results["1"] == results["4"]
 
 
 # The per-event walker and loops the single-path functions used before the
