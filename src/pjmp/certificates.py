@@ -18,10 +18,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 
-from .model import SynapticNetwork, _drift_of_v, _jumped_totals, _peak_time
+from .model import _drift_of_v, _jumped_totals, _peak_time
 from .spectral import (
     DegenerateModelError,
     StationaryDistribution,
@@ -62,7 +61,9 @@ class PathMethodReport:
     derivation routes every pair of support states through a shortest firing
     sequence, so the report also carries the worst such length (finite on a
     connected support) and any pairs the firing graph cannot connect, for
-    which the bound is vacuous.
+    which the bound is vacuous. A support from ``stationary()`` is a closed
+    class, so its ``disconnected_pairs`` is empty; only a hand-built support
+    can report pairs.
     """
 
     c0: float
@@ -75,27 +76,20 @@ class PathMethodReport:
 PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memory
 
 
-def _support_adjacency(net: SynapticNetwork, space: EnumeratedSpace, support) -> sp.csr_matrix:
-    """Firing graph on the support, positions within the support as vertices."""
-    ns = len(support)
-    pos_in_supp = np.full(len(space), -1)
-    pos_in_supp[support] = np.arange(ns)
-    dst = pos_in_supp[space.targets[support]]
-    src, i = ((dst >= 0) & (dst != np.arange(ns)[:, None])).nonzero()
-    return sp.csr_matrix((np.ones(len(src)), (src, dst[src, i])), shape=(ns, ns))
-
-
-def path_method_C0(
-    net: SynapticNetwork, space: EnumeratedSpace, mu: StationaryDistribution
-) -> PathMethodReport:
+def path_method_C0(gen: SparseGenerator, mu: StationaryDistribution) -> PathMethodReport:
     """Evaluate the path-method constant and the firing-path diameter.
 
     Shortest firing sequences between all ordered support pairs are found by
-    breadth-first search on the saturated jump graph, PATH_CHUNK sources at
-    a time; the maximum length certifies the uniform boundedness the
-    constant relies on. The first ten unreachable (source, target) pairs, in
-    row-major order of support positions, are reported.
+    breadth-first search on the positive pattern of the support generator,
+    PATH_CHUNK sources at a time. Off-diagonal rates are at least delta > 0
+    and the diagonal is negative, so that pattern is the firing graph. The
+    maximum length certifies the uniform boundedness the constant relies
+    on. The first ten unreachable (source, target) pairs, in row-major order
+    of support positions, are reported; on the closed class ``stationary()``
+    returns there are none.
     """
+    space = gen.space
+    net = space.net
     support = mu.support
     ns = len(support)
     min_mu = float(mu.probabilities[support].min())
@@ -103,7 +97,7 @@ def path_method_C0(
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
     if ns <= 1:
         return PathMethodReport(c0=c0, max_path_length=0, n_support=ns, degenerate=True)
-    adj = _support_adjacency(net, space, support)
+    adj = gen.matrix[support][:, support] > 0
     max_len = 0
     disconnected = []
     for lo in range(0, ns, PATH_CHUNK):
@@ -125,8 +119,6 @@ def path_method_C0(
 
 
 def measure_lyapunov_tail_constant(
-    net: SynapticNetwork,
-    space: EnumeratedSpace,
     gen: SparseGenerator,
     mu: StationaryDistribution,
     f_suite,
@@ -139,7 +131,8 @@ def measure_lyapunov_tail_constant(
     This returns the largest such ratio over the supplied functions, using
     V = 1 + total potential and the untruncated generator for LV.
     """
-    total, v, lv = _drift_of_v(net, space.numerators)
+    space = gen.space
+    total, v, lv = _drift_of_v(space.net, space.numerators)
     ratio = np.where(total > inner_box, -lv / v, 0.0)
     p = mu.probabilities
     worst = 0.0
@@ -173,13 +166,11 @@ class C3SumReport:
 
 
 def compute_C3_sum_function(
-    net: SynapticNetwork,
-    space: EnumeratedSpace,
-    mu: StationaryDistribution,
-    lam: float,
+    space: EnumeratedSpace, mu: StationaryDistribution, lam: float
 ) -> C3SumReport:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    net = space.net
     n0 = float(max(net.row_sums))
     coords = space.coordinate_values()
     p = mu.probabilities
@@ -217,14 +208,11 @@ class C3GeneralReport:
 
 
 def compute_C3_general(
-    net: SynapticNetwork,
-    space: EnumeratedSpace,
-    mu: StationaryDistribution,
-    f,
-    lam: float,
+    space: EnumeratedSpace, mu: StationaryDistribution, f, lam: float
 ) -> C3GeneralReport:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    net = space.net
     f = np.asarray(f, dtype=float)
     support = mu.support
     d = np.abs(f[space.targets[support]] - f[support, None])
@@ -331,11 +319,7 @@ class ConcentrationCertificate:
 
 
 def admissible_lambda(
-    net: SynapticNetwork,
-    space: EnumeratedSpace,
-    mu: StationaryDistribution,
-    c0: float,
-    margin: float = 0.1,
+    space: EnumeratedSpace, mu: StationaryDistribution, c0: float, margin: float = 0.1
 ) -> ConcentrationCertificate:
     """Admissible exponential rate for the summed-potential observable.
 
@@ -345,7 +329,7 @@ def admissible_lambda(
     """
 
     def c3_fn(lam: float) -> float:
-        return compute_C3_sum_function(net, space, mu, lam).total
+        return compute_C3_sum_function(space, mu, lam).total
 
     if c3_fn(0.0) == 0.0:
         raise DegenerateModelError(
@@ -353,7 +337,7 @@ def admissible_lambda(
             "certificate degenerate"
         )
     lam = solve_admissible_lambda(c0, c3_fn, margin=margin)
-    c3_report = compute_C3_sum_function(net, space, mu, lam)
+    c3_report = compute_C3_sum_function(space, mu, lam)
     c3 = c3_report.total
     q = lam * lam * c0 * c3
     lam0 = lambda0_product(c0, c3, lam)
@@ -425,12 +409,13 @@ def talagrand_verdict(
 
 # -- weighted semigroup inequality, measured constants ------------------------
 
-def max_peak_time(net: SynapticNetwork, space: EnumeratedSpace) -> float:
+def max_peak_time(space: EnumeratedSpace) -> float:
     """Largest one-jump-probability peak time over all (state, neuron) pairs.
 
     jump_window_probabilities' scalar formula is mapped over the arrays of
     total rates, since numpy's log1p may differ from math.log1p in the last bit.
     """
+    net = space.net
     before = np.repeat(space.total_rates(), net.n_neurons)
     after = net.n_neurons * net._delta_f + net._slope_f * (
         _jumped_totals(net, space.numerators) / net.denominator
@@ -518,8 +503,6 @@ def _loglog_slope(ts, ys):
 
 
 def semigroup_poincare_report(
-    net: SynapticNetwork,
-    space: EnumeratedSpace,
     gen: SparseGenerator,
     mu: StationaryDistribution,
     t_grid=None,
@@ -539,8 +522,10 @@ def semigroup_poincare_report(
     """
     if not inner_frac >= 0:
         raise ValueError(f"inner_frac must be a nonnegative number, got {inner_frac!r}")
+    space = gen.space
+    net = space.net
     theta = (net.n_neurons * math.e) ** net.n_neurons
-    t0_max = max_peak_time(net, space)
+    t0_max = max_peak_time(space)
     t1 = 1.0 / float(net.intensity.delta) + t0_max
     if t_grid is None:
         t_grid = [t1, 2 * t1, 4 * t1, 8 * t1]

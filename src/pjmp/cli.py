@@ -258,7 +258,7 @@ def cmd_verify_poincare(args, net) -> Report:
             sup_rayleigh = max(sup_rayleigh, var / energy)
     var_star, energy_star = variance_and_energy(gen, mu, gap.optimizer)
     achieved = var_star / energy_star
-    path = path_method_C0(net, space, mu)
+    path = path_method_C0(gen, mu)
     checks = {
         "variance_dominated": bool(worst_excess <= 1e-12),
         "sup_rayleigh_below_C_opt": bool(sup_rayleigh <= gap.c_opt + 1e-12),
@@ -285,7 +285,7 @@ def cmd_concentration(args, net) -> Report:
     gap = poincare_constant(gen, mu)
     if gap.degenerate:
         return _single_state("concentration.json")
-    cert = admissible_lambda(net, space, mu, gap.c_opt, margin=args.lambda_margin)
+    cert = admissible_lambda(space, mu, gap.c_opt, margin=args.lambda_margin)
     r_grid = args.r_grid if args.r_grid else list(range(1, 13))
     report = talagrand_verdict(cert, space, mu, r_grid)
     verdict, code = _verdict(report.passed)
@@ -323,10 +323,8 @@ def cmd_concentration(args, net) -> Report:
 
 
 def cmd_semigroup_report(args, net) -> Report:
-    space, gen, mu = _solve(args, net)
+    _space, gen, mu = _solve(args, net)
     report = semigroup_poincare_report(
-        net,
-        space,
         gen,
         mu,
         t_grid=args.t_grid,

@@ -431,21 +431,20 @@ def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
     mu_s = mu.probabilities[support]
     if np.any(mu_s <= 0):
         raise ValueError("stationary mass underflowed to zero on the support")
-    q_supp = q[np.ix_(support, support)]
     sq = np.sqrt(mu_s)
+    # B = sym(-diag(sq) Q diag(1/sq)), built once, entry by entry
+    m = q[np.ix_(support, support)].tocoo()
+    m.data = m.data * -(sq[m.row] / sq[m.col])
+    b = 0.5 * (m + m.T)
 
     method = "direct" if ns <= DENSE_CUTOFF else "iterative"
     if method == "direct":
-        m = -q_supp.toarray() * (sq[:, None] / sq[None, :])
-        b = 0.5 * (m + m.T)
+        b = b.toarray()
         vals, vecs = sla.eigh(b, subset_by_index=[0, 1])
         lam1 = float(vals[1])
         vec = vecs[:, 1]
     else:
-        scale_l = sp.diags(sq)
-        scale_r = sp.diags(1.0 / sq)
-        m = (-(scale_l @ q_supp @ scale_r)).tocsr()
-        b = (0.5 * (m + m.T)).tocsr()
+        b = b.tocsr()
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((ns, 2))
         kernel = sq.reshape(-1, 1)

@@ -218,13 +218,13 @@ def test_criterion_5_invariant_poincare(ring2, random_nets, ring2_m):
         gap2 = poincare_constant(two_state, mu2)
         assert abs(gap2.c_opt - 1.0 / (a + b)) <= 1e-10
 
-        assert path_method_C0(ring2, space, mu).c0 >= gap.c_opt
+        assert path_method_C0(gen, mu).c0 >= gap.c_opt
         for net in random_nets:
             sp_r = enumerate_states(net, net.zero_state(), 8.0)
             gen_r = assemble_generator(net, sp_r)
             mu_r = stationary(gen_r)
             gap_r = poincare_constant(gen_r, mu_r)
-            assert path_method_C0(net, sp_r, mu_r).c0 >= gap_r.c_opt
+            assert path_method_C0(gen_r, mu_r).c0 >= gap_r.c_opt
         budget.check()
     except Exception:
         done(False)
@@ -238,7 +238,7 @@ def test_criterion_6_concentration_pipeline(ring2, ring2_m):
     try:
         space, gen, mu = ring2_m
         gap = poincare_constant(gen, mu)
-        adm = admissible_lambda(ring2, space, mu, gap.c_opt, margin=0.1)
+        adm = admissible_lambda(space, mu, gap.c_opt, margin=0.1)
         assert 0.85 <= adm.q <= 0.95, adm.q
 
         lam0_a = lambda0_product(gap.c_opt, adm.c3, adm.lam, tol=1e-12)
@@ -259,9 +259,7 @@ def test_criterion_7_semigroup_growth_orders(ring2, ring2_m):
     budget = _Budget(300.0)
     try:
         space, gen, mu = ring2_m
-        report = semigroup_poincare_report(
-            ring2, space, gen, mu, suite_size=50, seed=7, inner_frac=0.5
-        )
+        report = semigroup_poincare_report(gen, mu, suite_size=50, seed=7, inner_frac=0.5)
         assert len(report.t_grid) == 4
         assert report.t_grid[0] == pytest.approx(report.t1)
         assert report.slope_d1 is None or report.slope_d1 <= 3.25, report.slope_d1

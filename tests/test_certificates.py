@@ -30,6 +30,7 @@ from pjmp import (
     talagrand_verdict,
 )
 from test_spectral import profile_oracle
+from test_tables import _adjacency_oracle
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +44,8 @@ def ring2_solved(ring2):
 def _bfs_oracle(space, support, adj):
     """All-pairs breadth-first search in Python, one source at a time.
 
+    adj is the firing graph on the support, from the object-walking
+    ``_adjacency_oracle``, not from the generator path_method_C0 reads.
     Returns (max_path_length, disconnected_pairs) as path_method_C0 reports
     them; the vectorised search must reproduce both.
     """
@@ -87,7 +90,7 @@ class TestPathMethod:
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         gen = assemble_generator(zero2, space)
         mu = stationary(gen)
-        report = path_method_C0(zero2, space, mu)
+        report = path_method_C0(gen, mu)
         assert report.degenerate
         assert report.max_path_length == 0
 
@@ -97,7 +100,7 @@ class TestPathMethod:
         space = enumerate_states(ring2, ring2.zero_state(), 5.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
-        report = path_method_C0(ring2, space, mu)
+        report = path_method_C0(gen, mu)
         assert report.n_support == 10
         assert not report.disconnected_pairs
         assert report.max_path_length == 5
@@ -108,10 +111,10 @@ class TestPathMethod:
     )
     def test_matches_bfs_oracle(self, ring2, monkeypatch, model, m_box, chunk):
         net = ring2 if model == "ring2" else make_random_net(1)
-        space, _gen, mu = _solved(net, m_box)
+        space, gen, mu = _solved(net, m_box)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
-        report = path_method_C0(net, space, mu)
-        adj = certificates._support_adjacency(net, space, mu.support)
+        report = path_method_C0(gen, mu)
+        adj = _adjacency_oracle(net, space.states, m_box, mu.support)
         want = _bfs_oracle(space, mu.support, adj)
         assert (report.max_path_length, report.disconnected_pairs) == want
         assert not report.disconnected_pairs
@@ -120,14 +123,14 @@ class TestPathMethod:
     def test_disconnected_pairs_match_bfs_oracle(self, ring2, monkeypatch, chunk):
         # adding the origin, which nothing fires into, to the support leaves
         # every pair (x, origin) unreachable; only the first ten are listed
-        space, _gen, mu = _solved(ring2, 5.0)
+        space, gen, mu = _solved(ring2, 5.0)
         origin = space.position(ring2.zero_state())
         support = np.sort(np.append(mu.support, origin))
         probs = np.full(len(space), 1.0 / len(support))
         fake = StationaryDistribution(probs, 0.0, support)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
-        report = path_method_C0(ring2, space, fake)
-        adj = certificates._support_adjacency(ring2, space, support)
+        report = path_method_C0(gen, fake)
+        adj = _adjacency_oracle(ring2, space.states, 5.0, support)
         assert (report.max_path_length, report.disconnected_pairs) == _bfs_oracle(
             space, support, adj
         )
@@ -137,36 +140,34 @@ class TestPathMethod:
     def test_dominates_optimal_constant(self, ring2_solved, random_nets):
         space, gen, mu = ring2_solved
         gap = poincare_constant(gen, mu)
-        assert path_method_C0(space.net, space, mu).c0 >= gap.c_opt
+        assert path_method_C0(gen, mu).c0 >= gap.c_opt
         for net in random_nets:
             sp_ = enumerate_states(net, net.zero_state(), 8.0)
             g_ = assemble_generator(net, sp_)
             m_ = stationary(g_)
             gp_ = poincare_constant(g_, m_)
-            assert path_method_C0(net, sp_, m_).c0 >= gp_.c_opt
+            assert path_method_C0(g_, m_).c0 >= gp_.c_opt
 
     def test_measured_tail_constant(self, ring2_solved):
         space, gen, mu = ring2_solved
         rng = np.random.default_rng(0)
         suite = [rng.standard_normal(len(space)) for _ in range(5)]
-        d1 = measure_lyapunov_tail_constant(space.net, space, gen, mu, suite, inner_box=17.0)
+        d1 = measure_lyapunov_tail_constant(gen, mu, suite, inner_box=17.0)
         assert d1 >= 0.0
         # inner box covering everything leaves nothing to measure
-        assert measure_lyapunov_tail_constant(
-            space.net, space, gen, mu, suite, inner_box=1e9
-        ) == 0.0
+        assert measure_lyapunov_tail_constant(gen, mu, suite, inner_box=1e9) == 0.0
 
 
 class TestC3Sum:
     def test_zero_weights_degenerate(self, zero2):
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         mu = stationary(assemble_generator(zero2, space))
-        rep = compute_C3_sum_function(zero2, space, mu, 0.3)
+        rep = compute_C3_sum_function(space, mu, 0.3)
         assert rep.degenerate and rep.total == 0.0 and rep.n0 == 0.0
 
     def test_boundary_term_at_lambda_zero(self, ring2_solved):
         space, _gen, mu = ring2_solved
-        rep = compute_C3_sum_function(space.net, space, mu, 0.0)
+        rep = compute_C3_sum_function(space, mu, 0.0)
         # N0 = 1, phi(N0) = 3: the one-jump worst case term is exactly 3
         assert rep.n0 == 1.0
         for row in rep.per_neuron:
@@ -175,24 +176,24 @@ class TestC3Sum:
     def test_monotone_in_lambda(self, ring2_solved):
         space, _gen, mu = ring2_solved
         grid = [0.0, 0.5, 1.0, 2.0, 5.0]
-        totals = [compute_C3_sum_function(space.net, space, mu, lam).total for lam in grid]
+        totals = [compute_C3_sum_function(space, mu, lam).total for lam in grid]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
     def test_negative_lambda_rejected(self, ring2_solved):
         space, _gen, mu = ring2_solved
         with pytest.raises(ValueError):
-            compute_C3_sum_function(space.net, space, mu, -1.0)
+            compute_C3_sum_function(space, mu, -1.0)
 
 
 class TestC3General:
     def test_constant_function(self, ring2_solved):
         space, _gen, mu = ring2_solved
-        rep = compute_C3_general(space.net, space, mu, np.full(len(space), 9.0), 0.5)
+        rep = compute_C3_general(space, mu, np.full(len(space), 9.0), 0.5)
         assert rep.ok and rep.c3 == 6.0 and rep.h1 == 0.0
 
     def test_sum_function_reported(self, ring2_solved):
         space, _gen, mu = ring2_solved
-        rep = compute_C3_general(space.net, space, mu, space.totals(), 0.5)
+        rep = compute_C3_general(space, mu, space.totals(), 0.5)
         # jumps between the rays change the total by up to the reset size, so
         # the hypotheses fail on this box and must be named, not silenced
         assert rep.h1 > 0.0 and rep.h2 >= rep.h1
@@ -205,11 +206,11 @@ class TestC3General:
         lam = 0.2
 
         def hyp_max(scale):
-            rep = compute_C3_general(space.net, space, mu, scale * base, lam)
+            rep = compute_C3_general(space, mu, scale * base, lam)
             return max(rep.h1, rep.h2)
 
-        assert compute_C3_general(space.net, space, mu, 1e-4 * base, lam).ok
-        assert not compute_C3_general(space.net, space, mu, 10.0 * base, lam).ok
+        assert compute_C3_general(space, mu, 1e-4 * base, lam).ok
+        assert not compute_C3_general(space, mu, 10.0 * base, lam).ok
         lo, hi = 1e-4, 10.0
         for _ in range(80):
             mid = math.sqrt(lo * hi)
@@ -218,8 +219,8 @@ class TestC3General:
             else:
                 hi = mid
         assert hi / lo < 1 + 1e-9
-        assert compute_C3_general(space.net, space, mu, lo * 0.999 * base, lam).ok
-        assert not compute_C3_general(space.net, space, mu, hi * 1.001 * base, lam).ok
+        assert compute_C3_general(space, mu, lo * 0.999 * base, lam).ok
+        assert not compute_C3_general(space, mu, hi * 1.001 * base, lam).ok
 
 
 class TestLambda0:
@@ -257,8 +258,8 @@ class TestAdmissibleLambda:
     def test_doubling_c0_reduces_lambda(self, ring2_solved):
         space, gen, mu = ring2_solved
         gap = poincare_constant(gen, mu)
-        a = admissible_lambda(space.net, space, mu, gap.c_opt)
-        b = admissible_lambda(space.net, space, mu, 2 * gap.c_opt)
+        a = admissible_lambda(space, mu, gap.c_opt)
+        b = admissible_lambda(space, mu, 2 * gap.c_opt)
         assert b.lam < a.lam
 
     def test_no_admissible_lambda(self):
@@ -273,12 +274,12 @@ class TestAdmissibleLambda:
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         mu = stationary(assemble_generator(zero2, space))
         with pytest.raises(DegenerateModelError):
-            admissible_lambda(zero2, space, mu, 1.0)
+            admissible_lambda(space, mu, 1.0)
 
     def test_ring_q_in_band(self, ring2_solved):
         space, gen, mu = ring2_solved
         gap = poincare_constant(gen, mu)
-        adm = admissible_lambda(space.net, space, mu, gap.c_opt)
+        adm = admissible_lambda(space, mu, gap.c_opt)
         assert adm.q < 1.0
         assert 0.89 <= adm.q <= 0.9 + 1e-9
 
@@ -287,7 +288,7 @@ class TestTalagrand:
     def _certificate(self, ring2_solved):
         space, gen, mu = ring2_solved
         gap = poincare_constant(gen, mu)
-        return admissible_lambda(space.net, space, mu, gap.c_opt)
+        return admissible_lambda(space, mu, gap.c_opt)
 
     def test_r_zero_bound_covers_everything(self, ring2_solved):
         space, _gen, mu = ring2_solved
@@ -353,20 +354,20 @@ def _assert_report_close(report, want):
 class TestSemigroupReport:
     def test_theta_value(self, ring2_solved):
         space, gen, mu = ring2_solved
-        report = semigroup_poincare_report(space.net, space, gen, mu, suite_size=10)
+        report = semigroup_poincare_report(gen, mu, suite_size=10)
         assert report.theta == pytest.approx((2 * math.e) ** 2, rel=1e-12)
 
     def test_peak_time_max(self, ring2):
         space = enumerate_states(ring2, ring2.zero_state(), 5.0)
         # the slowest race is at the origin
-        assert max_peak_time(ring2, space) == pytest.approx(
+        assert max_peak_time(space) == pytest.approx(
             (math.log(4.5) - math.log(3.0)) / 1.5, rel=1e-12
         )
 
     def test_rejects_times_below_t1(self, ring2_solved):
         space, gen, mu = ring2_solved
         with pytest.raises(ValueError, match="below t1"):
-            semigroup_poincare_report(space.net, space, gen, mu, t_grid=[0.01])
+            semigroup_poincare_report(gen, mu, t_grid=[0.01])
 
     def test_suite_requires_outside_states(self, ring2_solved):
         space, _gen, _mu = ring2_solved
@@ -387,10 +388,10 @@ class TestSemigroupReport:
         net = ring2 if model == "ring2" else make_random_net(1)
         space, gen, mu = _solved(net, 34.0 if model == "ring2" else 8.0)
         for seed in range(8):
-            report = semigroup_poincare_report(net, space, gen, mu, seed=seed)
+            report = semigroup_poincare_report(gen, mu, seed=seed)
             with monkeypatch.context() as m:
                 m.setattr(certificates, "semigroup_variance_profile", profile_oracle)
-                want = semigroup_poincare_report(net, space, gen, mu, seed=seed)
+                want = semigroup_poincare_report(gen, mu, seed=seed)
             _assert_report_close(report, want)
 
     def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
@@ -404,13 +405,13 @@ class TestSemigroupReport:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
-        report = semigroup_poincare_report(space.net, space, gen, mu, suite_size=20)
+        report = semigroup_poincare_report(gen, mu, suite_size=20)
         assert calls == {"propagate_function": 4, "weighted_F_vector": 4}
         assert len(report.t_grid) == 4
 
     def test_full_report_passes(self, ring2_solved):
         space, gen, mu = ring2_solved
-        report = semigroup_poincare_report(space.net, space, gen, mu, suite_size=20, seed=1)
+        report = semigroup_poincare_report(gen, mu, suite_size=20, seed=1)
         assert report.passed
         assert report.outside_term_max <= 1e-12
         assert report.fit_violation <= 1e-9

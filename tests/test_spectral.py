@@ -646,6 +646,28 @@ class TestPoincare:
         assert (direct.method, iterative.method) == ("direct", "iterative")
         assert iterative.c_opt == pytest.approx(direct.c_opt, rel=1e-8)
 
+    def test_both_branches_build_one_operator(self, ring2, monkeypatch):
+        # the dense eigensolver and LOBPCG must receive the same symmetrised
+        # operator B, bit for bit, not two formulas that round differently
+        space = enumerate_states(ring2, ring2.zero_state(), 34.0)
+        gen = assemble_generator(ring2, space)
+        mu = stationary(gen)
+        seen = {}
+        for name in ("eigh", "lobpcg"):
+            module = spectral.sla if name == "eigh" else spectral.spla
+            real = getattr(module, name)
+
+            def capture(b, *args, _real=real, _name=name, **kwargs):
+                seen[_name] = b
+                return _real(b, *args, **kwargs)
+
+            monkeypatch.setattr(module, name, capture)
+        assert poincare_constant(gen, mu).method == "direct"
+        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
+        assert poincare_constant(gen, mu).method == "iterative"
+        assert len(mu.support) == 68
+        assert np.array_equal(seen["lobpcg"].toarray(), seen["eigh"])
+
     def test_eigenpair_residual_reported(self, ring2_box10, monkeypatch):
         _space, gen, mu = ring2_box10
         for cutoff, method in ((spectral.DENSE_CUTOFF, "direct"), (5, "iterative")):
