@@ -377,6 +377,8 @@ def talagrand_verdict(
     passes when the bound dominates the exact tail at every grid point.
     """
     r_grid = [float(r) for r in r_grid]
+    if not r_grid:
+        raise ValueError("the tail-level grid is empty")
     if not all(map(math.isfinite, r_grid)):
         raise ValueError(f"tail levels must be finite, got {r_grid}")
     f = space.totals()
@@ -497,7 +499,7 @@ def _loglog_slope(ts, ys):
     ts = np.asarray(ts, dtype=float)
     ys = np.asarray(ys, dtype=float)
     keep = ys > 0
-    if keep.sum() < 2:
+    if len(np.unique(ts[keep])) < 2:  # no line through a single time
         return None
     return float(np.polyfit(np.log(ts[keep]), np.log(ys[keep]), 1)[0])
 
@@ -530,6 +532,8 @@ def semigroup_poincare_report(
     if t_grid is None:
         t_grid = [t1, 2 * t1, 4 * t1, 8 * t1]
     t_grid = [float(t) for t in t_grid]
+    if not t_grid:
+        raise ValueError("the time grid is empty")
     if not all(map(math.isfinite, t_grid)):
         raise ValueError(f"times must be finite, got {t_grid}")
     below = [t for t in t_grid if t < t1 * (1 - 1e-12)]

@@ -3,12 +3,14 @@
 One command per process; all randomness flows from --seed, an integer in
 [0, 2**64) (default 0). Each ``cmd_*`` function only computes: it returns a
 Report of the files it would write, its stdout and stderr lines and its exit
-code. ``_write`` then makes --out, builds the run manifest (whose
-``outputs`` are the names of the files handed to it), writes every file with
-the manifest's hash embedded, and prints. A command that raises writes
-nothing. JSON reports are strict JSON with sorted keys: a report that would
-hold an inf or a nan is refused (exit 2) and nothing is written. CSV cells
-are plain decimal ints and float reprs.
+code. ``_write`` then builds the run manifest (whose ``outputs`` are the
+names of the files handed to it), renders every file with the manifest's
+hash embedded, and only then makes --out, writes the files and prints. A
+command that raises, or a file that cannot be rendered, writes nothing. JSON
+reports are strict JSON with sorted keys: a report that would hold an inf or
+a nan is refused (exit 2) and nothing is written. CSV cells are plain
+decimal ints and float reprs. A rate matrix is written in MatrixMarket
+coordinate format.
 
 Exit codes: 0 success or PASS, 2 usage, bad input or a numerical failure (a
 solver that did not converge, out of memory), 3 degenerate model, 4 a
@@ -22,10 +24,12 @@ import dataclasses
 import hashlib
 import json
 import sys
+from io import BytesIO
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
+from scipy.io import mmwrite
 
 from . import __version__
 from .certificates import (
@@ -47,13 +51,7 @@ from .spectral import (
     stationary,
     variance_and_energy,
 )
-from .statespace import (
-    DEFAULT_MAX_STATES,
-    assemble_generator,
-    enumerate_states,
-    export_matrix_market,
-    export_state_table,
-)
+from .statespace import DEFAULT_MAX_STATES, assemble_generator, enumerate_states
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -65,8 +63,7 @@ class Report(NamedTuple):
     """What a command computed: the files to write, its exit code and its lines.
 
     ``files`` maps each file name to a JSON payload (dict), a CSV column
-    header with its rows (tuple), or a function that writes the file given
-    its path and the manifest hash (the generator exports).
+    header with its rows (tuple), or a sparse rate matrix (MatrixMarket).
     """
 
     files: dict
@@ -80,7 +77,7 @@ def _cell(value) -> str:
 
 
 def _write(args, net, report: Report) -> int:
-    """Make --out, write every file under one manifest, print, return the exit code."""
+    """Render every file under one manifest, make --out, write, print, return the exit code."""
     model_doc = json.dumps(network_to_json(net), sort_keys=True)
     manifest = {
         "command": args.command,
@@ -96,7 +93,7 @@ def _write(args, net, report: Report) -> int:
     }
     blob = json.dumps(manifest, sort_keys=True, separators=(",", ":"), allow_nan=False)
     digest = hashlib.sha256(blob.encode("utf-8")).hexdigest()
-    texts, writers = {}, {}
+    texts = {}
     for name, content in report.files.items():
         if isinstance(content, dict):
             doc = {"manifest": manifest, "manifest_hash": digest, **content}
@@ -110,14 +107,14 @@ def _write(args, net, report: Report) -> int:
             lines += [",".join(map(_cell, row)) + "\n" for row in rows]
             texts[name] = "".join(lines)
         else:
-            writers[name] = content
+            buf = BytesIO()
+            mmwrite(buf, content, comment=digest)
+            texts[name] = buf.getvalue().decode("ascii")
     # every report is rendered before --out is touched, so a refused one writes nothing
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for name, text in texts.items():
         (out / name).write_text(text, encoding="utf-8")
-    for name, write in writers.items():
-        write(out / name, digest)
     if report.stdout:
         print(report.stdout)
     if report.stderr:
@@ -147,11 +144,12 @@ def _exports(args, space, gen) -> dict:
     """generator.mtx and states.csv, when --export-generator asks for them."""
     if not args.export_generator:
         return {}
+    cols = ",".join(f"n{i}" for i in range(space.net.n_neurons))
+    den = space.net.denominator
+    rows = ((k, *row, den) for k, row in enumerate(space.numerators.tolist()))
     return {
-        "generator.mtx": lambda path, digest: export_matrix_market(gen, path, comment=digest),
-        "states.csv": lambda path, digest: export_state_table(
-            space, path, header_comment=f"manifest_hash={digest}"
-        ),
+        "generator.mtx": gen.matrix,
+        "states.csv": (f"index,{cols},denominator", rows),
     }
 
 
@@ -286,7 +284,7 @@ def cmd_concentration(args, net) -> Report:
     if gap.degenerate:
         return _single_state("concentration.json")
     cert = admissible_lambda(space, mu, gap.c_opt, margin=args.lambda_margin)
-    r_grid = args.r_grid if args.r_grid else list(range(1, 13))
+    r_grid = args.r_grid if args.r_grid is not None else list(range(1, 13))
     report = talagrand_verdict(cert, space, mu, r_grid)
     verdict, code = _verdict(report.passed)
     doc = {

@@ -175,12 +175,9 @@ def _exp_pick(u: np.ndarray):
     return -np.log1p(-u[:, 0::2]), u[:, 1::2]
 
 
-def _draws(rngs, n_events: int):
-    """Exp(1) and pick uniforms of the next n_events of each stream, one row each."""
-    u = np.empty((len(rngs), 2 * n_events))
-    for row, rng in zip(u, rngs):
-        rng.random(out=row)
-    return _exp_pick(u)
+def _draws(rng, n_events: int):
+    """Exp(1) and pick uniforms of the stream's next n_events, as one row."""
+    return _exp_pick(rng.random((1, 2 * n_events)))
 
 
 def _keyed_uniforms(seed: int):
@@ -235,7 +232,7 @@ def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: 
     cum, total, succ = rows[sid]
     t = 0.0
     while True:
-        exps, us = _draws([rng], chunk)
+        exps, us = _draws(rng, chunk)
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
             tau = e / total
             # the first of neurons 0..n-2 whose rate sum exceeds u * total, else n-1

@@ -3,6 +3,8 @@
 Everything here works on the rate matrix of an enumerated box: stationary
 vectors, transient distributions through uniformization, quadratic forms
 under the stationary law, and the optimal variance-to-energy constant.
+Every function takes the chain as a SparseGenerator and reads its
+``matrix``; ``SparseGenerator.from_matrix`` wraps a bare rate matrix.
 
 Conventions. The chain is not reversible; the energy form
 ``-mu(f * Qf) = mu(Gamma(f, f))`` only sees the symmetric part of the
@@ -22,8 +24,6 @@ import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
-
-from .statespace import SparseGenerator
 
 __all__ = [
     "DegenerateModelError",
@@ -50,12 +50,6 @@ EIGEN_RESIDUAL_TOL = 1e-10
 
 class DegenerateModelError(RuntimeError):
     """The request is well-posed only on a richer model (e.g. one-point support)."""
-
-
-def _as_matrix(gen) -> sp.csr_matrix:
-    if isinstance(gen, SparseGenerator):
-        return gen.matrix
-    return sp.csr_matrix(gen)
 
 
 def _uniformization_rate(q: sp.csr_matrix) -> float:
@@ -224,13 +218,13 @@ def stationary(gen) -> StationaryDistribution:
     dense null-space solve (up to DENSE_CUTOFF support states) and power
     iteration on the uniformized kernel (at any size) run as cross-checks.
     """
-    q = _as_matrix(gen)
+    q = gen.matrix
     n = q.shape[0]
     closed, labels = _closed_classes(q)
     if len(closed) > 1:
         a = int(np.nonzero(labels == closed[0])[0][0])
         b = int(np.nonzero(labels == closed[1])[0][0])
-        space = gen.space if isinstance(gen, SparseGenerator) else None
+        space = gen.space  # None for a generator built from_matrix
         sa, sb = (f"#{k}" if space is None else tuple(space.numerators[k].tolist()) for k in (a, b))
         raise DegenerateModelError(
             f"chain has {len(closed)} closed classes; states {sa} and {sb} do not communicate"
@@ -328,8 +322,7 @@ def _check_series_args(times, eps: float) -> None:
 def _series_setup(gen, t: float, eps: float):
     """(Q, Lambda) for a series up to a finite time t >= 0 with truncation error eps in (0, 1)."""
     _check_series_args([t], eps)
-    q = _as_matrix(gen)
-    return q, _uniformization_rate(q)
+    return gen.matrix, _uniformization_rate(gen.matrix)
 
 
 def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.ndarray:
@@ -371,14 +364,14 @@ def propagate_function(gen, f: np.ndarray, t: float, eps: float = 1e-12) -> np.n
 
 def gamma_vector(gen, f: np.ndarray) -> np.ndarray:
     """Carre-du-champ of the truncated chain, tabulated: 0.5*(Q f^2 - 2 f Qf)."""
-    q = _as_matrix(gen)
+    q = gen.matrix
     f = np.asarray(f, dtype=float)
     return 0.5 * (q @ (f * f) - 2.0 * f * (q @ f))
 
 
 def variance_and_energy(gen, mu: StationaryDistribution, f: np.ndarray):
     """(Var_mu(f), mu(Gamma(f,f))). Under stationarity the energy equals -mu(f*Qf)."""
-    q = _as_matrix(gen)
+    q = gen.matrix
     f = np.asarray(f, dtype=float)
     p = mu.probabilities
     fbar = p @ f
@@ -423,7 +416,7 @@ def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
     value that is too large would make C too small, so its result is
     refused with RuntimeError when the residual exceeds EIGEN_RESIDUAL_TOL.
     """
-    q = _as_matrix(gen)
+    q = gen.matrix
     support = mu.support
     ns = len(support)
     if ns <= 1:
@@ -544,23 +537,22 @@ def semigroup_variance_profile(
     """
     t_grid = [float(t) for t in t_grid]
     _check_series_args(t_grid, eps)
-    q = _as_matrix(gen)
     f = np.asarray(f, dtype=float)
-    if not isinstance(gen, SparseGenerator) or gen.space is None:
+    if gen.space is None:
         raise ValueError("gen must carry its enumerated space, which gives phibar")
     phibar = gen.space.total_rates()
     fs = f.reshape(f.shape[0], -1)
     k = fs.shape[1]
     ind = np.ones(f.shape[0]) if indicator is None else np.asarray(indicator, dtype=float)
     p = mu.probabilities
-    gam = gamma_vector(q, fs)
+    gam = gamma_vector(gen, fs)
     energy = _column_means(p, gam)
     cur = np.hstack([fs, fs * fs, gam * ind[:, None], np.zeros((f.shape[0], 1))])
     rows = {}
     t_prev = 0.0
     for t in sorted(set(t_grid)):
-        cur = propagate_function(q, cur, t - t_prev, eps)
-        cur[:, -1] += weighted_F_vector(q, phibar, t - t_prev, eps)
+        cur = propagate_function(gen, cur, t - t_prev, eps)
+        cur[:, -1] += weighted_F_vector(gen, phibar, t - t_prev, eps)
         t_prev = t
         ptf, ptf2, pt_loc, fv = np.split(cur, [k, 2 * k, 3 * k], axis=1)
         rows[t] = (_column_means(p, ptf2 - ptf**2), _column_means(p, fv * pt_loc))

@@ -11,7 +11,9 @@ numerators of every state, the index of the state each neuron's saturated
 jump lands on, and whether that jump needed saturation. Every consumer
 (generator, masks, certificates) reads these tables; ``PotentialState``
 objects for the whole box are built only on request, through ``states``,
-``index``, ``position`` and ``in``.
+``index``, ``position`` and ``in``. The files that carry the enumeration and
+the rate matrix (``states.csv``, ``generator.mtx``) are rendered by the
+command line, with every other output file.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.io import mmwrite
 
 from .model import PotentialState, SynapticNetwork
 
@@ -35,8 +36,6 @@ __all__ = [
     "saturate",
     "enumerate_states",
     "assemble_generator",
-    "export_matrix_market",
-    "export_state_table",
 ]
 
 DEFAULT_MAX_STATES = 200_000
@@ -216,21 +215,3 @@ def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGe
     q.sum_duplicates()
     return SparseGenerator(matrix=q, space=space)
 
-
-def export_matrix_market(gen: SparseGenerator, path, comment: str = "") -> None:
-    """Write the rate matrix in MatrixMarket coordinate format."""
-    mmwrite(str(path), gen.matrix.tocoo(), comment=comment)
-
-
-def export_state_table(space: EnumeratedSpace, path, header_comment: str = "") -> None:
-    """CSV listing of the enumeration: index, numerators, shared denominator."""
-    n = space.net.n_neurons
-    den = space.net.denominator
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        if header_comment:
-            fh.write(f"# {header_comment}\n")
-        cols = ",".join(f"n{i}" for i in range(n))
-        fh.write(f"index,{cols},denominator\n")
-        for k, row in enumerate(space.numerators.tolist()):
-            nums = ",".join(str(v) for v in row)
-            fh.write(f"{k},{nums},{den}\n")

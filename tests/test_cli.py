@@ -5,10 +5,12 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 import scipy.io
 
 from conftest import child_env
+from pjmp import assemble_generator, enumerate_states
 
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
@@ -172,15 +174,40 @@ class TestOutputs:
         assert doc["dims"]["states"] == 21
         assert doc["dims"]["support"] == 20
 
-    def test_generator_export(self, tmp_path):
+    def test_generator_export(self, tmp_path, ring2):
         proc = run_cli(
             ["stationary", RING2, "--m-box", "5", "--export-generator", "--out", "exp"],
             tmp_path,
         )
         assert proc.returncode == 0, proc.stderr
-        q = scipy.io.mmread(str(tmp_path / "exp" / "generator.mtx"))
+        out = tmp_path / "exp"
+        digest = json.loads((out / "stationary.json").read_text())["manifest_hash"]
+        space = enumerate_states(ring2, ring2.zero_state(), 5.0)
+        gen = assemble_generator(ring2, space)
+        q = scipy.io.mmread(str(out / "generator.mtx"))
         assert q.shape == (11, 11)
+        assert np.array_equal(q.toarray(), gen.matrix.toarray())
         assert abs(q.toarray().sum(axis=1)).max() <= 1e-12
+        assert (out / "generator.mtx").read_text().splitlines()[1] == f"%{digest}"
+        lines = (out / "states.csv").read_text().splitlines()
+        assert lines[0] == f"# manifest_hash={digest}"
+        assert lines[1] == "index,n0,n1,denominator"
+        assert len(lines) == 2 + len(space)
+        assert lines[2] == "0,0,0,1"
+
+    def test_unrenderable_export_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        # every file is rendered before --out is made, the rate matrix too
+        import pjmp.cli as cli
+
+        def failing(*args, **kwargs):
+            raise ValueError("matrix cannot be rendered")
+
+        monkeypatch.setattr(cli, "mmwrite", failing)
+        out = tmp_path / "exp"
+        assert cli.main(["stationary", RING2, "--export-generator", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: matrix cannot be rendered\n"
+        assert not out.exists()
 
     def test_gap_eigenfunction(self, tmp_path):
         proc = run_cli(["gap", RING2, "--m-box", "8", "--out", "gap"], tmp_path)
@@ -264,7 +291,6 @@ class TestStrictJson:
 
     @pytest.mark.parametrize("value", [float("-inf"), float("nan")])
     def test_non_finite_slack_is_refused(self, tmp_path, monkeypatch, capsys, value):
-        import numpy as np
         import pjmp.cli as cli
 
         monkeypatch.setattr(cli, "check_lyapunov_pointwise", lambda net, cert, x: np.array([value]))
@@ -291,7 +317,7 @@ class TestStrictJson:
 
 
 class TestNonFiniteOptions:
-    """A non-finite numeric option is bad input: exit 2, one line, no report."""
+    """A non-finite numeric option or an empty grid is bad input: exit 2, one line, no report."""
 
     REPORTS = {
         "stationary": "stationary.json",
@@ -331,11 +357,42 @@ class TestNonFiniteOptions:
         self._refused(tmp_path, capsys, argv, "tail levels must be finite")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["semigroup-report", "--t-grid", ""], "the time grid is empty"),
+            (["concentration", "--r-grid", ""], "the tail-level grid is empty"),
+        ],
+    )
+    def test_empty_grid(self, tmp_path, capsys, argv, message):
+        # an empty --t-grid passed with no time checked; an empty --r-grid
+        # ran the default grid while the manifest recorded []
+        argv = [argv[0], RING2, "--m-box", "10", *argv[1:]]
+        self._refused(tmp_path, capsys, argv, message)
+        assert not (tmp_path / "out").exists()
+
     def test_huge_box_hits_the_state_cap(self, tmp_path, capsys):
         # the cap numerator of --m-box 1e300 overflows int64; enumeration
         # grows unsaturated until the state cap, as it always did
         argv = ["stationary", RING2, "--m-box", "1e300", "--max-states", "500"]
         self._refused(tmp_path, capsys, argv, "box m_box=1e+300 holds more than 500")
+
+
+class TestRepeatedTimes:
+    def test_one_distinct_time_has_no_slope(self, tmp_path, capsys):
+        # a log-log fit through one distinct time ended in an SVD error
+        import pjmp.cli as cli
+
+        out = tmp_path / "out"
+        argv = ["semigroup-report", RING2, "--m-box", "10", "--t-grid", "1.0,1.0"]
+        code = cli.main([*argv, "--out", str(out)])
+        captured = capsys.readouterr()
+        assert code == 0, captured.err
+        assert captured.err == ""
+        doc = json.loads((out / "semigroup.json").read_text())
+        assert doc["t_grid"] == [1.0, 1.0]
+        assert doc["d1_hat"][0] == doc["d1_hat"][1]
+        assert doc["slope_d1"] is None and doc["slope_d2"] is None
 
 
 class TestStateObjects:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import pjmp
 from pjmp import (
     IntensityFunction,
     PotentialState,
@@ -260,3 +261,31 @@ class TestJumpWindow:
         w = jump_window_probabilities(net, x, 0, 0.7)
         limit = 0.7 * intensity_at(net, x, 0) * math.exp(-0.7 * total_intensity(net, x))
         assert w.p_one_jump == pytest.approx(limit, rel=1e-8)
+
+
+# the package's public names: each module's __all__, and the five modules
+PUBLIC_NAMES = """
+    C3GeneralReport C3SumReport ConcentrationCertificate DegenerateModelError
+    EnumeratedSpace EstimatorResult GapResult IntensityFunction JumpWindow
+    LyapunovCertificate PathMethodReport PotentialState SemigroupReport SparseGenerator
+    StateSpaceCapExceeded StationaryDistribution SynapticNetwork TalagrandReport
+    TalagrandRow Trajectory TrajectoryEvent TrajectoryEvents admissible_lambda
+    apply_generator assemble_generator carre_du_champ certificates
+    check_lyapunov_pointwise compute_C3_general compute_C3_sum_function empirical_tail
+    enumerate_states ergodic_average estimate_ensemble estimate_semigroup
+    estimate_weight_F gamma_vector intensity_at jump_map jump_window_probabilities
+    lambda0_product lyapunov_constants make_function_suite max_peak_time
+    measure_lyapunov_tail_constant model network_from_json network_to_json next_event
+    path_method_C0 poincare_constant propagate_function saturate
+    semigroup_poincare_report semigroup_variance_profile simulate simulate_path
+    solve_admissible_lambda spectral statespace stationary talagrand_verdict
+    total_intensity transient_distribution variance_and_energy weighted_F_exact
+    weighted_F_vector
+""".split()
+
+
+class TestPublicNames:
+    def test_package_republishes_each_module(self):
+        modules = ("model", "simulate", "statespace", "spectral", "certificates")
+        names = {name for mod in modules for name in getattr(pjmp, mod).__all__}
+        assert pjmp.__all__ == sorted(names | set(modules)) == PUBLIC_NAMES

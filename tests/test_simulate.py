@@ -454,7 +454,7 @@ def _walk_oracle(net, nums, rng, chunk):
     delta, slope = net._delta_f, net._slope_f
     wnum = net.weight_numerators
     while True:
-        exps, us = simulate._draws([rng], chunk)
+        exps, us = simulate._draws(rng, chunk)
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
             rates = [delta + slope * (v / den) for v in nums]
             total = 0.0
@@ -637,7 +637,7 @@ class TestInternedWalker:
         rates = [intensity_at(net, x, j) for j in range(3)]
         total = float(np.cumsum(rates)[-1])
         assert _compensated_sum(rates) != total
-        exps, _us = simulate._draws([replica_rng(4, 0)], 1)
+        exps, _us = simulate._draws(replica_rng(4, 0), 1)
         tau, _i = next_event(net, x, replica_rng(4, 0))
         assert tau == exps[0, 0] / total
 

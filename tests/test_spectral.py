@@ -311,7 +311,7 @@ def profile_oracle(gen, mu, f, t_grid, eps=1e-12, indicator=None, phibar=None):
     q, p = gen.matrix, mu.probabilities
     ind = np.ones(len(p)) if indicator is None else indicator
     phibar = gen.space.total_rates() if phibar is None else phibar
-    gam = gamma_vector(q, f)
+    gam = gamma_vector(gen, f)
     lhs, weighted = [], []
     for t in t_grid:
         ptf = _propagate_oracle(q, f, t, eps)

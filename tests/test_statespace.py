@@ -1,10 +1,9 @@
-"""Enumeration, saturation policy, generator assembly, exports."""
+"""Enumeration, saturation policy, generator assembly."""
 
 from fractions import Fraction
 
 import numpy as np
 import pytest
-import scipy.io
 from hypothesis import given, strategies as st
 
 from pjmp import (
@@ -13,8 +12,6 @@ from pjmp import (
     apply_generator,
     assemble_generator,
     enumerate_states,
-    export_matrix_market,
-    export_state_table,
     jump_map,
     saturate,
 )
@@ -168,22 +165,3 @@ class TestGenerator:
         with pytest.raises(ValueError):
             assemble_generator(zero2, space)
 
-
-class TestExports:
-    def test_matrix_market_roundtrip(self, ring2, tmp_path):
-        space = enumerate_states(ring2, ring2.zero_state(), 5.0)
-        gen = assemble_generator(ring2, space)
-        path = tmp_path / "gen.mtx"
-        export_matrix_market(gen, path)
-        back = scipy.io.mmread(str(path))
-        assert np.allclose(back.toarray(), gen.matrix.toarray())
-
-    def test_state_table(self, ring2, tmp_path):
-        space = enumerate_states(ring2, ring2.zero_state(), 5.0)
-        path = tmp_path / "states.csv"
-        export_state_table(space, path, header_comment="check")
-        lines = path.read_text().splitlines()
-        assert lines[0] == "# check"
-        assert lines[1] == "index,n0,n1,denominator"
-        assert len(lines) == 2 + len(space)
-        assert lines[2] == "0,0,0,1"
