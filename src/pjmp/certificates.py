@@ -20,11 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse.csgraph as csgraph
 
-from .model import _drift_of_v, _jumped_totals, _peak_time
+from .model import _jumped_totals, _peak_time
 from .spectral import (
     DegenerateModelError,
     StationaryDistribution,
-    gamma_vector,
     semigroup_variance_profile,
 )
 from .statespace import EnumeratedSpace, SparseGenerator
@@ -32,11 +31,8 @@ from .statespace import EnumeratedSpace, SparseGenerator
 __all__ = [
     "PathMethodReport",
     "path_method_C0",
-    "measure_lyapunov_tail_constant",
     "C3SumReport",
     "compute_C3_sum_function",
-    "C3GeneralReport",
-    "compute_C3_general",
     "lambda0_product",
     "solve_admissible_lambda",
     "admissible_lambda",
@@ -118,34 +114,6 @@ def path_method_C0(gen: SparseGenerator, mu: StationaryDistribution) -> PathMeth
     )
 
 
-def measure_lyapunov_tail_constant(
-    gen: SparseGenerator,
-    mu: StationaryDistribution,
-    f_suite,
-    inner_box: float,
-) -> float:
-    """Measured replacement for the imported drift-to-energy constant.
-
-    The analytical route bounds mu(f^2 * (-LV/V) * 1 outside the inner box)
-    by a multiple of the energy, but the multiple is never made explicit.
-    This returns the largest such ratio over the supplied functions, using
-    V = 1 + total potential and the untruncated generator for LV.
-    """
-    space = gen.space
-    total, v, lv = _drift_of_v(space.net, space.numerators)
-    ratio = np.where(total > inner_box, -lv / v, 0.0)
-    p = mu.probabilities
-    worst = 0.0
-    for f in f_suite:
-        f = np.asarray(f, dtype=float)
-        energy = float(p @ gamma_vector(gen, f))
-        if energy <= 0:
-            continue
-        num = float(p @ (f * f * ratio))
-        worst = max(worst, num / energy)
-    return worst
-
-
 # -- carre-du-champ coefficients ----------------------------------------------
 
 @dataclass(frozen=True)
@@ -188,48 +156,6 @@ def compute_C3_sum_function(
         rows.append({"moment": t1, "ess_sup": t2, "boundary": t3})
         total += max(t1, t2, t3)
     return C3SumReport(total=total, n0=n0, per_neuron=tuple(rows), degenerate=total == 0.0)
-
-
-@dataclass(frozen=True)
-class C3GeneralReport:
-    """Hypothesis check for general observables with bounded jump differences.
-
-    ``h1``/``h2`` are the support maxima of phi_i * D^2 and
-    phi_i * e^{lambda D} * D^2, with D the absolute one-firing difference of
-    f. Both must be < 1; then the coefficient 3N applies. A violated
-    hypothesis is reported explicitly, never papered over.
-    """
-
-    c3: float | None
-    h1: float
-    h2: float
-    ok: bool
-    violated: str | None
-
-
-def compute_C3_general(
-    space: EnumeratedSpace, mu: StationaryDistribution, f, lam: float
-) -> C3GeneralReport:
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    net = space.net
-    f = np.asarray(f, dtype=float)
-    support = mu.support
-    d = np.abs(f[space.targets[support]] - f[support, None])
-    phi = net._delta_f + net._slope_f * (space.numerators[support] / net.denominator)
-    # math.exp, not np.exp: numpy's vectorised exp may differ in the last bit
-    grow = [math.inf if t > 700 else math.exp(t) for t in (lam * d).ravel().tolist()]
-    h1 = float((phi * d * d).max(initial=0.0))
-    h2 = float((phi * np.reshape(grow, d.shape) * d * d).max(initial=0.0))
-    ok = h1 < 1.0 and h2 < 1.0
-    violated = None
-    if h1 >= 1.0:
-        violated = f"plain jump-difference hypothesis fails: {h1:.6g} >= 1"
-    elif h2 >= 1.0:
-        violated = f"exponential jump-difference hypothesis fails: {h2:.6g} >= 1"
-    return C3GeneralReport(
-        c3=3.0 * net.n_neurons if ok else None, h1=h1, h2=h2, ok=ok, violated=violated
-    )
 
 
 # -- admissible rate and product prefactor ------------------------------------
@@ -331,11 +257,6 @@ def admissible_lambda(
     def c3_fn(lam: float) -> float:
         return compute_C3_sum_function(space, mu, lam).total
 
-    if c3_fn(0.0) == 0.0:
-        raise DegenerateModelError(
-            "carre-du-champ coefficient is identically zero (no interaction); "
-            "certificate degenerate"
-        )
     lam = solve_admissible_lambda(c0, c3_fn, margin=margin)
     c3_report = compute_C3_sum_function(space, mu, lam)
     c3 = c3_report.total

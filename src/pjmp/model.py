@@ -63,7 +63,10 @@ def _as_fraction(value) -> Fraction:
             raise ValueError(f"not a finite number: {value!r}")
         return Fraction(str(value))
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in {value!r}") from None
     raise ValueError(f"cannot interpret {value!r} as a rational")
 
 
@@ -374,14 +377,19 @@ def network_from_json(source) -> SynapticNetwork:
         with open(source, "r", encoding="utf-8") as fh:
             doc = json.load(fh)
     try:
-        n = int(doc["n"])
+        n = doc["n"]
+        if isinstance(n, bool) or not isinstance(n, int):
+            raise TypeError(f"n must be an integer, got {n!r}")
         rows = doc["weights"]
+        # strings and dicts iterate too: "01" would be read as the row [0, 1]
+        if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+            raise TypeError("weights must be a list of rows, each a list")
+        weights = tuple(tuple(_as_fraction(w) for w in row) for row in rows)
         intensity = doc["intensity"]
         delta = _as_fraction(intensity["delta"])
         slope = _as_fraction(intensity["slope"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"malformed model document: {exc}") from exc
-    weights = tuple(tuple(_as_fraction(w) for w in row) for row in rows)
     return SynapticNetwork(
         n_neurons=n,
         weights=weights,

@@ -105,6 +105,35 @@ class TestExitCodes:
             proc = run_cli(cmd + ["--out", str(tmp_path / cmd[0])], tmp_path)
             assert proc.returncode == 3, proc.stderr
 
+    @pytest.mark.parametrize(
+        "changes",
+        [
+            {"weights": [5]},
+            {"weights": 7},
+            {"intensity": {"delta": "1/0", "slope": 1.5}},
+            {"weights": [[0, "1/0"], [1, 0]]},
+            {"n": 2.7},
+            {"n": True, "weights": [[0]]},
+            {"weights": ["01", "10"]},
+        ],
+        ids=[
+            "row-not-list", "weights-not-list", "delta-1/0", "weight-1/0", "n-2.7", "n-true",
+            "rows-strings",
+        ],
+    )
+    def test_malformed_model_file(self, tmp_path, changes):
+        # these ended in a TypeError or ZeroDivisionError traceback, or n was
+        # truncated (2.7 to 2) or read as 1 (true), or string rows were read
+        # digit by digit, and the run went on
+        doc = {"n": 2, "weights": [[0, 1], [1, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
+        model = tmp_path / "bad.json"
+        model.write_text(json.dumps({**doc, **changes}))
+        proc = run_cli(["stationary", str(model), "--out", "out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("eps", ["2", "nan"])
     def test_eps_outside_unit_interval(self, tmp_path, eps):
         proc = run_cli(["semigroup-report", RING2, "--eps", eps, "--out", "sg"], tmp_path)

@@ -1,7 +1,11 @@
 """Core model: rates, jumps, generator algebra, drift constants, jump windows."""
 
+import ast
+import importlib
+import inspect
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -265,17 +269,17 @@ class TestJumpWindow:
 
 # the package's public names: each module's __all__, and the five modules
 PUBLIC_NAMES = """
-    C3GeneralReport C3SumReport ConcentrationCertificate DegenerateModelError
+    C3SumReport ConcentrationCertificate DegenerateModelError
     EnumeratedSpace EstimatorResult GapResult IntensityFunction JumpWindow
     LyapunovCertificate PathMethodReport PotentialState SemigroupReport SparseGenerator
     StateSpaceCapExceeded StationaryDistribution SynapticNetwork TalagrandReport
     TalagrandRow Trajectory TrajectoryEvent TrajectoryEvents admissible_lambda
     apply_generator assemble_generator carre_du_champ certificates
-    check_lyapunov_pointwise compute_C3_general compute_C3_sum_function empirical_tail
+    check_lyapunov_pointwise compute_C3_sum_function empirical_tail
     enumerate_states ergodic_average estimate_ensemble estimate_semigroup
     estimate_weight_F gamma_vector intensity_at jump_map jump_window_probabilities
     lambda0_product lyapunov_constants make_function_suite max_peak_time
-    measure_lyapunov_tail_constant model network_from_json network_to_json next_event
+    model network_from_json network_to_json next_event
     path_method_C0 poincare_constant propagate_function saturate
     semigroup_poincare_report semigroup_variance_profile simulate simulate_path
     solve_admissible_lambda spectral statespace stationary talagrand_verdict
@@ -284,8 +288,65 @@ PUBLIC_NAMES = """
 """.split()
 
 
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+# the parameters bench/tracing.py binds by name to count series terms and replicas
+TRACER_READS = {
+    ("spectral", "propagate_function"): {"gen", "t", "eps", "f"},
+    ("spectral", "weighted_F_vector"): {"gen", "t", "eps", "phibar"},
+    ("simulate", "estimate_semigroup"): {"n_replicas"},
+    ("simulate", "estimate_weight_F"): {"n_replicas"},
+}
+
+
+def _pjmp_dotted(node):
+    """'pjmp.a.b' for an attribute chain rooted at the name pjmp, else None."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if parts and isinstance(node, ast.Name) and node.id == "pjmp":
+        return ".".join(["pjmp", *reversed(parts)])
+    return None
+
+
 class TestPublicNames:
     def test_package_republishes_each_module(self):
         modules = ("model", "simulate", "statespace", "spectral", "certificates")
         names = {name for mod in modules for name in getattr(pjmp, mod).__all__}
         assert pjmp.__all__ == sorted(names | set(modules)) == PUBLIC_NAMES
+
+    def test_benchmark_names_resolve(self):
+        # bench/*.py reads these; bench/make_reference.py runs in no CI step
+        names = set()
+        for path in sorted(BENCH.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Import):
+                    for alias in node.names:
+                        if alias.name.split(".")[0] == "pjmp":
+                            importlib.import_module(alias.name)
+                elif (name := _pjmp_dotted(node)) is not None:
+                    names.add(name)
+        assert "pjmp.weighted_F_exact" in names and "pjmp.simulate.ergodic_average" in names
+        for name in sorted(names):
+            obj = pjmp
+            for attr in name.split(".")[1:]:
+                assert hasattr(obj, attr), f"bench/ reads {name}"
+                obj = getattr(obj, attr)
+
+    def test_benchmark_traced_functions(self):
+        tree = ast.parse((BENCH / "tracing.py").read_text(encoding="utf-8"))
+        (traced,) = [
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+        ]
+        pairs = {(mod, fn_name) for mod, fn_name, _metric in traced}
+        assert set(TRACER_READS) <= pairs
+        for mod, fn_name in sorted(pairs):
+            fn = getattr(importlib.import_module(f"pjmp.{mod}"), fn_name)
+            assert fn.__name__ == fn_name  # the tracer finds its counters by __name__
+            params = set(inspect.signature(fn).parameters)
+            missing = TRACER_READS.get((mod, fn_name), set()) - params
+            assert not missing, f"bench/tracing.py binds {sorted(missing)} of {mod}.{fn_name}"

@@ -4,10 +4,9 @@ Every function that reads ``EnumeratedSpace``'s numerator, target and
 saturation tables once walked ``PotentialState`` objects state by state and
 neuron by neuron. Those loops live on here as oracles, and the array forms
 must reproduce them bit for bit: enumeration order, generator CSR arrays,
-masks, drift slacks, the support firing graph and the jump-difference maxima.
+masks, drift slacks, peak times and the support firing graph.
 """
 
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -22,13 +21,11 @@ from pjmp import (
     IntensityFunction,
     PotentialState,
     StateSpaceCapExceeded,
-    StationaryDistribution,
     SynapticNetwork,
     apply_generator,
     assemble_generator,
     check_lyapunov_pointwise,
     enumerate_states,
-    gamma_vector,
     intensity_at,
     jump_map,
     jump_window_probabilities,
@@ -116,28 +113,6 @@ def _adjacency_oracle(net, states, m_box, support):
     return sp.csr_matrix((np.ones(len(src)), (src, dst)), shape=(ns, ns))
 
 
-def _c3_general_oracle(net, states, m_box, support, f, lam):
-    """(h1, h2) of compute_C3_general."""
-    position = {s: k for k, s in enumerate(states)}
-    den = net.denominator
-    delta = float(net.intensity.delta)
-    slope = float(net.intensity.slope)
-    support = set(int(k) for k in support)
-    h1 = 0.0
-    h2 = 0.0
-    for k, x in enumerate(states):
-        if k not in support:
-            continue
-        for i in range(net.n_neurons):
-            y = saturate(jump_map(net, x, i), m_box)
-            d = abs(f[position[y]] - f[k])
-            phi_i = delta + slope * (x.numerators[i] / den)
-            h1 = max(h1, phi_i * d * d)
-            grow = math.inf if lam * d > 700 else math.exp(lam * d)
-            h2 = max(h2, phi_i * grow * d * d)
-    return h1, h2
-
-
 def _max_peak_time_oracle(net, states):
     worst = 0.0
     for x in states:
@@ -146,23 +121,7 @@ def _max_peak_time_oracle(net, states):
     return worst
 
 
-def _tail_ratio_oracle(net, states, inner_box):
-    """-LV/V outside the inner box, as measure_lyapunov_tail_constant weights it."""
-    v_fun = lambda y: 1.0 + y.total()
-    ratio = np.zeros(len(states))
-    for k, x in enumerate(states):
-        if x.total() > inner_box:
-            ratio[k] = -apply_generator(net, v_fun, x) / v_fun(x)
-    return ratio
-
-
 # -- the comparison -------------------------------------------------------------
-
-
-def _fake_law(n, support):
-    probs = np.zeros(n)
-    probs[support] = 1.0 / len(support)
-    return StationaryDistribution(probs, 0.0, np.asarray(support))
 
 
 def assert_tables_match(net, m_box, x0=None, seed=0):
@@ -198,24 +157,6 @@ def assert_tables_match(net, m_box, x0=None, seed=0):
     adj = q[support][:, support] > 0
     adj_want = _adjacency_oracle(net, states, m_box, support) > 0
     assert (adj != adj_want).nnz == 0
-    law = _fake_law(n, support)
-    # lam * d above 700 at the second pair, so h2 meets the inf branch
-    for f, lam in ((rng.standard_normal(n), 0.7), (40.0 * space.totals(), 30.0)):
-        rep = certificates.compute_C3_general(space, law, f, lam)
-        assert (rep.h1, rep.h2) == _c3_general_oracle(net, states, m_box, support, f, lam)
-
-    inner_box = 0.5 * float(m_box)
-    law = _fake_law(n, np.arange(n))
-    suite = [space.totals(), rng.standard_normal(n)]
-    measured = certificates.measure_lyapunov_tail_constant(gen, law, suite, inner_box)
-    ratio = _tail_ratio_oracle(net, states, inner_box)
-    p = law.probabilities
-    want_worst = 0.0
-    for f in suite:
-        energy = float(p @ gamma_vector(gen, f))
-        if energy > 0:
-            want_worst = max(want_worst, float(p @ (f * f * ratio)) / energy)
-    assert measured == want_worst
 
 
 BENCH_MODELS = Path(__file__).resolve().parent.parent / "bench" / "models"
