@@ -123,16 +123,25 @@ class SynapticNetwork:
             for w in row:
                 den = den * w.denominator // math.gcd(den, w.denominator)
         object.__setattr__(self, "_den", den)
-        object.__setattr__(
-            self,
-            "_wnum",
-            tuple(tuple(int(w * den) for w in row) for row in self.weights),
-        )
+        wnum = tuple(tuple(int(w * den) for w in row) for row in self.weights)
+        for i, row in enumerate(wnum):
+            for j, v in enumerate(row):
+                # the race kernel's weight table is int64; this bound also
+                # keeps every weight and row sum far inside float range
+                if v >= 2**63:
+                    raise ValueError(
+                        f"weight at ({i},{j}) over the denominator {den} exceeds the int64 range"
+                    )
+        object.__setattr__(self, "_wnum", wnum)
         object.__setattr__(
             self, "_row_sums", tuple(sum(row, Fraction(0)) for row in self.weights)
         )
-        object.__setattr__(self, "_delta_f", float(self.intensity.delta))
-        object.__setattr__(self, "_slope_f", float(self.intensity.slope))
+        try:
+            delta_f, slope_f = float(self.intensity.delta), float(self.intensity.slope)
+        except OverflowError:
+            raise ValueError("delta and slope must lie within float range") from None
+        object.__setattr__(self, "_delta_f", delta_f)
+        object.__setattr__(self, "_slope_f", slope_f)
 
     @property
     def denominator(self) -> int:

@@ -12,14 +12,15 @@ uses uniforms 2k and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's
 log1p, so bits repeat per numpy build and CPU family) and the neuron is the
 first whose rate sum, left to right, exceeds u_2k+1 * total. The total is the
 same left-to-right sum over all neurons, not builtin sum(), which compensates
-from Python 3.12. Draws come CHUNK events at a time. ``_race_block`` steps
-BLOCK replicas in lockstep as a (B, N) int64 array; one Philox per ensemble,
+from Python 3.12. ``_race_block`` steps BLOCK replicas in lockstep as a
+(B, N) int64 array, drawing CHUNK events at a time; one Philox per ensemble,
 its key and counter set before each refill, reads every replica's stream.
 ``_walk``, the scalar walker of the single-path functions, reads one stream
-from its start. Both do the same float arithmetic: no replica depends on the
-replica count, BLOCK or CHUNK, and replica 0 walks ``simulate_path``'s path
-for that seed. Reductions over replicas use numpy's pairwise sum in replica
-order.
+from its start, CHUNK events in its first refill and twice as many in each
+next one, up to 1024. Both do the same float arithmetic: no replica depends
+on the replica count, BLOCK, CHUNK or the refill sizes, and replica 0 walks
+``simulate_path``'s path for that seed. Reductions over replicas use numpy's
+pairwise sum in replica order.
 
 A long path revisits few states, so ``_walk`` interns each visited state once
 with its cumulative rates and a lazily filled successor row, and records each
@@ -30,10 +31,16 @@ state, and both occupation scans add their segments left to right, in event
 order, as a loop over events would. ``simulate_path`` keeps the path as those
 columns: ``Trajectory.events`` is a read-only ``TrajectoryEvents`` sequence
 over them, not a tuple, and builds a ``TrajectoryEvent`` only when one is read.
+
+A seeded path is a pure function of the network, the start, the horizon and
+the seed, so one walk serves ``simulate_path``, ``ergodic_average`` and
+``empirical_tail``: ``_seeded_walk`` keeps the last seeded path, as read-only
+arrays of about 16 bytes per event, until the next seeded path replaces it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from array import array
@@ -62,6 +69,7 @@ __all__ = [
 
 BLOCK = 512  # replicas stepped in lockstep; bounds the state and draw buffers
 CHUNK = 32  # events drawn per refill of a stream
+_CHUNK_CAP = 1024  # the scalar walker doubles its refills up to this many events
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -204,7 +212,14 @@ def _keyed_uniforms(seed: int):
     return read
 
 
-def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: float, chunk: int):
+def _walk(
+    net: SynapticNetwork,
+    nums: tuple,
+    rng: np.random.Generator,
+    horizon: float,
+    chunk: int,
+    cap: int,
+):
     """Scalar race from numerators nums up to the first event that ends past horizon.
 
     Each visited numerator tuple is interned once, in first-visit order, with
@@ -212,8 +227,9 @@ def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: 
     successor row filled the first time each neuron fires there. Returns
     that table and three per-event buffers: the pre-state's index in the
     table, the holding time and the firing neuron. The last event ends past
-    the horizon and does not fire; every earlier one does. Draws come
-    ``chunk`` events at a time.
+    the horizon and does not fire; every earlier one does. The first refill
+    draws ``chunk`` events, and each next one twice as many, up to ``cap``;
+    the draws are read in stream order, so the refill sizes change no bit.
     """
     n, den = net.n_neurons, net.denominator
     delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
@@ -233,6 +249,7 @@ def _walk(net: SynapticNetwork, nums: tuple, rng: np.random.Generator, horizon: 
     t = 0.0
     while True:
         exps, us = _draws(rng, chunk)
+        chunk = min(2 * chunk, cap)
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
             tau = e / total
             # the first of neurons 0..n-2 whose rate sum exceeds u * total, else n-1
@@ -315,19 +332,41 @@ def next_event(net: SynapticNetwork, x: PotentialState, rng: np.random.Generator
     at x. The holding time is Exponential(total rate) and neuron i fires with
     probability rate_i / total.
     """
-    _table, _ids, taus, picks = _walk(net, x.numerators, rng, -math.inf, 1)
+    _table, _ids, taus, picks = _walk(net, x.numerators, rng, -math.inf, 1, 1)
     return taus[0], picks[0]
+
+
+@functools.lru_cache(maxsize=1)
+def _seeded_walk(
+    net: SynapticNetwork, nums: tuple, horizon: float, seed: int, chunk: int, cap: int
+):
+    """``_walk`` of replica 0 of seed from nums, kept until the next seeded walk replaces it.
+
+    The path is a pure function of the arguments, so ``simulate_path`` and the
+    occupation scans of ``_segments`` share one walk of it. chunk and cap are
+    the refill sizes, passed so that a changed constant walks afresh. Returns
+    the interned numerator tuples as a tuple and three read-only arrays with
+    one entry per event: the pre-state's index, the event's end (the running
+    sum of the holding times) and the firing neuron. Every caller is handed
+    the same record, so the arrays own their data: a view of one cannot be
+    made writeable.
+    """
+    table, ids, taus, picks = _walk(net, nums, replica_rng(seed, 0), horizon, chunk, cap)
+    # cumsum adds left to right, as t += tau does
+    columns = np.array(ids, dtype=np.intc), np.cumsum(taus), np.array(picks, dtype=np.intc)
+    for column in columns:
+        column.flags.writeable = False
+    return (tuple(table), *columns)
 
 
 def simulate_path(net: SynapticNetwork, x0: PotentialState, horizon: float, seed: int) -> Trajectory:
     """Exact trajectory on [0, horizon], bitwise reproducible from the seed."""
     _check_times(horizon)
-    table, ids, taus, picks = _walk(net, x0.numerators, replica_rng(seed, 0), horizon, CHUNK)
+    nums = x0.numerators
+    table, ids, ends, picks = _seeded_walk(net, nums, horizon, seed, CHUNK, _CHUNK_CAP)
     states = tuple(PotentialState(nums, x0.denominator) for nums in table)
-    ids = np.frombuffer(ids, dtype=np.intc)
-    # cumsum adds left to right, as t += tau does; the last event does not fire
-    times = np.cumsum(np.frombuffer(taus))[:-1]
-    events = TrajectoryEvents(times, np.frombuffer(picks, dtype=np.intc)[:-1], ids[:-1], states)
+    # the last event ends past the horizon and does not fire
+    events = TrajectoryEvents(ends[:-1], picks[:-1], ids[:-1], states)
     return Trajectory(events=events, final_state=states[ids[-1]], horizon=horizon)
 
 
@@ -371,14 +410,12 @@ def _segments(net: SynapticNetwork, burn_in: float, horizon: float, seed: int):
     Returns the visited numerator tuples and, per segment of positive length,
     the index of its state and its clipped start and end.
     """
-    table, ids, taus, _picks = _walk(
-        net, (0,) * net.n_neurons, replica_rng(seed, 0), horizon, CHUNK
-    )
-    ends = np.cumsum(np.frombuffer(taus))
+    nums = (0,) * net.n_neurons
+    table, ids, ends, _picks = _seeded_walk(net, nums, horizon, seed, CHUNK, _CHUNK_CAP)
     starts = np.concatenate(([0.0], ends[:-1]))
     a, b = np.maximum(starts, burn_in), np.minimum(ends, horizon)
     live = b > a
-    return table, np.frombuffer(ids, dtype=np.intc)[live], a[live], b[live]
+    return table, ids[live], a[live], b[live]
 
 
 def _running_sum(x: np.ndarray) -> float:

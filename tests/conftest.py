@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pjmp
-from pjmp import IntensityFunction, SynapticNetwork, network_from_json
+from pjmp import IntensityFunction, SynapticNetwork, network_from_json, simulate
 
 # one record per acceptance criterion: (number, label, passed)
 ACCEPTANCE_RESULTS = []
@@ -26,6 +26,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
     for number, label, passed in sorted(ACCEPTANCE_RESULTS):
         status = "PASS" if passed else "FAIL"
         terminalreporter.write_line(f"criterion {number:>2} [{status}] {label}")
+
+
+@pytest.fixture(autouse=True)
+def fresh_seeded_walk():
+    """Forget the last seeded walk, so no test reads a path an earlier one walked."""
+    simulate._seeded_walk.cache_clear()
 
 
 def child_env() -> dict:

@@ -115,16 +115,19 @@ class TestExitCodes:
             {"n": 2.7},
             {"n": True, "weights": [[0]]},
             {"weights": ["01", "10"]},
+            {"weights": [[0, "1e400"], [1, 0]]},
+            {"intensity": {"delta": "1e400", "slope": 1.5}},
+            {"weights": [[0, "1e300"], [1, 0]]},
         ],
         ids=[
             "row-not-list", "weights-not-list", "delta-1/0", "weight-1/0", "n-2.7", "n-true",
-            "rows-strings",
+            "rows-strings", "weight-1e400", "delta-1e400", "weight-1e300",
         ],
     )
     def test_malformed_model_file(self, tmp_path, changes):
-        # these ended in a TypeError or ZeroDivisionError traceback, or n was
-        # truncated (2.7 to 2) or read as 1 (true), or string rows were read
-        # digit by digit, and the run went on
+        # these ended in a TypeError, ZeroDivisionError or OverflowError
+        # traceback, or n was truncated (2.7 to 2) or read as 1 (true), or
+        # string rows were read digit by digit, and the run went on
         doc = {"n": 2, "weights": [[0, 1], [1, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
         model = tmp_path / "bad.json"
         model.write_text(json.dumps({**doc, **changes}))

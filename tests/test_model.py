@@ -66,6 +66,20 @@ class TestRationals:
         with pytest.raises(ValueError):
             IntensityFunction(delta=Fraction(0), slope=Fraction(1))
 
+    def test_values_must_fit_int64_and_float(self):
+        # the race kernel's int64 weight table holds a numerator of 2**63 - 1,
+        # over the shared denominator 3 here, and no more
+        def net(w, delta=Fraction(3, 2)):
+            weights = ((Fraction(0), Fraction(1, 3)), (w, Fraction(0)))
+            return SynapticNetwork(2, weights, IntensityFunction(delta, Fraction(3, 2)))
+
+        assert net(Fraction(2**63 - 1, 3)).weight_numerators[1][0] == 2**63 - 1
+        for w in (Fraction(2**63, 3), Fraction(10**300), Fraction(10**400)):
+            with pytest.raises(ValueError, match=r"weight at \(1,0\) .* int64 range"):
+                net(w)
+        with pytest.raises(ValueError, match="delta and slope must lie within float range"):
+            net(Fraction(1), delta=Fraction(10**400))
+
     def test_state_must_be_on_lattice(self, ring2):
         with pytest.raises(ValueError):
             ring2.state([0.5, 0])

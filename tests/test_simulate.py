@@ -280,8 +280,10 @@ class TestLockstepKernel:
             )
 
         base = run()
+        simulate._seeded_walk.cache_clear()
         monkeypatch.setattr(simulate, "BLOCK", 3)
         monkeypatch.setattr(simulate, "CHUNK", 1)
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 3)
         small = run()
         for a, b in zip(base[0], small[0]):
             assert np.array_equal(a, b)
@@ -290,11 +292,15 @@ class TestLockstepKernel:
         assert np.array_equal(base[5], small[5])
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_replica_zero_is_simulate_path(self, rand4, seed):
-        # t = 10 takes about 160 events, five refills of a 32-event chunk
-        finals, _effort = simulate._replicas(rand4, rand4.zero_state(), 10.0, 2, seed)
-        traj = simulate_path(rand4, rand4.zero_state(), 10.0, seed)
+    def test_replica_zero_is_simulate_path(self, rand4, seed, monkeypatch):
+        # t = 20 takes about 300 events: ten refills of a 32-event chunk for
+        # the replicas, and for the walk one of 32, then at least three at
+        # its cap, lowered to 64
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 64)
+        finals, _effort = simulate._replicas(rand4, rand4.zero_state(), 20.0, 2, seed)
+        traj = simulate_path(rand4, rand4.zero_state(), 20.0, seed)
         assert len(traj.events) > 3 * simulate.CHUNK
+        assert len(traj.events) > simulate.CHUNK + 2 * simulate._CHUNK_CAP
         assert tuple(finals[0].tolist()) == traj.final_state.numerators
 
     def test_next_event_is_first_event_of_replica(self, rand4):
@@ -571,9 +577,13 @@ class TestInternedWalker:
         return traj
 
     @pytest.mark.parametrize("seed", range(20))
-    def test_matches_oracle(self, net, seed):
+    def test_matches_oracle(self, net, seed, monkeypatch):
+        # with the cap lowered to 64 the walk reads refills of 32, then at
+        # least three of 64 (TestTrajectoryEvents crosses the real cap)
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 64)
         traj = self._assert_same(net, net.zero_state(), 60.0, 5.0, seed)
         assert len(traj.events) > 3 * simulate.CHUNK
+        assert len(traj.events) > simulate.CHUNK + 2 * simulate._CHUNK_CAP
 
     def test_off_origin_start(self, net):
         x0 = PotentialState(tuple(range(1, net.n_neurons + 1)), net.denominator)
@@ -607,7 +617,9 @@ class TestInternedWalker:
             self._assert_same(net, net.zero_state(), 4.0, 0.5, seed, n_batches=875)
 
     def test_chunk_of_one(self, net, monkeypatch):
+        simulate._seeded_walk.cache_clear()
         monkeypatch.setattr(simulate, "CHUNK", 1)
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 1)
         for seed in range(3):
             self._assert_same(net, net.zero_state(), 30.0, 3.0, seed)
 
@@ -711,3 +723,55 @@ class TestTrajectoryEvents:
                 column[0] = 1
         assert type(events.states) is tuple and len(events.states) < 200
         assert not simulate_path(rand3, rand3.zero_state(), 0.0, 0).events
+
+
+class TestSeededWalk:
+    """simulate_path and the occupation scans of one (net, horizon, seed) share one walk."""
+
+    @pytest.fixture
+    def walks(self, monkeypatch):
+        calls = []
+        walk = simulate._walk
+
+        def counted(*args):
+            calls.append(args)
+            return walk(*args)
+
+        monkeypatch.setattr(simulate, "_walk", counted)
+        return calls
+
+    def test_one_walk_serves_all_three(self, ring2, walks):
+        simulate_path(ring2, ring2.zero_state(), 30.0, 4)
+        ergodic_average(ring2, _total, 1.0, 30.0, 4)
+        ergodic_average(ring2, _square, 2.0, 30.0, 4, n_batches=7)
+        empirical_tail(ring2, [1.0, 2.0], 1.0, 30.0, 4)
+        assert len(walks) == 1
+
+    def test_each_input_walks_again(self, ring2, walks, monkeypatch):
+        rand3 = make_random_net(1)
+        x = rand3.state([1, 0, 2])
+        runs = [
+            lambda: simulate_path(ring2, ring2.zero_state(), 30.0, 4),
+            lambda: simulate_path(rand3, rand3.zero_state(), 30.0, 4),  # the net
+            lambda: simulate_path(rand3, x, 30.0, 4),  # the start
+            lambda: simulate_path(rand3, x, 31.0, 4),  # the horizon
+            lambda: simulate_path(rand3, x, 31.0, 5),  # the seed
+        ]
+        for k, run in enumerate(runs, 1):
+            run()
+            run()
+            assert len(walks) == k
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 64)
+        runs[-1]()
+        assert len(walks) == len(runs) + 1
+        monkeypatch.setattr(simulate, "CHUNK", 16)
+        runs[-1]()
+        assert len(walks) == len(runs) + 2
+
+    def test_columns_cannot_be_made_writeable(self, ring2):
+        traj = simulate_path(ring2, ring2.zero_state(), 30.0, 4)
+        events = traj.events
+        for column in (events.times, events.neurons, events.state_ids):
+            with pytest.raises(ValueError):
+                column.flags.writeable = True
+        assert simulate_path(ring2, ring2.zero_state(), 30.0, 4) == traj
