@@ -5,7 +5,9 @@ constants: a graph-path upper bound for the variance-to-energy constant, the
 carre-du-champ coefficient for the exponential of the summed potential, the
 admissible exponential rate and its infinite-product prefactor, certified
 tail curves, and measured growth constants for the weighted semigroup
-variance inequality.
+variance inequality. Each certificate takes the law alone and reads the
+chain it was solved from, ``mu.generator``, and that chain's enumerated
+space.
 
 Triple-bar norms (sup of mu(f g) over densities g with mu(g) <= 1) reduce on
 a finite support to the plain maximum of f over that support; all of them are
@@ -26,7 +28,7 @@ from .spectral import (
     StationaryDistribution,
     semigroup_variance_profile,
 )
-from .statespace import EnumeratedSpace, SparseGenerator
+from .statespace import EnumeratedSpace
 
 __all__ = [
     "PathMethodReport",
@@ -55,24 +57,19 @@ class PathMethodReport:
 
     ``c0`` is N^2 / (2 * min stationary mass on the support * delta). The
     derivation routes every pair of support states through a shortest firing
-    sequence, so the report also carries the worst such length (finite on a
-    connected support) and any pairs the firing graph cannot connect, for
-    which the bound is vacuous. A support from ``stationary()`` is a closed
-    class, so its ``disconnected_pairs`` is empty; only a hand-built support
-    can report pairs.
+    sequence, so the report also carries the worst such length.
     """
 
     c0: float
     max_path_length: int
     n_support: int
-    disconnected_pairs: tuple = ()
     degenerate: bool = False
 
 
 PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memory
 
 
-def path_method_C0(gen: SparseGenerator, mu: StationaryDistribution) -> PathMethodReport:
+def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     """Evaluate the path-method constant and the firing-path diameter.
 
     Shortest firing sequences between all ordered support pairs are found by
@@ -80,12 +77,12 @@ def path_method_C0(gen: SparseGenerator, mu: StationaryDistribution) -> PathMeth
     PATH_CHUNK sources at a time. Off-diagonal rates are at least delta > 0
     and the diagonal is negative, so that pattern is the firing graph. The
     maximum length certifies the uniform boundedness the constant relies
-    on. The first ten unreachable (source, target) pairs, in row-major order
-    of support positions, are reported; on the closed class ``stationary()``
-    returns there are none.
+    on. The support ``stationary()`` returns is a closed class, so every
+    pair is joined by a path inside it; a support with an unreachable pair,
+    which only a hand-built law can have, is refused with ValueError.
     """
-    space = gen.space
-    net = space.net
+    gen = mu.generator
+    net = gen.space.net
     support = mu.support
     ns = len(support)
     min_mu = float(mu.probabilities[support].min())
@@ -95,23 +92,14 @@ def path_method_C0(gen: SparseGenerator, mu: StationaryDistribution) -> PathMeth
         return PathMethodReport(c0=c0, max_path_length=0, n_support=ns, degenerate=True)
     adj = gen.matrix[support][:, support] > 0
     max_len = 0
-    disconnected = []
     for lo in range(0, ns, PATH_CHUNK):
         dist = csgraph.shortest_path(
             adj, unweighted=True, indices=np.arange(lo, min(lo + PATH_CHUNK, ns))
         )
-        reached = np.isfinite(dist)
-        max_len = max(max_len, int(dist[reached].max()))
-        for src, dst in np.argwhere(~reached)[: 10 - len(disconnected)].tolist():
-            pair = support[[lo + src, dst]]
-            disconnected.append(tuple(tuple(space.numerators[k].tolist()) for k in pair))
-    return PathMethodReport(
-        c0=c0,
-        max_path_length=max_len,
-        n_support=ns,
-        disconnected_pairs=tuple(disconnected),
-        degenerate=False,
-    )
+        if not np.isfinite(dist).all():
+            raise ValueError("the support of mu is not a closed class of its generator")
+        max_len = max(max_len, int(dist.max()))
+    return PathMethodReport(c0=c0, max_path_length=max_len, n_support=ns, degenerate=False)
 
 
 # -- carre-du-champ coefficients ----------------------------------------------
@@ -133,11 +121,10 @@ class C3SumReport:
     degenerate: bool
 
 
-def compute_C3_sum_function(
-    space: EnumeratedSpace, mu: StationaryDistribution, lam: float
-) -> C3SumReport:
+def compute_C3_sum_function(mu: StationaryDistribution, lam: float) -> C3SumReport:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
+    space = mu.generator.space
     net = space.net
     n0 = float(max(net.row_sums))
     coords = space.coordinate_values()
@@ -245,7 +232,7 @@ class ConcentrationCertificate:
 
 
 def admissible_lambda(
-    space: EnumeratedSpace, mu: StationaryDistribution, c0: float, margin: float = 0.1
+    mu: StationaryDistribution, c0: float, margin: float = 0.1
 ) -> ConcentrationCertificate:
     """Admissible exponential rate for the summed-potential observable.
 
@@ -255,10 +242,10 @@ def admissible_lambda(
     """
 
     def c3_fn(lam: float) -> float:
-        return compute_C3_sum_function(space, mu, lam).total
+        return compute_C3_sum_function(mu, lam).total
 
     lam = solve_admissible_lambda(c0, c3_fn, margin=margin)
-    c3_report = compute_C3_sum_function(space, mu, lam)
+    c3_report = compute_C3_sum_function(mu, lam)
     c3 = c3_report.total
     q = lam * lam * c0 * c3
     lam0 = lambda0_product(c0, c3, lam)
@@ -285,10 +272,7 @@ class TalagrandReport:
 
 
 def talagrand_verdict(
-    cert: ConcentrationCertificate,
-    space: EnumeratedSpace,
-    mu: StationaryDistribution,
-    r_grid,
+    cert: ConcentrationCertificate, mu: StationaryDistribution, r_grid
 ) -> TalagrandReport:
     """Certified vs exact tails of the summed potential under mu.
 
@@ -302,7 +286,7 @@ def talagrand_verdict(
         raise ValueError("the tail-level grid is empty")
     if not all(map(math.isfinite, r_grid)):
         raise ValueError(f"tail levels must be finite, got {r_grid}")
-    f = space.totals()
+    f = mu.generator.space.totals()
     p = mu.probabilities
     mu_f = float(p @ f)
     rows = []
@@ -426,7 +410,6 @@ def _loglog_slope(ts, ys):
 
 
 def semigroup_poincare_report(
-    gen: SparseGenerator,
     mu: StationaryDistribution,
     t_grid=None,
     suite_size: int = 50,
@@ -445,7 +428,7 @@ def semigroup_poincare_report(
     """
     if not inner_frac >= 0:
         raise ValueError(f"inner_frac must be a nonnegative number, got {inner_frac!r}")
-    space = gen.space
+    space = mu.generator.space
     net = space.net
     theta = (net.n_neurons * math.e) ** net.n_neurons
     t0_max = max_peak_time(space)
@@ -469,7 +452,7 @@ def semigroup_poincare_report(
     inside_idx = [j for j in range(len(suite)) if j not in set(outside_idx)]
 
     lhs_t, energies, wterm_t = semigroup_variance_profile(
-        gen, mu, np.column_stack(suite), t_grid, eps, indicator
+        mu, np.column_stack(suite), t_grid, eps, indicator
     )
 
     d1_hat, d2_hat = [], []

@@ -132,18 +132,18 @@ def _single_state(name: str) -> Report:
 
 
 def _solve(args, net):
-    """Enumerated box, generator and stationary law of a command."""
+    """Stationary law of a command's box; it carries its generator and space."""
     m = lyapunov_constants(net, args.alpha).m
     m_box = float(args.m_box if args.m_box is not None else m)
     space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
-    gen = assemble_generator(net, space)
-    return space, gen, stationary(gen)
+    return stationary(assemble_generator(net, space))
 
 
-def _exports(args, space, gen) -> dict:
+def _exports(args, gen) -> dict:
     """generator.mtx and states.csv, when --export-generator asks for them."""
     if not args.export_generator:
         return {}
+    space = gen.space
     cols = ",".join(f"n{i}" for i in range(space.net.n_neurons))
     den = space.net.denominator
     rows = ((k, *row, den) for k, row in enumerate(space.numerators.tolist()))
@@ -184,7 +184,8 @@ def cmd_simulate(args, net) -> Report:
 
 
 def cmd_stationary(args, net) -> Report:
-    space, gen, mu = _solve(args, net)
+    mu = _solve(args, net)
+    space = mu.generator.space
     return Report({
         "stationary.json": {
             "dims": {"states": len(space), "support": int(len(mu.support))},
@@ -195,13 +196,14 @@ def cmd_stationary(args, net) -> Report:
             "mean_total_potential": mu.expectation(space.totals()),
         },
         "mu.csv": ("index,probability", enumerate(mu.probabilities)),
-        **_exports(args, space, gen),
+        **_exports(args, mu.generator),
     })
 
 
 def cmd_gap(args, net) -> Report:
-    space, gen, mu = _solve(args, net)
-    gap = poincare_constant(gen, mu)
+    mu = _solve(args, net)
+    space = mu.generator.space
+    gap = poincare_constant(mu)
     files = {
         "gap.json": {
             "degenerate": gap.degenerate,
@@ -211,7 +213,7 @@ def cmd_gap(args, net) -> Report:
             "residuals": {"stationary": mu.residual, "eigenpair": gap.residual},
             "dims": {"states": len(space), "support": int(len(mu.support))},
         },
-        **_exports(args, space, gen),
+        **_exports(args, mu.generator),
     }
     if gap.degenerate:
         message = "degenerate model: support has a single state; no gap defined"
@@ -240,8 +242,8 @@ def cmd_verify_lyapunov(args, net) -> Report:
 def cmd_verify_poincare(args, net) -> Report:
     if args.n_functions < 1:
         raise ValueError(f"--n-functions must be at least 1, got {args.n_functions}")
-    space, gen, mu = _solve(args, net)
-    gap = poincare_constant(gen, mu)
+    mu = _solve(args, net)
+    gap = poincare_constant(mu)
     if gap.degenerate:
         return _single_state("poincare.json")
 
@@ -249,14 +251,14 @@ def cmd_verify_poincare(args, net) -> Report:
     worst_excess = -float("inf")
     sup_rayleigh = 0.0
     for _ in range(args.n_functions):
-        f = rng.standard_normal(len(space))
-        var, energy = variance_and_energy(gen, mu, f)
+        f = rng.standard_normal(mu.generator.dimension)
+        var, energy = variance_and_energy(mu, f)
         worst_excess = max(worst_excess, var - gap.c_opt * energy)
         if energy > 0:
             sup_rayleigh = max(sup_rayleigh, var / energy)
-    var_star, energy_star = variance_and_energy(gen, mu, gap.optimizer)
+    var_star, energy_star = variance_and_energy(mu, gap.optimizer)
     achieved = var_star / energy_star
-    path = path_method_C0(gen, mu)
+    path = path_method_C0(mu)
     checks = {
         "variance_dominated": bool(worst_excess <= 1e-12),
         "sup_rayleigh_below_C_opt": bool(sup_rayleigh <= gap.c_opt + 1e-12),
@@ -279,13 +281,13 @@ def cmd_verify_poincare(args, net) -> Report:
 
 
 def cmd_concentration(args, net) -> Report:
-    space, gen, mu = _solve(args, net)
-    gap = poincare_constant(gen, mu)
+    mu = _solve(args, net)
+    gap = poincare_constant(mu)
     if gap.degenerate:
         return _single_state("concentration.json")
-    cert = admissible_lambda(space, mu, gap.c_opt, margin=args.lambda_margin)
+    cert = admissible_lambda(mu, gap.c_opt, margin=args.lambda_margin)
     r_grid = args.r_grid if args.r_grid is not None else list(range(1, 13))
-    report = talagrand_verdict(cert, space, mu, r_grid)
+    report = talagrand_verdict(cert, mu, r_grid)
     verdict, code = _verdict(report.passed)
     doc = {
         "C0": cert.c0,
@@ -321,10 +323,8 @@ def cmd_concentration(args, net) -> Report:
 
 
 def cmd_semigroup_report(args, net) -> Report:
-    _space, gen, mu = _solve(args, net)
     report = semigroup_poincare_report(
-        gen,
-        mu,
+        _solve(args, net),
         t_grid=args.t_grid,
         suite_size=args.suite_size,
         seed=args.seed,

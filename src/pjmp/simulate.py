@@ -36,6 +36,14 @@ A seeded path is a pure function of the network, the start, the horizon and
 the seed, so one walk serves ``simulate_path``, ``ergodic_average`` and
 ``empirical_tail``: ``_seeded_walk`` keeps the last seeded path, as read-only
 arrays of about 16 bytes per event, until the next seeded path replaces it.
+
+Every run has an event budget of MAX_EVENTS events. Before walking, a run
+from x over time t with R replicas expects about R * t * max(Phi(x),
+Phi(h)) events in all, with Phi the total rate and h the state reached from
+x by firing neurons 0..N-1 once each; a run that expects more is refused
+with RuntimeError. A path that passes MAX_EVENTS events all the same (its
+rates grow further out) stops with the same error, in ``_walk`` at a refill
+and in ``_race_block`` at a step.
 """
 
 from __future__ import annotations
@@ -51,7 +59,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import PotentialState, SynapticNetwork
+from .model import PotentialState, SynapticNetwork, jump_map, total_intensity
 
 __all__ = [
     "TrajectoryEvent",
@@ -70,6 +78,7 @@ __all__ = [
 BLOCK = 512  # replicas stepped in lockstep; bounds the state and draw buffers
 CHUNK = 32  # events drawn per refill of a stream
 _CHUNK_CAP = 1024  # the scalar walker doubles its refills up to this many events
+MAX_EVENTS = 2**26  # events a run may take: about 1 GiB of 16-byte path records
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -178,6 +187,24 @@ def _check_times(horizon: float, burn_in: float | None = None) -> None:
         raise ValueError("horizon must exceed burn_in")
 
 
+def _over_budget(events: float) -> RuntimeError:
+    return RuntimeError(
+        f"about {events:.3g} events, more than the budget of {MAX_EVENTS}; "
+        "shorten the horizon or lower the rates"
+    )
+
+
+def _check_budget(net: SynapticNetwork, x: PotentialState, t: float, replicas: int) -> None:
+    """Refuse a run whose expected event count, replicas * t * max(Phi(x), Phi(h)),
+    exceeds MAX_EVENTS; h is x after neurons 0..N-1 fire once each."""
+    h = x
+    for i in range(net.n_neurons):
+        h = jump_map(net, h, i)
+    expected = replicas * t * max(total_intensity(net, x), total_intensity(net, h))
+    if not expected <= MAX_EVENTS:
+        raise _over_budget(expected)
+
+
 def _exp_pick(u: np.ndarray):
     """Exp(1) and pick uniforms of rows of event uniforms, two per event."""
     return -np.log1p(-u[:, 0::2]), u[:, 1::2]
@@ -248,6 +275,8 @@ def _walk(
     cum, total, succ = rows[sid]
     t = 0.0
     while True:
+        if len(ids) > MAX_EVENTS:
+            raise _over_budget(len(ids))
         exps, us = _draws(rng, chunk)
         chunk = min(2 * chunk, cap)
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
@@ -285,6 +314,8 @@ def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.
     nums, clock, effort, efforts = finals.copy(), np.zeros(b), np.zeros(b), np.zeros(b)
     live, k = np.arange(b), 0
     while live.size:
+        if k > MAX_EVENTS:
+            raise _over_budget(k)
         col = k % CHUNK
         if col == 0:
             exps, us = _exp_pick(read(replicas[live], k))
@@ -315,6 +346,7 @@ def _replicas(net: SynapticNetwork, x: PotentialState, t: float, n_replicas: int
     _check_times(t)
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
+    _check_budget(net, x, t, n_replicas)
     read = _keyed_uniforms(seed)
     finals = np.empty((n_replicas, net.n_neurons), dtype=np.int64)
     efforts = np.empty(n_replicas)
@@ -351,6 +383,7 @@ def _seeded_walk(
     the same record, so the arrays own their data: a view of one cannot be
     made writeable.
     """
+    _check_budget(net, PotentialState(nums, net.denominator), horizon, 1)
     table, ids, taus, picks = _walk(net, nums, replica_rng(seed, 0), horizon, chunk, cap)
     # cumsum adds left to right, as t += tau does
     columns = np.array(ids, dtype=np.intc), np.cumsum(taus), np.array(picks, dtype=np.intc)

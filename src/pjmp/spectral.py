@@ -3,8 +3,9 @@
 Everything here works on the rate matrix of an enumerated box: stationary
 vectors, transient distributions through uniformization, quadratic forms
 under the stationary law, and the optimal variance-to-energy constant.
-Every function takes the chain as a SparseGenerator and reads its
-``matrix``; ``SparseGenerator.from_matrix`` wraps a bare rate matrix.
+The solvers take the chain as a SparseGenerator and read its ``matrix``
+(``SparseGenerator.from_matrix`` wraps a bare rate matrix); a function of
+the stationary law takes the law alone and reads ``mu.generator``.
 
 Conventions. The chain is not reversible; the energy form
 ``-mu(f * Qf) = mu(Gamma(f, f))`` only sees the symmetric part of the
@@ -17,13 +18,15 @@ stationary mass and are excluded from all spectral computations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
+
+from .statespace import SparseGenerator
 
 __all__ = [
     "DegenerateModelError",
@@ -149,7 +152,8 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
 
 def _dense_nullspace_solve(q_supp: np.ndarray) -> np.ndarray:
     """LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support, where
-    Q^T has rank n - 1 and the normalisation replaces its last equation.
+    Q^T has rank n - 1 and the normalisation replaces its last equation. Q
+    should be scaled to rates of order one, as the normalisation row is.
 
     scipy.linalg, not numpy.linalg, as in poincare_constant: numpy and scipy
     each carry their own OpenBLAS thread pool, and alternating between the
@@ -192,14 +196,18 @@ class StationaryDistribution:
 
     ``probabilities`` spans the whole enumeration, with exact zeros on
     transient states. ``support`` holds the indices of the unique closed
-    communicating class. ``dense_tv`` / ``power_tv`` record the total
-    variation distance of the primary (elimination-based) solution to the
-    dense null-space and power-iteration cross-checks, when those ran.
+    communicating class of ``generator``, the chain the law was solved
+    from. ``residual`` is max |mu Q| / Lambda, the residual of mu under the
+    uniformized kernel P = I + Q/Lambda, so it does not scale with the
+    rates. ``dense_tv`` / ``power_tv`` record the total variation distance
+    of the primary (elimination-based) solution to the dense null-space and
+    power-iteration cross-checks, when those ran.
     """
 
     probabilities: np.ndarray
     residual: float
     support: np.ndarray
+    generator: SparseGenerator = field(repr=False)
     dense_tv: float | None = None
     power_tv: float | None = None
 
@@ -232,21 +240,23 @@ def stationary(gen) -> StationaryDistribution:
     support = np.nonzero(labels == closed[0])[0]
     q_supp = q[support][:, support]
     mu_supp = _gth_solve(q_supp)
+    lam = _uniformization_rate(q) or 1.0  # a chain without motion has one state
 
     dense_tv = None
     if len(support) <= DENSE_CUTOFF:
-        mu_dense = _dense_nullspace_solve(q_supp.toarray())
+        mu_dense = _dense_nullspace_solve((q_supp / lam).toarray())
         dense_tv = float(0.5 * np.abs(mu_supp - mu_dense).sum())
     mu_power = _power_iteration_solve(q_supp)
     power_tv = float(0.5 * np.abs(mu_supp - mu_power).sum())
 
     mu = np.zeros(n)
     mu[support] = mu_supp
-    residual = float(np.abs(mu @ q).max())
+    residual = float(np.abs(mu @ q).max() / lam)
     return StationaryDistribution(
         probabilities=mu,
         residual=residual,
         support=support,
+        generator=gen,
         dense_tv=dense_tv,
         power_tv=power_tv,
     )
@@ -369,9 +379,9 @@ def gamma_vector(gen, f: np.ndarray) -> np.ndarray:
     return 0.5 * (q @ (f * f) - 2.0 * f * (q @ f))
 
 
-def variance_and_energy(gen, mu: StationaryDistribution, f: np.ndarray):
+def variance_and_energy(mu: StationaryDistribution, f: np.ndarray):
     """(Var_mu(f), mu(Gamma(f,f))). Under stationarity the energy equals -mu(f*Qf)."""
-    q = gen.matrix
+    q = mu.generator.matrix
     f = np.asarray(f, dtype=float)
     p = mu.probabilities
     fbar = p @ f
@@ -401,7 +411,7 @@ class GapResult:
     residual: float | None = None
 
 
-def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
+def poincare_constant(mu: StationaryDistribution) -> GapResult:
     """Best constant C with Var_mu(f) <= C * mu(Gamma(f,f)) on the support.
 
     Computed as 1/lambda_1, with lambda_1 the smallest nonzero eigenvalue of
@@ -416,7 +426,7 @@ def poincare_constant(gen, mu: StationaryDistribution) -> GapResult:
     value that is too large would make C too small, so its result is
     refused with RuntimeError when the residual exceeds EIGEN_RESIDUAL_TOL.
     """
-    q = gen.matrix
+    q = mu.generator.matrix
     support = mu.support
     ns = len(support)
     if ns <= 1:
@@ -502,7 +512,6 @@ def _column_means(p: np.ndarray, block: np.ndarray) -> np.ndarray:
 
 
 def semigroup_variance_profile(
-    gen,
     mu: StationaryDistribution,
     f: np.ndarray,
     t_grid,
@@ -516,9 +525,9 @@ def semigroup_variance_profile(
         energy      = mu( Gamma(f, f) ),
         weighted(t) = mu( F_t * P_t(Gamma(f, f) * 1_D) ),
     where F_t is the state-wise expected firing effort up to t (the time
-    integral of phibar, the total firing rate, read from gen.space) and 1_D
-    the supplied indicator (all-ones when None). gen must be a
-    SparseGenerator that carries its enumerated space.
+    integral of phibar, the total firing rate, read from the space of
+    mu.generator) and 1_D the supplied indicator (all-ones when None).
+    mu.generator must carry its enumerated space.
 
     f is one function of shape (n,) or k functions as the columns of an
     (n, k) block; lhs and weighted then have shape (len(t_grid), k) and
@@ -538,8 +547,9 @@ def semigroup_variance_profile(
     t_grid = [float(t) for t in t_grid]
     _check_series_args(t_grid, eps)
     f = np.asarray(f, dtype=float)
+    gen = mu.generator
     if gen.space is None:
-        raise ValueError("gen must carry its enumerated space, which gives phibar")
+        raise ValueError("mu's generator must carry its enumerated space, which gives phibar")
     phibar = gen.space.total_rates()
     fs = f.reshape(f.shape[0], -1)
     k = fs.shape[1]

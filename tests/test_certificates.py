@@ -39,18 +39,17 @@ def ring2_solved(ring2):
     return space, gen, mu
 
 
-def _bfs_oracle(space, support, adj):
+def _bfs_oracle(adj):
     """All-pairs breadth-first search in Python, one source at a time.
 
     adj is the firing graph on the support, from the object-walking
     ``_adjacency_oracle``, not from the generator path_method_C0 reads.
-    Returns (max_path_length, disconnected_pairs) as path_method_C0 reports
-    them; the vectorised search must reproduce both.
+    Returns the longest shortest path, which the vectorised search must
+    reproduce; the graph must be strongly connected.
     """
-    ns = len(support)
+    ns = adj.shape[0]
     neighbours = [adj.indices[adj.indptr[j] : adj.indptr[j + 1]].tolist() for j in range(ns)]
     max_len = 0
-    disconnected = []
     for src in range(ns):
         dist = [-1] * ns
         dist[src] = 0
@@ -63,18 +62,9 @@ def _bfs_oracle(space, support, adj):
                 if dist[v] < 0:
                     dist[v] = dist[u] + 1
                     queue.append(v)
-        for dst in range(ns):
-            if dist[dst] < 0:
-                if len(disconnected) < 10:
-                    disconnected.append(
-                        (
-                            space.states[int(support[src])].numerators,
-                            space.states[int(support[dst])].numerators,
-                        )
-                    )
-            else:
-                max_len = max(max_len, dist[dst])
-    return max_len, tuple(disconnected)
+        assert min(dist) >= 0, "the firing graph is not strongly connected"
+        max_len = max(max_len, *dist)
+    return max_len
 
 
 def _solved(net, m_box):
@@ -88,7 +78,7 @@ class TestPathMethod:
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         gen = assemble_generator(zero2, space)
         mu = stationary(gen)
-        report = path_method_C0(gen, mu)
+        report = path_method_C0(mu)
         assert report.degenerate
         assert report.max_path_length == 0
 
@@ -98,9 +88,8 @@ class TestPathMethod:
         space = enumerate_states(ring2, ring2.zero_state(), 5.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
-        report = path_method_C0(gen, mu)
+        report = path_method_C0(mu)
         assert report.n_support == 10
-        assert not report.disconnected_pairs
         assert report.max_path_length == 5
 
     @pytest.mark.parametrize(
@@ -111,52 +100,45 @@ class TestPathMethod:
         net = ring2 if model == "ring2" else make_random_net(1)
         space, gen, mu = _solved(net, m_box)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
-        report = path_method_C0(gen, mu)
+        report = path_method_C0(mu)
         adj = _adjacency_oracle(net, space.states, m_box, mu.support)
-        want = _bfs_oracle(space, mu.support, adj)
-        assert (report.max_path_length, report.disconnected_pairs) == want
-        assert not report.disconnected_pairs
+        assert report.max_path_length == _bfs_oracle(adj)
 
     @pytest.mark.parametrize("chunk", [512, 3])
-    def test_disconnected_pairs_match_bfs_oracle(self, ring2, monkeypatch, chunk):
+    def test_support_that_is_not_a_closed_class_is_refused(self, ring2, monkeypatch, chunk):
         # adding the origin, which nothing fires into, to the support leaves
-        # every pair (x, origin) unreachable; only the first ten are listed
+        # every pair (x, origin) unreachable
         space, gen, mu = _solved(ring2, 5.0)
         origin = space.position(ring2.zero_state())
         support = np.sort(np.append(mu.support, origin))
         probs = np.full(len(space), 1.0 / len(support))
-        fake = StationaryDistribution(probs, 0.0, support)
+        fake = StationaryDistribution(probs, 0.0, support, gen)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
-        report = path_method_C0(gen, fake)
-        adj = _adjacency_oracle(ring2, space.states, 5.0, support)
-        assert (report.max_path_length, report.disconnected_pairs) == _bfs_oracle(
-            space, support, adj
-        )
-        assert len(report.disconnected_pairs) == 10
-        assert all(dst == ring2.zero_state().numerators for _src, dst in report.disconnected_pairs)
+        with pytest.raises(ValueError, match="not a closed class"):
+            path_method_C0(fake)
 
     def test_dominates_optimal_constant(self, ring2_solved, random_nets):
         space, gen, mu = ring2_solved
-        gap = poincare_constant(gen, mu)
-        assert path_method_C0(gen, mu).c0 >= gap.c_opt
+        gap = poincare_constant(mu)
+        assert path_method_C0(mu).c0 >= gap.c_opt
         for net in random_nets:
             sp_ = enumerate_states(net, net.zero_state(), 8.0)
             g_ = assemble_generator(net, sp_)
             m_ = stationary(g_)
-            gp_ = poincare_constant(g_, m_)
-            assert path_method_C0(g_, m_).c0 >= gp_.c_opt
+            gp_ = poincare_constant(m_)
+            assert path_method_C0(m_).c0 >= gp_.c_opt
 
 
 class TestC3Sum:
     def test_zero_weights_degenerate(self, zero2):
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         mu = stationary(assemble_generator(zero2, space))
-        rep = compute_C3_sum_function(space, mu, 0.3)
+        rep = compute_C3_sum_function(mu, 0.3)
         assert rep.degenerate and rep.total == 0.0 and rep.n0 == 0.0
 
     def test_boundary_term_at_lambda_zero(self, ring2_solved):
         space, _gen, mu = ring2_solved
-        rep = compute_C3_sum_function(space, mu, 0.0)
+        rep = compute_C3_sum_function(mu, 0.0)
         # N0 = 1, phi(N0) = 3: the one-jump worst case term is exactly 3
         assert rep.n0 == 1.0
         for row in rep.per_neuron:
@@ -165,13 +147,13 @@ class TestC3Sum:
     def test_monotone_in_lambda(self, ring2_solved):
         space, _gen, mu = ring2_solved
         grid = [0.0, 0.5, 1.0, 2.0, 5.0]
-        totals = [compute_C3_sum_function(space, mu, lam).total for lam in grid]
+        totals = [compute_C3_sum_function(mu, lam).total for lam in grid]
         assert all(a <= b for a, b in zip(totals, totals[1:]))
 
     def test_negative_lambda_rejected(self, ring2_solved):
         space, _gen, mu = ring2_solved
         with pytest.raises(ValueError):
-            compute_C3_sum_function(space, mu, -1.0)
+            compute_C3_sum_function(mu, -1.0)
 
 
 class TestLambda0:
@@ -208,9 +190,9 @@ class TestAdmissibleLambda:
 
     def test_doubling_c0_reduces_lambda(self, ring2_solved):
         space, gen, mu = ring2_solved
-        gap = poincare_constant(gen, mu)
-        a = admissible_lambda(space, mu, gap.c_opt)
-        b = admissible_lambda(space, mu, 2 * gap.c_opt)
+        gap = poincare_constant(mu)
+        a = admissible_lambda(mu, gap.c_opt)
+        b = admissible_lambda(mu, 2 * gap.c_opt)
         assert b.lam < a.lam
 
     def test_no_admissible_lambda(self):
@@ -225,12 +207,12 @@ class TestAdmissibleLambda:
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         mu = stationary(assemble_generator(zero2, space))
         with pytest.raises(DegenerateModelError, match="vanishes"):
-            admissible_lambda(space, mu, 1.0)
+            admissible_lambda(mu, 1.0)
 
     def test_ring_q_in_band(self, ring2_solved):
         space, gen, mu = ring2_solved
-        gap = poincare_constant(gen, mu)
-        adm = admissible_lambda(space, mu, gap.c_opt)
+        gap = poincare_constant(mu)
+        adm = admissible_lambda(mu, gap.c_opt)
         assert adm.q < 1.0
         assert 0.89 <= adm.q <= 0.9 + 1e-9
 
@@ -238,20 +220,20 @@ class TestAdmissibleLambda:
 class TestTalagrand:
     def _certificate(self, ring2_solved):
         space, gen, mu = ring2_solved
-        gap = poincare_constant(gen, mu)
-        return admissible_lambda(space, mu, gap.c_opt)
+        gap = poincare_constant(mu)
+        return admissible_lambda(mu, gap.c_opt)
 
     def test_r_zero_bound_covers_everything(self, ring2_solved):
         space, _gen, mu = ring2_solved
         cert = self._certificate(ring2_solved)
-        report = talagrand_verdict(cert, space, mu, [0.0])
+        report = talagrand_verdict(cert, mu, [0.0])
         row = report.rows[0]
         assert row.bound >= 1.0 >= row.exact_tail
 
     def test_domination_on_grid(self, ring2_solved):
         space, _gen, mu = ring2_solved
         cert = self._certificate(ring2_solved)
-        report = talagrand_verdict(cert, space, mu, range(1, 13))
+        report = talagrand_verdict(cert, mu, range(1, 13))
         assert report.passed
         for row in report.rows:
             assert row.exact_tail <= row.bound
@@ -282,7 +264,7 @@ class TestTalagrand:
         space, _gen, mu = ring2_solved
         cert = self._certificate(ring2_solved)
         r_max = float(space.totals().max())
-        report = talagrand_verdict(cert, space, mu, [r_max + 1, r_max + 2])
+        report = talagrand_verdict(cert, mu, [r_max + 1, r_max + 2])
         drop = math.log(report.rows[1].bound) - math.log(report.rows[0].bound)
         assert drop == pytest.approx(-cert.lam, rel=1e-9)
 
@@ -305,7 +287,7 @@ def _assert_report_close(report, want):
 class TestSemigroupReport:
     def test_theta_value(self, ring2_solved):
         space, gen, mu = ring2_solved
-        report = semigroup_poincare_report(gen, mu, suite_size=10)
+        report = semigroup_poincare_report(mu, suite_size=10)
         assert report.theta == pytest.approx((2 * math.e) ** 2, rel=1e-12)
 
     def test_peak_time_max(self, ring2):
@@ -318,7 +300,7 @@ class TestSemigroupReport:
     def test_rejects_times_below_t1(self, ring2_solved):
         space, gen, mu = ring2_solved
         with pytest.raises(ValueError, match="below t1"):
-            semigroup_poincare_report(gen, mu, t_grid=[0.01])
+            semigroup_poincare_report(mu, t_grid=[0.01])
 
     def test_suite_requires_outside_states(self, ring2_solved):
         space, _gen, _mu = ring2_solved
@@ -339,10 +321,10 @@ class TestSemigroupReport:
         net = ring2 if model == "ring2" else make_random_net(1)
         space, gen, mu = _solved(net, 34.0 if model == "ring2" else 8.0)
         for seed in range(8):
-            report = semigroup_poincare_report(gen, mu, seed=seed)
+            report = semigroup_poincare_report(mu, seed=seed)
             with monkeypatch.context() as m:
                 m.setattr(certificates, "semigroup_variance_profile", profile_oracle)
-                want = semigroup_poincare_report(gen, mu, seed=seed)
+                want = semigroup_poincare_report(mu, seed=seed)
             _assert_report_close(report, want)
 
     def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
@@ -356,13 +338,13 @@ class TestSemigroupReport:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
-        report = semigroup_poincare_report(gen, mu, suite_size=20)
+        report = semigroup_poincare_report(mu, suite_size=20)
         assert calls == {"propagate_function": 4, "weighted_F_vector": 4}
         assert len(report.t_grid) == 4
 
     def test_full_report_passes(self, ring2_solved):
         space, gen, mu = ring2_solved
-        report = semigroup_poincare_report(gen, mu, suite_size=20, seed=1)
+        report = semigroup_poincare_report(mu, suite_size=20, seed=1)
         assert report.passed
         assert report.outside_term_max <= 1e-12
         assert report.fit_violation <= 1e-9

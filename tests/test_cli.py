@@ -184,6 +184,44 @@ class TestExitCodes:
         assert (doc["theta"], doc["b"], doc["m"]) == (1.2, 9.0, 34.0)
 
 
+# rates near float's range, after one round of firings or from the start
+HUGE_RATES = {
+    "ring-1e300": {
+        "n": 2, "weights": [[0, 1], [1, 0]], "intensity": {"delta": "1e300", "slope": "1e300"}
+    },
+    "weights-4e18": {
+        "n": 3,
+        "weights": [[0, "4e18", "4e18"], ["4e18", 0, "4e18"], ["4e18", "4e18", 0]],
+        "intensity": {"delta": 1, "slope": 1},
+    },
+}
+
+
+class TestHugeRates:
+    @pytest.mark.parametrize("name", sorted(HUGE_RATES))
+    def test_simulation_over_the_event_budget_is_refused(self, tmp_path, name):
+        # both ran without end, one of them to 3 GB before it was stopped
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(HUGE_RATES[name]))
+        proc = run_cli(["simulate", str(model), "--out", "sim"], tmp_path, timeout=5)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "budget" in lines[0]
+        assert not (tmp_path / "sim").exists()
+
+    def test_stationary_residual_is_relative_to_the_rates(self, tmp_path):
+        # an absolute residual read 6e283, and an unscaled dense cross-check
+        # printed scipy's LinAlgWarning on stderr
+        model = tmp_path / "huge.json"
+        model.write_text(json.dumps(HUGE_RATES["ring-1e300"]))
+        proc = run_cli(["stationary", str(model), "--out", "st"], tmp_path)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stderr == ""
+        doc = json.loads((tmp_path / "st" / "stationary.json").read_text())
+        assert doc["residual"] <= 1e-12
+
+
 class TestOutputs:
     def test_simulate_outputs(self, tmp_path):
         proc = run_cli(

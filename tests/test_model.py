@@ -330,6 +330,16 @@ class TestPublicNames:
         names = {name for mod in modules for name in getattr(pjmp, mod).__all__}
         assert pjmp.__all__ == sorted(names | set(modules)) == PUBLIC_NAMES
 
+    def test_functions_of_the_law_take_the_law_alone(self):
+        # mu carries the generator it was solved from, so a function that
+        # also took a generator or space could be handed one mu was not
+        for mod in (pjmp.spectral, pjmp.certificates):
+            for name in mod.__all__:
+                obj = getattr(mod, name)
+                if inspect.isfunction(obj):
+                    params = set(inspect.signature(obj).parameters)
+                    assert "mu" not in params or not params & {"gen", "space"}, name
+
     def test_benchmark_names_resolve(self):
         # bench/*.py reads these; bench/make_reference.py runs in no CI step
         names = set()

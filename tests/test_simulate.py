@@ -251,6 +251,38 @@ class TestTimeValidation:
         assert est.n_samples == 2 and math.isfinite(est.std_error)
 
 
+class TestEventBudget:
+    """A run expected to pass MAX_EVENTS is refused before it walks; a path
+    that passes it all the same stops at a refill or a step."""
+
+    @staticmethod
+    def _no_walk(*args):
+        raise AssertionError("walked a refused run")
+
+    @pytest.mark.parametrize("name", sorted(TestTimeValidation.CALLS))
+    def test_refused_before_walking(self, ring2, monkeypatch, name):
+        # ring2's total rate is 3 at zero and 4.5 once both neurons fired,
+        # so a horizon of 50 expects 225 events a replica
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 200)
+        monkeypatch.setattr(simulate, "_walk", self._no_walk)
+        monkeypatch.setattr(simulate, "_race_block", self._no_walk)
+        with pytest.raises(RuntimeError, match="budget of 200"):
+            TestTimeValidation.CALLS[name](ring2, 50.0)
+
+    def test_within_budget_unchanged(self, ring2, monkeypatch):
+        want = simulate_path(ring2, ring2.zero_state(), 40.0, 3)
+        simulate._seeded_walk.cache_clear()
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 4.5 * 40.0)
+        assert simulate_path(ring2, ring2.zero_state(), 40.0, 3) == want
+
+    @pytest.mark.parametrize("name", sorted(TestTimeValidation.CALLS))
+    def test_path_past_the_budget_stops(self, ring2, monkeypatch, name):
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 100)
+        monkeypatch.setattr(simulate, "_check_budget", lambda *args: None)
+        with pytest.raises(RuntimeError, match="budget of 100"):
+            TestTimeValidation.CALLS[name](ring2, 1000.0)
+
+
 class TestLockstepKernel:
     """The block kernel, the scalar walker and next_event read one stream layout."""
 

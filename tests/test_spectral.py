@@ -2,6 +2,7 @@
 
 import math
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -302,12 +303,13 @@ def _column_dots(p, block):
     return np.array([float(p @ col) for col in np.ascontiguousarray(block.T)])
 
 
-def profile_oracle(gen, mu, f, t_grid, eps=1e-12, indicator=None, phibar=None):
+def profile_oracle(mu, f, t_grid, eps=1e-12, indicator=None, phibar=None):
     """The variance profile of the columns of an (n, k) block f.
 
     One series loop per term and time on the block; every reduction runs
     on a contiguous column, as a one-function call would run it.
     """
+    gen = mu.generator
     q, p = gen.matrix, mu.probabilities
     ind = np.ones(len(p)) if indicator is None else indicator
     phibar = gen.space.total_rates() if phibar is None else phibar
@@ -371,15 +373,15 @@ class TestUniformizationKernel:
         space, gen, mu, block = kernel_case
         t_grid = list(self.TIMES)
         indicator = (np.arange(len(space)) % 3 == 0).astype(float)
-        got = semigroup_variance_profile(gen, mu, block, t_grid, indicator=indicator)
-        want = profile_oracle(gen, mu, block, t_grid, indicator=indicator)
+        got = semigroup_variance_profile(mu, block, t_grid, indicator=indicator)
+        want = profile_oracle(mu, block, t_grid, indicator=indicator)
         assert got[0].shape == got[2].shape == (3, 3) and got[1].shape == (3,)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-12, atol=0)
         assert np.array_equal(got[1], want[1])
         np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
         for j in range(block.shape[1]):
             # one function alone gives its column of the block profile
-            one = semigroup_variance_profile(gen, mu, block[:, j], t_grid, indicator=indicator)
+            one = semigroup_variance_profile(mu, block[:, j], t_grid, indicator=indicator)
             assert one[0].shape == one[2].shape == (3,) and isinstance(one[1], float)
             assert np.array_equal(one[0], got[0][:, j]) and one[1] == got[1][j]
             assert np.array_equal(one[2], got[2][:, j])
@@ -396,7 +398,7 @@ class TestUniformizationKernel:
                 weighted_F_vector(gen, space.total_rates(), t, eps=eps)
         for t_grid in ([], [0.0, 1.0]):
             with pytest.raises(ValueError, match="eps"):
-                semigroup_variance_profile(gen, mu, block, t_grid, eps=eps)
+                semigroup_variance_profile(mu, block, t_grid, eps=eps)
 
     @pytest.mark.parametrize("t", [float("nan"), float("inf"), -float("inf"), -1.0])
     def test_time_not_finite_and_nonnegative_rejected(self, kernel_case, t):
@@ -408,26 +410,26 @@ class TestUniformizationKernel:
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
             weighted_F_vector(gen, space.total_rates(), t)
         with pytest.raises(ValueError, match="time must be finite and nonnegative"):
-            semigroup_variance_profile(gen, mu, block, [1.0, t])
+            semigroup_variance_profile(mu, block, [1.0, t])
 
     def test_profile_rows_follow_the_grid(self, kernel_case):
         # an unsorted grid with a repeat walks the same legs as its sorted,
         # distinct form; 0 takes no series step, so its row is the oracle's
         _space, gen, mu, block = kernel_case
-        got = semigroup_variance_profile(gen, mu, block, [5.0, 0.0, 1.7, 0.3, 1.7])
-        walk = semigroup_variance_profile(gen, mu, block, [0.0, 0.3, 1.7, 5.0])
+        got = semigroup_variance_profile(mu, block, [5.0, 0.0, 1.7, 0.3, 1.7])
+        walk = semigroup_variance_profile(mu, block, [0.0, 0.3, 1.7, 5.0])
         order = [3, 0, 2, 1, 2]
         assert np.array_equal(got[0], walk[0][order]) and np.array_equal(got[1], walk[1])
         assert np.array_equal(got[2], walk[2][order])
-        want = profile_oracle(gen, mu, block, [0.0])
+        want = profile_oracle(mu, block, [0.0])
         assert np.array_equal(got[0][1], want[0][0]) and np.array_equal(got[2][1], want[2][0])
 
     def test_long_grid_matches_oracle(self, kernel_case):
         # eight legs, each dropping at most eps of the series
         _space, gen, mu, block = kernel_case
         t_grid = [0.1, 0.3, 0.7, 1.2, 2.0, 3.1, 4.5, 6.0]
-        got = semigroup_variance_profile(gen, mu, block, t_grid)
-        want = profile_oracle(gen, mu, block, t_grid)
+        got = semigroup_variance_profile(mu, block, t_grid)
+        want = profile_oracle(mu, block, t_grid)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-11, atol=0)
         np.testing.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
 
@@ -452,6 +454,23 @@ class TestStationary:
         assert mu.residual <= 1e-10
         assert mu.dense_tv is not None and mu.dense_tv <= 1e-10
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
+
+    def test_law_carries_its_generator(self, ring2_box10):
+        _space, gen, mu = ring2_box10
+        assert mu.generator is gen
+        assert "generator" not in repr(mu)
+
+    def test_residual_is_relative_to_the_rate_scale(self, ring2_box10):
+        # the same chain with every rate times 1e290: the same law, and a
+        # residual and a dense cross-check that do not see the scale
+        _space, gen, mu = ring2_box10
+        scaled = SparseGenerator(gen.matrix * 1e290, gen.space)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # scipy's LinAlgWarning on an unscaled solve
+            big = stationary(scaled)
+        assert big.residual <= 1e-12
+        assert big.dense_tv <= 1e-10
+        assert np.allclose(big.probabilities, mu.probabilities, rtol=1e-12, atol=0)
 
     def test_zero_inflow_state_is_transient(self, ring2_box10):
         space, _gen, mu = ring2_box10
@@ -571,7 +590,7 @@ class TestTransient:
 class TestQuadraticForms:
     def test_constant_function(self, ring2_box10):
         _space, gen, mu = ring2_box10
-        var, energy = variance_and_energy(gen, mu, np.full(gen.dimension, 3.3))
+        var, energy = variance_and_energy(mu, np.full(gen.dimension, 3.3))
         assert var == pytest.approx(0.0, abs=1e-14)
         assert energy == pytest.approx(0.0, abs=1e-12)
 
@@ -581,14 +600,14 @@ class TestQuadraticForms:
         rng = np.random.default_rng(1)
         for _ in range(20):
             f = rng.standard_normal(gen.dimension)
-            _var, energy = variance_and_energy(gen, mu, f)
+            _var, energy = variance_and_energy(mu, f)
             direct = float(mu.probabilities @ gamma_vector(gen, f))
             assert energy == pytest.approx(direct, rel=1e-10, abs=1e-12)
 
     def test_coordinate_function_strictly_positive(self, ring2_box10):
         space, gen, mu = ring2_box10
         f = space.coordinate_values()[0]
-        var, energy = variance_and_energy(gen, mu, f)
+        var, energy = variance_and_energy(mu, f)
         assert var > 0 and energy > 0
 
     def test_symmetrized_operator_self_adjoint(self, ring2_box10):
@@ -612,27 +631,27 @@ class TestPoincare:
         q = sp.csr_matrix(np.array([[-a, a], [b, -b]]))
         gen = SparseGenerator.from_matrix(q)
         mu = stationary(gen)
-        gap = poincare_constant(gen, mu)
+        gap = poincare_constant(mu)
         assert gap.c_opt == pytest.approx(1.0 / (a + b), rel=1e-10)
 
     def test_degenerate_single_state(self, zero2):
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         gen = assemble_generator(zero2, space)
         mu = stationary(gen)
-        gap = poincare_constant(gen, mu)
+        gap = poincare_constant(mu)
         assert gap.degenerate and gap.c_opt is None
 
     def test_rayleigh_oracle(self, ring2_box10):
         _space, gen, mu = ring2_box10
-        gap = poincare_constant(gen, mu)
+        gap = poincare_constant(mu)
         rng = np.random.default_rng(3)
         sup_ratio = 0.0
         for _ in range(1000):
             f = rng.standard_normal(gen.dimension)
-            var, energy = variance_and_energy(gen, mu, f)
+            var, energy = variance_and_energy(mu, f)
             assert var <= gap.c_opt * energy + 1e-12
             sup_ratio = max(sup_ratio, var / energy)
-        var_s, en_s = variance_and_energy(gen, mu, gap.optimizer)
+        var_s, en_s = variance_and_energy(mu, gap.optimizer)
         assert sup_ratio <= gap.c_opt + 1e-12
         assert var_s / en_s == pytest.approx(gap.c_opt, rel=1e-6)
 
@@ -640,9 +659,9 @@ class TestPoincare:
         space = enumerate_states(ring2, ring2.zero_state(), 30.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
-        direct = poincare_constant(gen, mu)
+        direct = poincare_constant(mu)
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
-        iterative = poincare_constant(gen, mu)
+        iterative = poincare_constant(mu)
         assert (direct.method, iterative.method) == ("direct", "iterative")
         assert iterative.c_opt == pytest.approx(direct.c_opt, rel=1e-8)
 
@@ -662,9 +681,9 @@ class TestPoincare:
                 return _real(b, *args, **kwargs)
 
             monkeypatch.setattr(module, name, capture)
-        assert poincare_constant(gen, mu).method == "direct"
+        assert poincare_constant(mu).method == "direct"
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
-        assert poincare_constant(gen, mu).method == "iterative"
+        assert poincare_constant(mu).method == "iterative"
         assert len(mu.support) == 68
         assert np.array_equal(seen["lobpcg"].toarray(), seen["eigh"])
 
@@ -672,7 +691,7 @@ class TestPoincare:
         _space, gen, mu = ring2_box10
         for cutoff, method in ((spectral.DENSE_CUTOFF, "direct"), (5, "iterative")):
             monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
-            gap = poincare_constant(gen, mu)
+            gap = poincare_constant(mu)
             assert gap.method == method
             assert gap.residual is not None
             assert gap.residual <= spectral.EIGEN_RESIDUAL_TOL
@@ -690,7 +709,7 @@ class TestPoincare:
         monkeypatch.setattr(spectral.spla, "lobpcg", inflated)
         monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
         with pytest.raises(RuntimeError, match="residual"):
-            poincare_constant(gen, mu)
+            poincare_constant(mu)
 
 
 class TestWeightedIntegral:
@@ -724,7 +743,7 @@ class TestVarianceProfile:
     def test_constant_function_zero(self, ring2_box10):
         _space, gen, mu = ring2_box10
         lhs, energy, weighted = semigroup_variance_profile(
-            gen, mu, np.full(gen.dimension, 2.0), [0.5, 1.0]
+            mu, np.full(gen.dimension, 2.0), [0.5, 1.0]
         )
         assert np.allclose(lhs, 0.0, atol=1e-12)
         assert energy == pytest.approx(0.0, abs=1e-12)
@@ -738,7 +757,7 @@ class TestVarianceProfile:
         rng = np.random.default_rng(4)
         f = rng.standard_normal(gen.dimension)
         t = 1e-3
-        lhs, energy, _w = semigroup_variance_profile(gen, mu, f, [t], eps=1e-14)
+        lhs, energy, _w = semigroup_variance_profile(mu, f, [t], eps=1e-14)
         assert lhs[0] / t == pytest.approx(2.0 * energy, rel=0.1)
 
     def test_pointwise_variance_vs_monte_carlo(self, ring2):
