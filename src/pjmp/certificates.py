@@ -7,7 +7,8 @@ admissible exponential rate and its infinite-product prefactor, certified
 tail curves, and measured growth constants for the weighted semigroup
 variance inequality. Each certificate takes the law alone and reads the
 chain it was solved from, ``mu.generator``, and that chain's enumerated
-space.
+space, ``mu.space``, which raises ValueError for a chain built from a bare
+matrix.
 
 Triple-bar norms (sup of mu(f g) over densities g with mu(g) <= 1) reduce on
 a finite support to the plain maximum of f over that support; all of them are
@@ -81,8 +82,7 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     pair is joined by a path inside it; a support with an unreachable pair,
     which only a hand-built law can have, is refused with ValueError.
     """
-    gen = mu.generator
-    net = gen.space.net
+    net = mu.space.net
     support = mu.support
     ns = len(support)
     min_mu = float(mu.probabilities[support].min())
@@ -90,7 +90,7 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
     if ns <= 1:
         return PathMethodReport(c0=c0, max_path_length=0, n_support=ns, degenerate=True)
-    adj = gen.matrix[support][:, support] > 0
+    adj = mu.generator.matrix[support][:, support] > 0
     max_len = 0
     for lo in range(0, ns, PATH_CHUNK):
         dist = csgraph.shortest_path(
@@ -124,7 +124,7 @@ class C3SumReport:
 def compute_C3_sum_function(mu: StationaryDistribution, lam: float) -> C3SumReport:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    space = mu.generator.space
+    space = mu.space
     net = space.net
     n0 = float(max(net.row_sums))
     coords = space.coordinate_values()
@@ -286,7 +286,7 @@ def talagrand_verdict(
         raise ValueError("the tail-level grid is empty")
     if not all(map(math.isfinite, r_grid)):
         raise ValueError(f"tail levels must be finite, got {r_grid}")
-    f = mu.generator.space.totals()
+    f = mu.space.totals()
     p = mu.probabilities
     mu_f = float(p @ f)
     rows = []
@@ -428,7 +428,7 @@ def semigroup_poincare_report(
     """
     if not inner_frac >= 0:
         raise ValueError(f"inner_frac must be a nonnegative number, got {inner_frac!r}")
-    space = mu.generator.space
+    space = mu.space
     net = space.net
     theta = (net.n_neurons * math.e) ** net.n_neurons
     t0_max = max_peak_time(space)

@@ -26,7 +26,7 @@ import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
-from .statespace import SparseGenerator
+from .statespace import EnumeratedSpace, SparseGenerator
 
 __all__ = [
     "DegenerateModelError",
@@ -213,6 +213,13 @@ class StationaryDistribution:
 
     def expectation(self, f: np.ndarray) -> float:
         return float(self.probabilities @ np.asarray(f, dtype=float))
+
+    @property
+    def space(self) -> EnumeratedSpace:
+        """The enumerated space of ``generator``; ValueError for a bare matrix."""
+        if self.generator.space is None:
+            raise ValueError("mu's generator must carry its enumerated space")
+        return self.generator.space
 
 
 def stationary(gen) -> StationaryDistribution:
@@ -525,9 +532,8 @@ def semigroup_variance_profile(
         energy      = mu( Gamma(f, f) ),
         weighted(t) = mu( F_t * P_t(Gamma(f, f) * 1_D) ),
     where F_t is the state-wise expected firing effort up to t (the time
-    integral of phibar, the total firing rate, read from the space of
-    mu.generator) and 1_D the supplied indicator (all-ones when None).
-    mu.generator must carry its enumerated space.
+    integral of phibar, the total firing rate, read from mu.space) and 1_D
+    the supplied indicator (all-ones when None).
 
     f is one function of shape (n,) or k functions as the columns of an
     (n, k) block; lhs and weighted then have shape (len(t_grid), k) and
@@ -537,35 +543,36 @@ def semigroup_variance_profile(
     The distinct times are walked in increasing order, one leg d = t' - t
     at a time, by the Markov property: P_t' = P_d P_t and
     F_t' = F_d + P_d F_t. F_t rides as the last column of the block
-    [f, f^2, Gamma(f, f) * 1_D, F_t], so each leg takes one propagation of
+    [f, Gamma(f, f) * 1_D, F_t], so each leg takes one propagation of
     the block and one time integral of phibar, and the grid costs
     Lambda * max(t_grid) series terms instead of Lambda * sum(t_grid).
     Each leg's series drops at most eps, relative to the size of what it
     carries, and P_d does not enlarge an earlier leg's error, so the walk
     is within (number of legs) * eps of running every time from 0.
+    f^2 needs no walk: mu P_t = mu, so lhs(t) = mu(f^2) - mu((P_t f)^2),
+    exact to t * Lambda * |support| * mu.residual * max f^2.
     """
     t_grid = [float(t) for t in t_grid]
     _check_series_args(t_grid, eps)
     f = np.asarray(f, dtype=float)
+    phibar = mu.space.total_rates()
     gen = mu.generator
-    if gen.space is None:
-        raise ValueError("mu's generator must carry its enumerated space, which gives phibar")
-    phibar = gen.space.total_rates()
     fs = f.reshape(f.shape[0], -1)
     k = fs.shape[1]
     ind = np.ones(f.shape[0]) if indicator is None else np.asarray(indicator, dtype=float)
     p = mu.probabilities
     gam = gamma_vector(gen, fs)
     energy = _column_means(p, gam)
-    cur = np.hstack([fs, fs * fs, gam * ind[:, None], np.zeros((f.shape[0], 1))])
+    mean_f2 = _column_means(p, fs * fs)
+    cur = np.hstack([fs, gam * ind[:, None], np.zeros((f.shape[0], 1))])
     rows = {}
     t_prev = 0.0
     for t in sorted(set(t_grid)):
         cur = propagate_function(gen, cur, t - t_prev, eps)
         cur[:, -1] += weighted_F_vector(gen, phibar, t - t_prev, eps)
         t_prev = t
-        ptf, ptf2, pt_loc, fv = np.split(cur, [k, 2 * k, 3 * k], axis=1)
-        rows[t] = (_column_means(p, ptf2 - ptf**2), _column_means(p, fv * pt_loc))
+        ptf, pt_loc, fv = np.split(cur, [k, 2 * k], axis=1)
+        rows[t] = (mean_f2 - _column_means(p, ptf**2), _column_means(p, fv * pt_loc))
     lhs = np.array([rows[t][0] for t in t_grid]).reshape(len(t_grid), k)
     weighted = np.array([rows[t][1] for t in t_grid]).reshape(len(t_grid), k)
     if f.ndim == 1:

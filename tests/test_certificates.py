@@ -12,6 +12,7 @@ import pjmp.spectral as spectral
 from conftest import make_random_net
 from pjmp import (
     DegenerateModelError,
+    SparseGenerator,
     StationaryDistribution,
     admissible_lambda,
     assemble_generator,
@@ -22,7 +23,9 @@ from pjmp import (
     max_peak_time,
     path_method_C0,
     poincare_constant,
+    propagate_function,
     semigroup_poincare_report,
+    semigroup_variance_profile,
     solve_admissible_lambda,
     stationary,
     talagrand_verdict,
@@ -328,19 +331,44 @@ class TestSemigroupReport:
             _assert_report_close(report, want)
 
     def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
+        # each leg propagates [f, Gamma(f) 1_D, F_t]: 2k + 1 columns, no f^2
         space, gen, mu = ring2_solved
         calls = {"propagate_function": 0, "weighted_F_vector": 0}
+        shapes = []
         for name in calls:
             real = getattr(spectral, name)
 
             def counted(*args, _real=real, _name=name, **kwargs):
                 calls[_name] += 1
+                if _name == "propagate_function":
+                    shapes.append(args[1].shape)
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
         report = semigroup_poincare_report(mu, suite_size=20)
         assert calls == {"propagate_function": 4, "weighted_F_vector": 4}
         assert len(report.t_grid) == 4
+        assert shapes == [(gen.dimension, 2 * report.n_suite + 1)] * 4
+
+    @pytest.mark.parametrize("model", ["ring2", "rand3"])
+    def test_stationary_mean_of_f2_is_kept(self, ring2, monkeypatch, model):
+        # the walk reads mu(P_d f^2) as mu(f^2); check it on the bench suite
+        # at every leg length of the default grid
+        net = ring2 if model == "ring2" else make_random_net(1)
+        space, gen, mu = _solved(net, 34.0 if model == "ring2" else 8.0)
+        seen = {}
+
+        def capture(mu, f, t_grid, eps, indicator):
+            seen.update(f=f, t_grid=t_grid)
+            return semigroup_variance_profile(mu, f, t_grid, eps, indicator)
+
+        monkeypatch.setattr(certificates, "semigroup_variance_profile", capture)
+        semigroup_poincare_report(mu)
+        f2 = seen["f"] ** 2
+        want = mu.probabilities @ f2
+        for d in np.diff([0.0, *sorted(set(seen["t_grid"]))]):
+            got = mu.probabilities @ propagate_function(gen, f2, d)
+            np.testing.assert_allclose(got, want, rtol=1e-13, atol=0)
 
     def test_full_report_passes(self, ring2_solved):
         space, gen, mu = ring2_solved
@@ -349,3 +377,25 @@ class TestSemigroupReport:
         assert report.outside_term_max <= 1e-12
         assert report.fit_violation <= 1e-9
         assert len(report.d1_hat) == 4
+
+
+# a law solved from a bare matrix has no enumerated space to read
+SPACELESS_CALLS = {
+    "path_method_C0": lambda mu: path_method_C0(mu),
+    "compute_C3_sum_function": lambda mu: compute_C3_sum_function(mu, 0.1),
+    "admissible_lambda": lambda mu: admissible_lambda(mu, 1.0),
+    "talagrand_verdict": lambda mu: talagrand_verdict(
+        certificates.ConcentrationCertificate(c0=1.0, c3=1.0, n0=1.0, lam=0.1, lam0=1.0, q=0.01),
+        mu,
+        [1.0],
+    ),
+    "semigroup_poincare_report": lambda mu: semigroup_poincare_report(mu),
+    "semigroup_variance_profile": lambda mu: semigroup_variance_profile(mu, np.ones(2), [1.0]),
+}
+
+
+@pytest.mark.parametrize("name", list(SPACELESS_CALLS))
+def test_spaceless_law_refused(name):
+    mu = stationary(SparseGenerator.from_matrix([[-1.0, 1.0], [2.0, -2.0]]))
+    with pytest.raises(ValueError, match="must carry its enumerated space"):
+        SPACELESS_CALLS[name](mu)

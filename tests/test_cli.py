@@ -633,7 +633,7 @@ REPORT_KEYS = {
         (*_HEAD, "checks", "checks.d1_growth_cap", "checks.d2_growth_cap",
          "checks.outside_one_term", "d1_hat", "d2_hat", "enlarged_box", "fit_violation",
          "inner_box", "n_outside", "n_suite", "outside_term_max", "slope_d1", "slope_d2",
-         "t0_max", "t1", "t_grid", "theta", "verdict"),
+         "stationary_residual", "t0_max", "t1", "t_grid", "theta", "verdict"),
     ),
 }
 
