@@ -34,7 +34,6 @@ from .statespace import EnumeratedSpace
 __all__ = [
     "PathMethodReport",
     "path_method_C0",
-    "C3SumReport",
     "compute_C3_sum_function",
     "lambda0_product",
     "solve_admissible_lambda",
@@ -63,8 +62,6 @@ class PathMethodReport:
 
     c0: float
     max_path_length: int
-    n_support: int
-    degenerate: bool = False
 
 
 PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memory
@@ -89,7 +86,7 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     delta = float(net.intensity.delta)
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
     if ns <= 1:
-        return PathMethodReport(c0=c0, max_path_length=0, n_support=ns, degenerate=True)
+        return PathMethodReport(c0=c0, max_path_length=0)
     adj = mu.generator.matrix[support][:, support] > 0
     max_len = 0
     for lo in range(0, ns, PATH_CHUNK):
@@ -99,29 +96,20 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
         if not np.isfinite(dist).all():
             raise ValueError("the support of mu is not a closed class of its generator")
         max_len = max(max_len, int(dist.max()))
-    return PathMethodReport(c0=c0, max_path_length=max_len, n_support=ns, degenerate=False)
+    return PathMethodReport(c0=c0, max_path_length=max_len)
 
 
 # -- carre-du-champ coefficients ----------------------------------------------
 
-@dataclass(frozen=True)
-class C3SumReport:
+def compute_C3_sum_function(mu: StationaryDistribution, lam: float) -> float:
     """Exponential-moment coefficient for the summed-potential observable.
 
     Per neuron, the three competing terms are the second-moment expectation
     mu(phi_i x_i^2) + N0^2 mu(phi_i), the support maximum of phi_i x_i^2, and
     the one-jump worst case N0^2 phi(N0) e^{lambda N0}, with N0 the largest
-    weight row sum. The total takes the per-neuron maximum and sums over
-    neurons, which is conservative. Nondecreasing in lambda.
+    weight row sum. The coefficient takes the per-neuron maximum and sums
+    over neurons, which is conservative. Nondecreasing in lambda.
     """
-
-    total: float
-    n0: float
-    per_neuron: tuple
-    degenerate: bool
-
-
-def compute_C3_sum_function(mu: StationaryDistribution, lam: float) -> C3SumReport:
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     space = mu.space
@@ -129,20 +117,17 @@ def compute_C3_sum_function(mu: StationaryDistribution, lam: float) -> C3SumRepo
     n0 = float(max(net.row_sums))
     coords = space.coordinate_values()
     p = mu.probabilities
-    support = mu.support
     delta = float(net.intensity.delta)
     slope = float(net.intensity.slope)
-    rows = []
-    total = 0.0
     exp_term = math.inf if lam * n0 > 700 else math.exp(lam * n0)
+    boundary = n0**2 * (delta + slope * n0) * exp_term
+    total = 0.0
     for i in range(net.n_neurons):
         phi_i = delta + slope * coords[i]
-        t1 = float(p @ (phi_i * coords[i] ** 2) + n0**2 * (p @ phi_i))
-        t2 = float((phi_i * coords[i] ** 2)[support].max())
-        t3 = n0**2 * (delta + slope * n0) * exp_term
-        rows.append({"moment": t1, "ess_sup": t2, "boundary": t3})
-        total += max(t1, t2, t3)
-    return C3SumReport(total=total, n0=n0, per_neuron=tuple(rows), degenerate=total == 0.0)
+        moment = float(p @ (phi_i * coords[i] ** 2) + n0**2 * (p @ phi_i))
+        ess_sup = float((phi_i * coords[i] ** 2)[mu.support].max())
+        total += max(moment, ess_sup, boundary)
+    return total
 
 
 # -- admissible rate and product prefactor ------------------------------------
@@ -240,16 +225,12 @@ def admissible_lambda(
     the admissibility equation is solved by bisection; the returned rate
     satisfies lambda^2 * c0 * c3(lambda) = 1 - margin to bisection accuracy.
     """
-
-    def c3_fn(lam: float) -> float:
-        return compute_C3_sum_function(mu, lam).total
-
-    lam = solve_admissible_lambda(c0, c3_fn, margin=margin)
-    c3_report = compute_C3_sum_function(mu, lam)
-    c3 = c3_report.total
+    lam = solve_admissible_lambda(c0, lambda x: compute_C3_sum_function(mu, x), margin=margin)
+    c3 = compute_C3_sum_function(mu, lam)
     q = lam * lam * c0 * c3
     lam0 = lambda0_product(c0, c3, lam)
-    return ConcentrationCertificate(c0=c0, c3=c3, n0=c3_report.n0, lam=lam, lam0=lam0, q=q)
+    n0 = float(max(mu.space.net.row_sums))
+    return ConcentrationCertificate(c0=c0, c3=c3, n0=n0, lam=lam, lam0=lam0, q=q)
 
 
 # -- certified tails ----------------------------------------------------------
@@ -257,7 +238,7 @@ def admissible_lambda(
 @dataclass(frozen=True)
 class TalagrandRow:
     r: float
-    exact_tail: float
+    exact: float
     bound: float
     centered_exact: float
     centered_bound: float
@@ -304,7 +285,7 @@ def talagrand_verdict(
         rows.append(
             TalagrandRow(
                 r=r,
-                exact_tail=exact,
+                exact=exact,
                 bound=bound,
                 centered_exact=centered_exact,
                 centered_bound=centered_bound,
@@ -372,9 +353,10 @@ class SemigroupReport:
 def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_box: float):
     """Deterministic test functions: coordinates, total, random, and tail-only.
 
-    Returns (functions, outside_indices). Roughly a fifth of the suite is
-    supported strictly outside the enlarged inner box, which the measured-d1
-    step requires; raises when the box holds no such states.
+    Returns (suite, outside): the functions as the columns of an (n, size)
+    block, and a boolean mask of the columns supported strictly outside the
+    enlarged inner box. Those are the last fifth or so of the suite, which
+    the measured-d1 step requires; raises when the box holds no such states.
     """
     n = len(space)
     coords = space.coordinate_values()
@@ -389,15 +371,10 @@ def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_b
             f"enlarge m_box or shrink the inner fraction"
         )
     rng = np.random.default_rng(seed)
-    suite = [coords[i].copy() for i in range(coords.shape[0])]
-    suite.append(space.totals())
-    while len(suite) < size - n_outside:
-        suite.append(rng.standard_normal(n))
-    outside_idx = []
-    while len(suite) < size:
-        outside_idx.append(len(suite))
-        suite.append(rng.standard_normal(n) * outside_mask)
-    return suite, outside_idx
+    suite = [*coords, space.totals()]
+    suite += [rng.standard_normal(n) for _ in range(size - n_outside - n_base)]
+    suite += [rng.standard_normal(n) * outside_mask for _ in range(n_outside)]
+    return np.column_stack(suite), np.arange(size) >= size - n_outside
 
 
 def _loglog_slope(ts, ys):
@@ -448,32 +425,23 @@ def semigroup_poincare_report(
     max_w = max((max(row) for row in net.weights), default=0)
     enlarged = inner_box + float(max_w)
     indicator = (space.coordinate_values().max(axis=0) <= inner_box).astype(float)
-    suite, outside_idx = make_function_suite(space, suite_size, seed, enlarged)
-    inside_idx = [j for j in range(len(suite)) if j not in set(outside_idx)]
-
-    lhs_t, energies, wterm_t = semigroup_variance_profile(
-        mu, np.column_stack(suite), t_grid, eps, indicator
-    )
+    suite, outside = make_function_suite(space, suite_size, seed, enlarged)
+    lhs_t, energies, wterm_t = semigroup_variance_profile(mu, suite, t_grid, eps, indicator)
+    pinned = outside & (energies > 0)
 
     d1_hat, d2_hat = [], []
     outside_term_max = 0.0
     outside_one_term_ok = True
     fit_violation = 0.0
     for lhs, wterm in zip(lhs_t, wterm_t):
-        outside_term_max = max(outside_term_max, float(np.abs(wterm[outside_idx]).max()))
-        d1 = 0.0
-        for j in outside_idx:
-            if energies[j] > 0:
-                d1 = max(d1, lhs[j] / energies[j])
-        d2 = 0.0
-        for j in inside_idx:
-            shortfall = lhs[j] - d1 * energies[j]
-            if shortfall > 0 and wterm[j] > 0:
-                d2 = max(d2, shortfall / wterm[j])
-        for j in outside_idx:
-            slack = lhs[j] - d1 * energies[j]
-            if slack > 1e-9 * max(1.0, abs(lhs[j])):
-                outside_one_term_ok = False
+        outside_term_max = max(outside_term_max, float(np.abs(wterm[outside]).max()))
+        # max() keeps the first of equal values: a ratio of -0.0 leaves d1 at 0.0
+        d1 = max([0.0, *(lhs[pinned] / energies[pinned]).tolist()])
+        shortfall = lhs - d1 * energies
+        short = ~outside & (shortfall > 0) & (wterm > 0)
+        d2 = max([0.0, *(shortfall[short] / wterm[short]).tolist()])
+        uncovered = shortfall[outside] > 1e-9 * np.maximum(1.0, np.abs(lhs[outside]))
+        outside_one_term_ok = outside_one_term_ok and not uncovered.any()
         resid = lhs - d1 * energies - d2 * wterm
         fit_violation = max(fit_violation, float(resid.max()))
         d1_hat.append(d1)
@@ -495,8 +463,8 @@ def semigroup_poincare_report(
         outside_term_max=outside_term_max,
         outside_one_term_ok=outside_one_term_ok,
         fit_violation=fit_violation,
-        n_suite=len(suite),
-        n_outside=len(outside_idx),
+        n_suite=suite.shape[1],
+        n_outside=int(outside.sum()),
         inner_box=inner_box,
         enlarged_box=enlarged,
     )

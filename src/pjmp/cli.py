@@ -289,6 +289,7 @@ def cmd_concentration(args, net) -> Report:
     r_grid = args.r_grid if args.r_grid is not None else list(range(1, 13))
     report = talagrand_verdict(cert, mu, r_grid)
     verdict, code = _verdict(report.passed)
+    rows = [dataclasses.asdict(row) for row in report.rows]
     doc = {
         "C0": cert.c0,
         "C3": cert.c3,
@@ -297,27 +298,12 @@ def cmd_concentration(args, net) -> Report:
         "lambda0": cert.lam0,
         "q": cert.q,
         "mu_F": report.mu_F,
-        "rows": [
-            {
-                "r": row.r,
-                "exact": row.exact_tail,
-                "bound": row.bound,
-                "centered_exact": row.centered_exact,
-                "centered_bound": row.centered_bound,
-                "ok": row.ok,
-            }
-            for row in report.rows
-        ],
+        "rows": rows,
         "verdict": verdict,
     }
-    tails = [
-        (row.r, row.exact_tail, row.bound, row.centered_exact, row.centered_bound)
-        for row in report.rows
-    ]
-    files = {
-        "concentration.json": doc,
-        "tails.csv": ("r,exact,bound,centered_exact,centered_bound", tails),
-    }
+    columns = [name for name in rows[0] if name != "ok"]  # the row's fields, in order
+    tails = [[row[name] for name in columns] for row in rows]
+    files = {"concentration.json": doc, "tails.csv": (",".join(columns), tails)}
     line = f"concentration: {verdict} (lambda {cert.lam:.6g}, lambda0 {cert.lam0:.6g})"
     return Report(files, code, line)
 

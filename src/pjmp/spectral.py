@@ -49,6 +49,7 @@ GTH_DENSE_FILL = 0.1
 POWER_TOL = 1e-15
 POWER_MAXITER = 500_000
 EIGEN_RESIDUAL_TOL = 1e-10
+MAX_LAMBDA_T = 1e6  # largest Poisson mean Lambda * t a series is summed for
 
 
 class DegenerateModelError(RuntimeError):
@@ -337,9 +338,16 @@ def _check_series_args(times, eps: float) -> None:
 
 
 def _series_setup(gen, t: float, eps: float):
-    """(Q, Lambda) for a series up to a finite time t >= 0 with truncation error eps in (0, 1)."""
+    """(Q, Lambda) for a series up to a finite time t >= 0 with truncation error eps in (0, 1).
+
+    A series past Lambda * t = MAX_LAMBDA_T would take more terms than that,
+    and far past it every Poisson weight underflows to 0, so it is refused.
+    """
     _check_series_args([t], eps)
-    return gen.matrix, _uniformization_rate(gen.matrix)
+    lam = _uniformization_rate(gen.matrix)
+    if lam * t > MAX_LAMBDA_T:
+        raise ValueError(f"Lambda * t = {lam * t:.6g} exceeds the series bound {MAX_LAMBDA_T:g}")
+    return gen.matrix, lam
 
 
 def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.ndarray:

@@ -210,6 +210,17 @@ class TestHugeRates:
         assert "budget" in lines[0]
         assert not (tmp_path / "sim").exists()
 
+    def test_series_past_its_bound_is_refused(self, tmp_path):
+        # the uniformization weights underflow to 0 at t = 1e300, and the
+        # series ran without end while its memory grew
+        argv = ["semigroup-report", RING2, "--m-box", "10", "--t-grid", "1e300", "--out", "sg"]
+        proc = run_cli(argv, tmp_path, timeout=10)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "series bound" in lines[0]
+        assert not (tmp_path / "sg").exists()
+
     def test_stationary_residual_is_relative_to_the_rates(self, tmp_path):
         # an absolute residual read 6e283, and an unscaled dense cross-check
         # printed scipy's LinAlgWarning on stderr

@@ -283,7 +283,7 @@ class TestJumpWindow:
 
 # the package's public names: each module's __all__, and the five modules
 PUBLIC_NAMES = """
-    C3SumReport ConcentrationCertificate DegenerateModelError
+    ConcentrationCertificate DegenerateModelError
     EnumeratedSpace EstimatorResult GapResult IntensityFunction JumpWindow
     LyapunovCertificate PathMethodReport PotentialState SemigroupReport SparseGenerator
     StateSpaceCapExceeded StationaryDistribution SynapticNetwork TalagrandReport

@@ -440,6 +440,26 @@ class TestUniformizationKernel:
         with pytest.raises(RuntimeError, match="failed to accumulate"):
             propagate_function(gen, block, 50.0 / lam, eps=1e-17)
 
+    @pytest.mark.parametrize(
+        "name",
+        ["transient_distribution", "propagate_function", "weighted_F_vector",
+         "semigroup_variance_profile"],
+    )
+    def test_series_past_its_bound_is_refused(self, ring2_box10, name):
+        # at t = 1e300 every Poisson weight underflows to 0, and the weight
+        # loops ran on towards a cap of 20 * Lambda * t terms as their lists grew
+        space, gen, mu = ring2_box10
+        calls = {
+            "transient_distribution": lambda: transient_distribution(gen, 0, 1e300),
+            "propagate_function": lambda: propagate_function(gen, space.totals(), 1e300),
+            "weighted_F_vector": lambda: weighted_F_vector(gen, space.total_rates(), 1e300),
+            "semigroup_variance_profile": lambda: semigroup_variance_profile(
+                mu, space.totals(), [1e300]
+            ),
+        }
+        with pytest.raises(ValueError, match="exceeds the series bound"):
+            calls[name]()
+
 
 @pytest.fixture(scope="module")
 def ring2_box10(ring2):
