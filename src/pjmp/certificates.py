@@ -7,8 +7,7 @@ admissible exponential rate and its infinite-product prefactor, certified
 tail curves, and measured growth constants for the weighted semigroup
 variance inequality. Each certificate takes the law alone and reads the
 chain it was solved from, ``mu.generator``, and that chain's enumerated
-space, ``mu.space``, which raises ValueError for a chain built from a bare
-matrix.
+space, ``mu.space``.
 
 Triple-bar norms (sup of mu(f g) over densities g with mu(g) <= 1) reduce on
 a finite support to the plain maximum of f over that support; all of them are
@@ -85,8 +84,6 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     min_mu = float(mu.probabilities[support].min())
     delta = float(net.intensity.delta)
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
-    if ns <= 1:
-        return PathMethodReport(c0=c0, max_path_length=0)
     adj = mu.generator.matrix[support][:, support] > 0
     max_len = 0
     for lo in range(0, ns, PATH_CHUNK):
@@ -401,7 +398,9 @@ def semigroup_poincare_report(
     t1 = 1/delta + max peak time) the averaged variance of each suite
     function is compared against d1 * energy + d2 * weighted term, and the
     lexicographically smallest (d1, d2) covering the whole suite is recorded.
-    inner_frac must be nonnegative; at 0, D is the origin.
+    inner_frac must be nonnegative; at 0, D is the origin. A one-state
+    support has no nonconstant function and is refused with
+    DegenerateModelError.
     """
     if not inner_frac >= 0:
         raise ValueError(f"inner_frac must be a nonnegative number, got {inner_frac!r}")
@@ -421,6 +420,8 @@ def semigroup_poincare_report(
     if below:
         raise ValueError(f"t values {below} lie below t1 = {t1}")
 
+    if len(mu.support) == 1:
+        raise DegenerateModelError("support has a single state; no gap defined")
     inner_box = inner_frac * space.m_box
     max_w = max((max(row) for row in net.weights), default=0)
     enlarged = inner_box + float(max_w)

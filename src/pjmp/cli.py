@@ -126,11 +126,6 @@ def _verdict(passed: bool) -> tuple:
     return ("PASS", EXIT_OK) if passed else ("FAIL", EXIT_VERDICT_FAIL)
 
 
-def _single_state(name: str) -> Report:
-    message = "degenerate model: single-state support"
-    return Report({name: {"degenerate": True}}, EXIT_DEGENERATE, stderr=message)
-
-
 def _solve(args, net):
     """Stationary law of a command's box; it carries its generator and space."""
     m = lyapunov_constants(net, args.alpha).m
@@ -204,9 +199,8 @@ def cmd_gap(args, net) -> Report:
     mu = _solve(args, net)
     space = mu.space
     gap = poincare_constant(mu)
-    files = {
+    return Report({
         "gap.json": {
-            "degenerate": gap.degenerate,
             "C_opt": gap.c_opt,
             "gap": gap.gap,
             "method": gap.method,
@@ -214,12 +208,8 @@ def cmd_gap(args, net) -> Report:
             "dims": {"states": len(space), "support": int(len(mu.support))},
         },
         **_exports(args, mu.generator),
-    }
-    if gap.degenerate:
-        message = "degenerate model: support has a single state; no gap defined"
-        return Report(files, EXIT_DEGENERATE, stderr=message)
-    files["eigenfunction.csv"] = ("index,value", enumerate(gap.optimizer))
-    return Report(files)
+        "eigenfunction.csv": ("index,value", enumerate(gap.optimizer)),
+    })
 
 
 def cmd_verify_lyapunov(args, net) -> Report:
@@ -244,8 +234,6 @@ def cmd_verify_poincare(args, net) -> Report:
         raise ValueError(f"--n-functions must be at least 1, got {args.n_functions}")
     mu = _solve(args, net)
     gap = poincare_constant(mu)
-    if gap.degenerate:
-        return _single_state("poincare.json")
 
     rng = np.random.default_rng(args.seed)
     worst_excess = -float("inf")
@@ -283,8 +271,6 @@ def cmd_verify_poincare(args, net) -> Report:
 def cmd_concentration(args, net) -> Report:
     mu = _solve(args, net)
     gap = poincare_constant(mu)
-    if gap.degenerate:
-        return _single_state("concentration.json")
     cert = admissible_lambda(mu, gap.c_opt, margin=args.lambda_margin)
     r_grid = args.r_grid if args.r_grid is not None else list(range(1, 13))
     report = talagrand_verdict(cert, mu, r_grid)

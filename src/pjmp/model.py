@@ -255,11 +255,18 @@ class LyapunovCertificate:
 
     The certificate asserts ``L V <= -theta*V + b*1_B`` with
     ``B = {sum_i x^i <= m}``. All three constants are derived exactly in
-    rational arithmetic and exposed as floats:
+    rational arithmetic and exposed as floats, with c = min(slope, delta):
 
-      theta = alpha * min(slope, delta)
-      b     = sum_i phi(1 + W_i) * W_i
-      m     = (b + theta) / ((1 - alpha) * min(slope, delta))
+      theta = alpha * c
+      b     = sum_i phi(1 + W_i) * W_i + theta
+      m     = b / ((1 - alpha) * c)
+
+    Why: a firing of neuron i adds W_i to S = sum_j x^j and takes its own
+    y_i = x^i away, so LV = sum_i phi(y_i) (W_i - y_i). For every y >= 0,
+    phi(y) (W_i - y) + c y is a concave quadratic in y, at most
+    delta W_i + slope W_i^2 / 4 <= phi(1 + W_i) W_i since c <= delta. Summed,
+    LV + theta V <= b - (1 - alpha) c S, which is negative off B and at most
+    b on B.
     """
 
     alpha: float
@@ -279,11 +286,11 @@ def lyapunov_constants(net: SynapticNetwork, alpha=Fraction(4, 5)) -> LyapunovCe
     if not 0 < a < 1:
         raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     c_min = min(net.intensity.slope, net.intensity.delta)
-    b = Fraction(0)
+    theta = a * c_min
+    b = theta
     for wi in net.row_sums:
         b += (net.intensity.delta + net.intensity.slope * (1 + wi)) * wi
-    theta = a * c_min
-    m = (b + theta) / ((1 - a) * c_min)
+    m = b / ((1 - a) * c_min)
     return LyapunovCertificate(
         alpha=float(a),
         theta=float(theta),

@@ -3,9 +3,9 @@
 Everything here works on the rate matrix of an enumerated box: stationary
 vectors, transient distributions through uniformization, quadratic forms
 under the stationary law, and the optimal variance-to-energy constant.
-The solvers take the chain as a SparseGenerator and read its ``matrix``
-(``SparseGenerator.from_matrix`` wraps a bare rate matrix); a function of
-the stationary law takes the law alone and reads ``mu.generator``.
+The solvers take the chain as a SparseGenerator, which carries its
+enumerated space; a function of the stationary law takes the law alone and
+reads ``mu.generator``.
 
 Conventions. The chain is not reversible; the energy form
 ``-mu(f * Qf) = mu(Gamma(f, f))`` only sees the symmetric part of the
@@ -63,19 +63,6 @@ def _uniformization_rate(q: sp.csr_matrix) -> float:
 def _discrete_kernel(q: sp.csr_matrix, lam: float) -> sp.csr_matrix:
     """P = I + Q/Lambda, the jump kernel of the uniformized chain."""
     return sp.eye(q.shape[0], format="csr") + q / lam
-
-
-def _closed_classes(q: sp.csr_matrix):
-    """Strongly connected components of the positive-rate graph, split into
-    closed (no outgoing rate) and open ones. Returns (closed_labels, labels)."""
-    adj = sp.csr_matrix((q > 0).astype(np.int8))
-    ncc, labels = csgraph.connected_components(adj, connection="strong")
-    coo = q.tocoo()
-    leaves = (coo.data > 0) & (labels[coo.row] != labels[coo.col])
-    has_exit = np.zeros(ncc, dtype=bool)
-    has_exit[labels[coo.row[leaves]]] = True
-    closed = np.flatnonzero(~has_exit).tolist()
-    return closed, labels
 
 
 def _off_diagonal(m) -> sp.csr_matrix:
@@ -196,13 +183,13 @@ class StationaryDistribution:
     """Stationary law of the truncated chain.
 
     ``probabilities`` spans the whole enumeration, with exact zeros on
-    transient states. ``support`` holds the indices of the unique closed
-    communicating class of ``generator``, the chain the law was solved
-    from. ``residual`` is max |mu Q| / Lambda, the residual of mu under the
-    uniformized kernel P = I + Q/Lambda, so it does not scale with the
-    rates. ``dense_tv`` / ``power_tv`` record the total variation distance
-    of the primary (elimination-based) solution to the dense null-space and
-    power-iteration cross-checks, when those ran.
+    transient states. ``support`` holds the sorted indices of the closed
+    class of ``generator``, the chain the law was solved from. ``residual``
+    is max |mu Q| / Lambda, the residual of mu under the uniformized kernel
+    P = I + Q/Lambda, so it does not scale with the rates. ``dense_tv`` /
+    ``power_tv`` record the total variation distance of the primary
+    (elimination-based) solution to the dense null-space and power-iteration
+    cross-checks, when those ran.
     """
 
     probabilities: np.ndarray
@@ -217,35 +204,26 @@ class StationaryDistribution:
 
     @property
     def space(self) -> EnumeratedSpace:
-        """The enumerated space of ``generator``; ValueError for a bare matrix."""
-        if self.generator.space is None:
-            raise ValueError("mu's generator must carry its enumerated space")
+        """The enumerated space of ``generator``."""
         return self.generator.space
 
 
-def stationary(gen) -> StationaryDistribution:
+def stationary(gen: SparseGenerator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
-    Requires a unique closed communicating class; otherwise raises naming two
-    states that cannot communicate. The primary solve is GTH elimination,
-    sparse rounds and then a dense tail (see _gth_solve), with
-    componentwise relative accuracy, needed because tail states can carry
-    mass far below the absolute float noise floor of a dense LU solve. The
-    dense null-space solve (up to DENSE_CUTOFF support states) and power
+    Every state reaches the reset hub (``EnumeratedSpace.hub``), so the
+    states the hub reaches are the chain's one closed class, and the support
+    is found by a breadth-first search from the hub. The primary solve is
+    GTH elimination, sparse rounds and then a dense tail (see _gth_solve),
+    with componentwise relative accuracy, needed because tail states can
+    carry mass far below the absolute float noise floor of a dense LU solve.
+    The dense null-space solve (up to DENSE_CUTOFF support states) and power
     iteration on the uniformized kernel (at any size) run as cross-checks.
     """
     q = gen.matrix
     n = q.shape[0]
-    closed, labels = _closed_classes(q)
-    if len(closed) > 1:
-        a = int(np.nonzero(labels == closed[0])[0][0])
-        b = int(np.nonzero(labels == closed[1])[0][0])
-        space = gen.space  # None for a generator built from_matrix
-        sa, sb = (f"#{k}" if space is None else tuple(space.numerators[k].tolist()) for k in (a, b))
-        raise DegenerateModelError(
-            f"chain has {len(closed)} closed classes; states {sa} and {sb} do not communicate"
-        )
-    support = np.nonzero(labels == closed[0])[0]
+    reached = csgraph.breadth_first_order(q > 0, gen.space.hub, return_predecessors=False)
+    support = np.sort(reached)
     q_supp = q[support][:, support]
     mu_supp = _gth_solve(q_supp)
     lam = _uniformization_rate(q) or 1.0  # a chain without motion has one state
@@ -414,16 +392,14 @@ class GapResult:
     eigenvalue of the symmetrized generator. ``optimizer`` spans the full
     enumeration with zeros off the support. ``residual`` is ||Bv - gap v||
     for the symmetrized operator B and the unit eigenvector v behind
-    ``gap``. ``degenerate`` marks a one-point support, where no nonconstant
-    f exists.
+    ``gap``. ``method`` names the eigensolver, "direct" or "iterative".
     """
 
-    c_opt: float | None
-    gap: float | None
-    optimizer: np.ndarray | None
+    c_opt: float
+    gap: float
+    optimizer: np.ndarray
     method: str
-    degenerate: bool = False
-    residual: float | None = None
+    residual: float
 
 
 def poincare_constant(mu: StationaryDistribution) -> GapResult:
@@ -440,12 +416,14 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     methods. The iterative solver has no convergence guarantee, and a Ritz
     value that is too large would make C too small, so its result is
     refused with RuntimeError when the residual exceeds EIGEN_RESIDUAL_TOL.
+    A one-state support has no nonconstant f and is refused with
+    DegenerateModelError.
     """
     q = mu.generator.matrix
     support = mu.support
     ns = len(support)
-    if ns <= 1:
-        return GapResult(c_opt=None, gap=None, optimizer=None, method="none", degenerate=True)
+    if ns == 1:
+        raise DegenerateModelError("support has a single state; no gap defined")
     mu_s = mu.probabilities[support]
     if np.any(mu_s <= 0):
         raise ValueError("stationary mass underflowed to zero on the support")
@@ -489,7 +467,6 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
         gap=lam1,
         optimizer=f_full,
         method=method,
-        degenerate=False,
         residual=residual,
     )
 

@@ -118,6 +118,21 @@ class EnumeratedSpace:
         """Total firing rate per state."""
         return self.net.n_neurons * self.net._delta_f + self.net._slope_f * self.totals()
 
+    @cached_property
+    def hub(self) -> int:
+        """Index of the state every state lands on when neurons 0..N-1 fire once each.
+
+        A firing resets the neuron that fired, so afterwards each coordinate
+        holds only what later firings added, whatever the start: every state
+        reaches the hub, and the states it reaches are the one closed class.
+        """
+        ends = np.arange(len(self))
+        for i in range(self.net.n_neurons):
+            ends = self.targets[ends, i]
+        if (ends != ends[0]).any():
+            raise RuntimeError("the firing sequence 0..N-1 does not end at one state")
+        return int(ends[0])
+
 
 def enumerate_states(
     net: SynapticNetwork,
@@ -172,27 +187,19 @@ def enumerate_states(
 
 @dataclass(frozen=True)
 class SparseGenerator:
-    """Rate matrix of the saturated chain on an enumerated space.
+    """Rate matrix of the saturated chain on the enumerated ``space``.
 
     ``matrix`` is CSR with nonnegative off-diagonal rates and each diagonal
-    equal to minus its row's off-diagonal sum, so rows sum to zero. ``space``
-    is None when the generator was built directly from a raw matrix (used for
-    sanity chains in tests).
+    equal to minus its row's off-diagonal sum, so rows sum to zero. Row and
+    column k belong to state k of ``space``.
     """
 
     matrix: sp.csr_matrix
-    space: EnumeratedSpace | None = None
+    space: EnumeratedSpace
 
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
-
-    @staticmethod
-    def from_matrix(q) -> "SparseGenerator":
-        return SparseGenerator(matrix=sp.csr_matrix(q), space=None)
-
-    def row_sum_defect(self) -> float:
-        return float(np.abs(self.matrix.sum(axis=1)).max())
 
 
 def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGenerator:

@@ -13,10 +13,8 @@ import time
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pjmp import (
-    SparseGenerator,
     admissible_lambda,
     apply_generator,
     assemble_generator,
@@ -29,6 +27,7 @@ from pjmp import (
     jump_window_probabilities,
     lambda0_product,
     lyapunov_constants,
+    network_from_json,
     path_method_C0,
     poincare_constant,
     semigroup_poincare_report,
@@ -180,7 +179,7 @@ def test_criterion_4_lyapunov_drift(ring2):
     try:
         cert = lyapunov_constants(ring2, 0.8)
         assert cert.theta == 1.2
-        assert cert.b == 9.0
+        assert cert.b == 10.2
         assert cert.m == 34.0
         space = enumerate_states(ring2, ring2.zero_state(), 2.0 * cert.m)
         min_slack = min(check_lyapunov_pointwise(ring2, cert, x) for x in space.states)
@@ -210,13 +209,13 @@ def test_criterion_5_invariant_poincare(ring2, random_nets, ring2_m):
         var_s, en_s = variance_and_energy(mu, gap.optimizer)
         assert abs(var_s / en_s - gap.c_opt) <= 1e-6 * gap.c_opt
 
-        a, b = 0.7, 2.3
-        two_state = SparseGenerator.from_matrix(
-            sp.csr_matrix(np.array([[-a, a], [b, -b]]))
+        # at box 1 this chain has two states and the rates 0.7 and 2.3
+        two = network_from_json(
+            {"n": 2, "weights": [[0, 1], [0, 0]], "intensity": {"delta": 0.7, "slope": 1.6}}
         )
-        mu2 = stationary(two_state)
+        mu2 = stationary(assemble_generator(two, enumerate_states(two, two.zero_state(), 1.0)))
         gap2 = poincare_constant(mu2)
-        assert abs(gap2.c_opt - 1.0 / (a + b)) <= 1e-10
+        assert abs(gap2.c_opt - 1.0 / 3.0) <= 1e-10
 
         assert path_method_C0(mu).c0 >= gap.c_opt
         for net in random_nets:

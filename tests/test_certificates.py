@@ -13,7 +13,6 @@ import pjmp.spectral as spectral
 from conftest import make_random_net
 from pjmp import (
     DegenerateModelError,
-    SparseGenerator,
     StationaryDistribution,
     admissible_lambda,
     assemble_generator,
@@ -351,6 +350,13 @@ class TestSemigroupReport:
         with pytest.raises(ValueError, match="below t1"):
             semigroup_poincare_report(mu, t_grid=[0.01])
 
+    def test_single_state_support_refused(self, zero2):
+        # no suite function is nonconstant on one state, so no box can help
+        space = enumerate_states(zero2, zero2.zero_state(), 5.0)
+        mu = stationary(assemble_generator(zero2, space))
+        with pytest.raises(DegenerateModelError, match="single state"):
+            semigroup_poincare_report(mu)
+
     def test_suite_requires_outside_states(self, ring2_solved):
         space, _gen, _mu = ring2_solved
         with pytest.raises(ValueError, match="outside"):
@@ -470,25 +476,3 @@ class TestSemigroupReport:
         assert report.outside_term_max <= 1e-12
         assert report.fit_violation <= 1e-9
         assert len(report.d1_hat) == 4
-
-
-# a law solved from a bare matrix has no enumerated space to read
-SPACELESS_CALLS = {
-    "path_method_C0": lambda mu: path_method_C0(mu),
-    "compute_C3_sum_function": lambda mu: compute_C3_sum_function(mu, 0.1),
-    "admissible_lambda": lambda mu: admissible_lambda(mu, 1.0),
-    "talagrand_verdict": lambda mu: talagrand_verdict(
-        certificates.ConcentrationCertificate(c0=1.0, c3=1.0, n0=1.0, lam=0.1, lam0=1.0, q=0.01),
-        mu,
-        [1.0],
-    ),
-    "semigroup_poincare_report": lambda mu: semigroup_poincare_report(mu),
-    "semigroup_variance_profile": lambda mu: semigroup_variance_profile(mu, np.ones(2), [1.0]),
-}
-
-
-@pytest.mark.parametrize("name", list(SPACELESS_CALLS))
-def test_spaceless_law_refused(name):
-    mu = stationary(SparseGenerator.from_matrix([[-1.0, 1.0], [2.0, -2.0]]))
-    with pytest.raises(ValueError, match="must carry its enumerated space"):
-        SPACELESS_CALLS[name](mu)

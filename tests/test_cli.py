@@ -94,16 +94,24 @@ class TestExitCodes:
         proc = run_cli(["frobnicate", RING2], tmp_path)
         assert proc.returncode == 2, proc.stderr
 
-    def test_degenerate_model_exit_three(self, tmp_path):
+    @pytest.mark.parametrize(
+        "command", ["gap", "verify-poincare", "concentration", "semigroup-report"]
+    )
+    def test_degenerate_model_exit_three(self, tmp_path, command):
+        # no weights: every firing leaves the origin where it is, a one-state support
         model = tmp_path / "zero.json"
         model.write_text(
             json.dumps(
                 {"n": 2, "weights": [[0, 0], [0, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
             )
         )
-        for cmd in (["gap", str(model)], ["concentration", str(model)]):
-            proc = run_cli(cmd + ["--out", str(tmp_path / cmd[0])], tmp_path)
-            assert proc.returncode == 3, proc.stderr
+        proc = run_cli([command, str(model), "--out", str(tmp_path / "out")], tmp_path)
+        assert proc.returncode == 3, proc.stderr
+        assert proc.stderr.splitlines() == [
+            "degenerate model: support has a single state; no gap defined"
+        ]
+        assert proc.stdout == ""
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "changes",
@@ -181,7 +189,7 @@ class TestExitCodes:
             assert proc.returncode == 0, proc.stderr
         doc = json.loads((tmp_path / "verify-lyapunov" / "lyapunov.json").read_text())
         assert doc["verdict"] == "PASS"
-        assert (doc["theta"], doc["b"], doc["m"]) == (1.2, 9.0, 34.0)
+        assert (doc["theta"], doc["b"], doc["m"]) == (1.2, 10.2, 34.0)
 
 
 # rates near float's range, after one round of firings or from the start
@@ -323,6 +331,24 @@ class TestVerdictExitCode:
         assert code == 4
         doc = json.loads((tmp_path / "fail" / "lyapunov.json").read_text())
         assert doc["verdict"] == "FAIL"
+
+
+class TestDriftCertificate:
+    @pytest.mark.parametrize("w", ["0.1", "0.3", "0"])
+    def test_weak_coupling_passes(self, tmp_path, capsys, w):
+        # LV = delta (W_0 + W_1) at the origin, which the drift bound must
+        # cover; with b = sum_i phi(1 + W_i) W_i alone these failed
+        import pjmp.cli as cli
+
+        model = tmp_path / "ring.json"
+        model.write_text(
+            json.dumps(
+                {"n": 2, "weights": [[0, w], [w, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
+            )
+        )
+        assert cli.main(["verify-lyapunov", str(model), "--out", str(tmp_path / "vl")]) == 0
+        doc = json.loads((tmp_path / "vl" / "lyapunov.json").read_text())
+        assert doc["verdict"] == "PASS" and doc["min_slack"] >= 0.0
 
 
 class TestSolverFailureExitCode:
@@ -519,9 +545,6 @@ class TestManifest:
         assert hashes[0] != hashes[1]
 
 
-ZERO = {"n": 2, "weights": [[0, 0], [0, 0]], "intensity": {"delta": 1.5, "slope": 1.5}}
-
-
 def _run_in_process(tmp_path, argv, model=RING2):
     import pjmp.cli as cli
 
@@ -558,28 +581,22 @@ class TestReportFiles:
                         float(cell)
 
     @pytest.mark.parametrize(
-        "model, argv, code",
+        "argv",
         [
-            ("ring2", ["simulate", "--t", "2", "--replicas", "10"], 0),
-            ("ring2", ["stationary", "--m-box", "10"], 0),
-            ("ring2", ["stationary", "--m-box", "10", "--export-generator"], 0),
-            ("ring2", ["gap", "--m-box", "10"], 0),
-            ("ring2", ["gap", "--m-box", "10", "--export-generator"], 0),
-            ("ring2", ["verify-lyapunov"], 0),
-            ("ring2", ["verify-poincare", "--m-box", "10", "--n-functions", "20"], 0),
-            ("ring2", ["concentration", "--m-box", "10"], 0),
-            ("ring2", ["semigroup-report", "--m-box", "10"], 0),
-            ("zero", ["gap", "--m-box", "5"], 3),
-            ("zero", ["verify-poincare", "--m-box", "5"], 3),
-            ("zero", ["concentration", "--m-box", "5"], 3),
+            ["simulate", "--t", "2", "--replicas", "10"],
+            ["stationary", "--m-box", "10"],
+            ["stationary", "--m-box", "10", "--export-generator"],
+            ["gap", "--m-box", "10"],
+            ["gap", "--m-box", "10", "--export-generator"],
+            ["verify-lyapunov"],
+            ["verify-poincare", "--m-box", "10", "--n-functions", "20"],
+            ["concentration", "--m-box", "10"],
+            ["semigroup-report", "--m-box", "10"],
         ],
     )
-    def test_manifest_names_what_was_written(self, tmp_path, model, argv, code):
-        zero = tmp_path / "zero.json"
-        zero.write_text(json.dumps(ZERO))
-        models = {"ring2": RING2, "zero": str(zero)}
-        got, out = _run_in_process(tmp_path, argv, models[model])
-        assert got == code
+    def test_manifest_names_what_was_written(self, tmp_path, argv):
+        got, out = _run_in_process(tmp_path, argv)
+        assert got == 0
         written = sorted(path.name for path in out.iterdir())
         (report,) = [name for name in written if name.endswith(".json")]
         doc = json.loads((out / report).read_text())
@@ -618,7 +635,7 @@ REPORT_KEYS = {
     ),
     ("gap", "--m-box", "10"): (
         "gap.json",
-        (*_HEAD, "C_opt", "degenerate", "dims", "dims.states", "dims.support", "gap",
+        (*_HEAD, "C_opt", "dims", "dims.states", "dims.support", "gap",
          "method", "residuals", "residuals.eigenpair", "residuals.stationary"),
     ),
     ("verify-lyapunov",): (

@@ -179,12 +179,13 @@ class TestLyapunov:
     def test_exact_reference_constants(self, ring2):
         cert = lyapunov_constants(ring2, 0.8)
         assert cert.theta == 1.2
-        assert cert.b == 9.0
+        assert cert.b == 10.2
         assert cert.m == 34.0
         assert cert.strong
 
-    def test_zero_weights_have_zero_b(self, zero2):
-        assert lyapunov_constants(zero2, 0.8).b == 0.0
+    def test_zero_weights_leave_b_at_theta(self, zero2):
+        cert = lyapunov_constants(zero2, 0.8)
+        assert cert.b == cert.theta
 
     def test_m_blows_up_as_alpha_approaches_one(self, ring2):
         ms = [lyapunov_constants(ring2, a).m for a in (0.9, 0.99, 0.999, 0.9999)]
@@ -198,8 +199,8 @@ class TestLyapunov:
 
     def test_pointwise_slack_examples(self, ring2):
         cert = lyapunov_constants(ring2, 0.8)
-        assert check_lyapunov_pointwise(ring2, cert, ring2.state([1, 0])) == pytest.approx(5.1)
-        assert check_lyapunov_pointwise(ring2, cert, ring2.zero_state()) == pytest.approx(4.8)
+        assert check_lyapunov_pointwise(ring2, cert, ring2.state([1, 0])) == pytest.approx(6.3)
+        assert check_lyapunov_pointwise(ring2, cert, ring2.zero_state()) == pytest.approx(6.0)
 
     def test_slack_nonnegative_far_out(self, ring2):
         cert = lyapunov_constants(ring2, 0.8)

@@ -8,6 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -15,13 +16,18 @@ import pjmp.spectral as spectral
 from conftest import make_random_net
 from pjmp import (
     DegenerateModelError,
+    IntensityFunction,
     SparseGenerator,
+    SynapticNetwork,
     assemble_generator,
     enumerate_states,
     estimate_weight_F,
     gamma_vector,
+    jump_map,
+    network_from_json,
     poincare_constant,
     propagate_function,
+    saturate,
     semigroup_variance_profile,
     stationary,
     transient_distribution,
@@ -89,9 +95,9 @@ def _exact_rates(net, m_box):
     """Rows of rational rates k -> j on the closed class of the box, in the
     order stationary() gives its support, and the matching float generator."""
     space = enumerate_states(net, net.zero_state(), m_box)
-    q = assemble_generator(net, space).matrix
-    closed, labels = spectral._closed_classes(q)
-    support = np.nonzero(labels == closed[0])[0]
+    gen = assemble_generator(net, space)
+    q = gen.matrix
+    support = stationary(gen).support
     position = {int(k): j for j, k in enumerate(support)}
     delta, slope = net.intensity.delta, net.intensity.slope
     rows = []
@@ -112,10 +118,52 @@ def _max_relative_error(got, want) -> float:
 def _support_generator(net, m_box) -> sp.csr_matrix:
     """Rate matrix restricted to the closed class, as stationary() slices it."""
     space = enumerate_states(net, net.zero_state(), m_box)
-    q = assemble_generator(net, space).matrix
-    closed, labels = spectral._closed_classes(q)
-    support = np.nonzero(labels == closed[0])[0]
-    return q[support][:, support]
+    gen = assemble_generator(net, space)
+    support = stationary(gen).support
+    return gen.matrix[support][:, support]
+
+
+def _closed_classes(q: sp.csr_matrix):
+    """Strongly connected components of the positive-rate graph, split into
+    closed (no outgoing rate) and open ones. Returns (closed_labels, labels).
+
+    The reference for the support stationary() takes from the reset hub.
+    """
+    adj = sp.csr_matrix((q > 0).astype(np.int8))
+    ncc, labels = csgraph.connected_components(adj, connection="strong")
+    coo = q.tocoo()
+    leaves = (coo.data > 0) & (labels[coo.row] != labels[coo.col])
+    has_exit = np.zeros(ncc, dtype=bool)
+    has_exit[labels[coo.row[leaves]]] = True
+    closed = np.flatnonzero(~has_exit).tolist()
+    return closed, labels
+
+
+def _uniform(q_supp) -> np.ndarray:
+    return np.full(q_supp.shape[0], 1.0 / q_supp.shape[0])
+
+
+def _check_hub_and_support(net, m_box) -> None:
+    """Every state lands on space.hub when neurons 0..N-1 fire once each, in
+    order, and stationary()'s support is the one closed class of the chain.
+
+    The solves do not touch the support, so uniform stand-ins replace them:
+    that keeps the large boxes fast.
+    """
+    space = enumerate_states(net, net.zero_state(), m_box)
+    hub = space.states[space.hub]
+    for x in space.states:
+        for i in range(net.n_neurons):
+            x = saturate(jump_map(net, x, i), m_box)
+        assert x == hub
+    gen = assemble_generator(net, space)
+    closed, labels = _closed_classes(gen.matrix)
+    assert len(closed) == 1
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("_gth_solve", "_dense_nullspace_solve", "_power_iteration_solve"):
+            mp.setattr(spectral, name, _uniform)
+        support = stationary(gen).support
+    assert np.array_equal(support, np.flatnonzero(labels == closed[0]))
 
 
 @st.composite
@@ -517,21 +565,6 @@ class TestStationary:
         mu = stationary(gen)
         assert mu.probabilities[space.position(single1.zero_state())] == 1.0
 
-    def test_multiple_closed_classes_named(self):
-        # two disconnected 2-cycles
-        q = sp.csr_matrix(
-            np.array(
-                [
-                    [-1.0, 1.0, 0.0, 0.0],
-                    [1.0, -1.0, 0.0, 0.0],
-                    [0.0, 0.0, -2.0, 2.0],
-                    [0.0, 0.0, 2.0, -2.0],
-                ]
-            )
-        )
-        with pytest.raises(DegenerateModelError, match="do not communicate"):
-            stationary(SparseGenerator.from_matrix(q))
-
     def test_probabilities_normalized(self, ring2_box10):
         _space, _gen, mu = ring2_box10
         assert mu.probabilities.sum() == pytest.approx(1.0, abs=1e-14)
@@ -543,6 +576,45 @@ class TestStationary:
         mu = stationary(gen)
         assert mu.dense_tv is None
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
+
+
+HUB_RUNGS = {
+    "ring2-m10": (None, 10.0),
+    "ring2-m34": (None, 34.0),
+    "ring2-m68": (None, 68.0),
+    "rand3-m10": ((1, 3), 10.0),
+    "rand3-m24": ((1, 3), 24.0),
+    "rand3-m48": ((1, 3), 48.0),
+    "rand4-m8": ((5, 4), 8.0),
+    "rand4-m12": ((5, 4), 12.0),
+    "n5-m4": ((7, 5), 4.0),
+}
+
+
+@st.composite
+def small_nets(draw):
+    """Nets of 2-4 neurons with lattice weights, and a box of a few hundred
+    states at most."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    weight = st.sampled_from([Fraction(0), Fraction(1), Fraction(2), Fraction(1, 2)])
+    w = tuple(tuple(Fraction(0) if i == j else draw(weight) for j in range(n)) for i in range(n))
+    rate = st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=10)
+    intensity = IntensityFunction(delta=draw(rate), slope=draw(rate))
+    m_box = draw(st.integers(min_value=1, max_value=2 * (6 - n))) / 2
+    return SynapticNetwork(n_neurons=n, weights=w, intensity=intensity), m_box
+
+
+class TestHub:
+    @pytest.mark.parametrize("rung", list(HUB_RUNGS))
+    def test_hub_reach_is_the_closed_class(self, ring2, rung):
+        seed_n, m_box = HUB_RUNGS[rung]
+        net = ring2 if seed_n is None else make_random_net(*seed_n)
+        _check_hub_and_support(net, m_box)
+
+    @settings(max_examples=60, deadline=None)
+    @given(small_nets())
+    def test_hub_reach_is_the_closed_class_on_random_nets(self, net_and_box):
+        _check_hub_and_support(*net_and_box)
 
 
 class TestTransient:
@@ -645,21 +717,26 @@ class TestQuadraticForms:
             assert left == pytest.approx(right, rel=1e-12, abs=1e-12)
 
 
+# at box 1 the origin fires neuron 0 into (0, 1) at rate 0.7, (0, 1) fires
+# neuron 1 back at rate 0.7 + 1.6 = 2.3, and every other firing is a no-op
+TWO_STATE = {"n": 2, "weights": [[0, 1], [0, 0]], "intensity": {"delta": 0.7, "slope": 1.6}}
+
+
 class TestPoincare:
     def test_two_state_closed_form(self):
-        a, b = 0.7, 2.3
-        q = sp.csr_matrix(np.array([[-a, a], [b, -b]]))
-        gen = SparseGenerator.from_matrix(q)
+        net = network_from_json(TWO_STATE)
+        gen = assemble_generator(net, enumerate_states(net, net.zero_state(), 1.0))
+        assert gen.matrix.toarray().tolist() == [[-0.7, 0.7], [2.3, -2.3]]
         mu = stationary(gen)
         gap = poincare_constant(mu)
-        assert gap.c_opt == pytest.approx(1.0 / (a + b), rel=1e-10)
+        assert gap.c_opt == pytest.approx(1.0 / 3.0, rel=1e-10)
 
     def test_degenerate_single_state(self, zero2):
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
         gen = assemble_generator(zero2, space)
         mu = stationary(gen)
-        gap = poincare_constant(mu)
-        assert gap.degenerate and gap.c_opt is None
+        with pytest.raises(DegenerateModelError, match="single state"):
+            poincare_constant(mu)
 
     def test_rayleigh_oracle(self, ring2_box10):
         _space, gen, mu = ring2_box10
