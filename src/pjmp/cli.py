@@ -263,6 +263,7 @@ def cmd_verify_poincare(args, net) -> Report:
         "path_max_length": path.max_path_length,
         "n_functions": args.n_functions,
         "checks": checks,
+        "stationary_residual": mu.residual,
         "verdict": verdict,
     }
     return Report({"poincare.json": doc}, code, f"poincare: {verdict} (C_opt {gap.c_opt:.6g})")
@@ -285,6 +286,7 @@ def cmd_concentration(args, net) -> Report:
         "q": cert.q,
         "mu_F": report.mu_F,
         "rows": rows,
+        "stationary_residual": mu.residual,
         "verdict": verdict,
     }
     columns = [name for name in rows[0] if name != "ok"]  # the row's fields, in order

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -156,7 +157,9 @@ def _dense_nullspace_solve(q_supp: np.ndarray) -> np.ndarray:
 
 
 def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
-    """Stationary vector from power iteration on P = I + Q/Lambda."""
+    """Stationary vector from power iteration on the lazy kernel
+    P = I + Q/(2 Lambda). Its eigenvalues lie in the disc of radius 1/2
+    about 1/2, so none is near -1 and no iterate oscillates."""
     n = q_supp.shape[0]
     if n == 1:
         return np.ones(1)
@@ -164,7 +167,7 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     if lam <= 0:
         raise ValueError("support has no motion; power iteration undefined")
     # v @ P, as the transposed kernel applied to v; built once
-    p_t = _discrete_kernel(q_supp, lam).T.tocsr()
+    p_t = _discrete_kernel(q_supp, 2.0 * lam).T.tocsr()
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAXITER):
         v2 = p_t @ v
@@ -184,20 +187,17 @@ class StationaryDistribution:
 
     ``probabilities`` spans the whole enumeration, with exact zeros on
     transient states. ``support`` holds the sorted indices of the closed
-    class of ``generator``, the chain the law was solved from. ``residual``
-    is max |mu Q| / Lambda, the residual of mu under the uniformized kernel
-    P = I + Q/Lambda, so it does not scale with the rates. ``dense_tv`` /
-    ``power_tv`` record the total variation distance of the primary
-    (elimination-based) solution to the dense null-space and power-iteration
-    cross-checks, when those ran.
+    class of ``generator``, the chain the law was solved from. The rest is
+    computed from these when first read, and kept: ``residual`` is
+    max |mu Q| / Lambda, the residual under the uniformized kernel
+    P = I + Q/Lambda, so it does not scale with the rates; ``dense_tv`` /
+    ``power_tv`` are the total variation distances to the dense null-space
+    solve (None above DENSE_CUTOFF support states) and to power iteration.
     """
 
     probabilities: np.ndarray
-    residual: float
     support: np.ndarray
     generator: SparseGenerator = field(repr=False)
-    dense_tv: float | None = None
-    power_tv: float | None = None
 
     def expectation(self, f: np.ndarray) -> float:
         return float(self.probabilities @ np.asarray(f, dtype=float))
@@ -207,45 +207,45 @@ class StationaryDistribution:
         """The enumerated space of ``generator``."""
         return self.generator.space
 
+    @cached_property
+    def residual(self) -> float:
+        q = self.generator.matrix
+        return float(np.abs(self.probabilities @ q).max() / (_uniformization_rate(q) or 1.0))
+
+    @cached_property
+    def dense_tv(self) -> float | None:
+        if len(self.support) > DENSE_CUTOFF:
+            return None
+        q = self.generator.matrix
+        q_supp = q[self.support][:, self.support] / (_uniformization_rate(q) or 1.0)
+        return self._tv(_dense_nullspace_solve(q_supp.toarray()))
+
+    @cached_property
+    def power_tv(self) -> float:
+        q_supp = self.generator.matrix[self.support][:, self.support]
+        return self._tv(_power_iteration_solve(q_supp))
+
+    def _tv(self, other: np.ndarray) -> float:
+        return float(0.5 * np.abs(self.probabilities[self.support] - other).sum())
+
 
 def stationary(gen: SparseGenerator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
     Every state reaches the reset hub (``EnumeratedSpace.hub``), so the
     states the hub reaches are the chain's one closed class, and the support
-    is found by a breadth-first search from the hub. The primary solve is
-    GTH elimination, sparse rounds and then a dense tail (see _gth_solve),
-    with componentwise relative accuracy, needed because tail states can
-    carry mass far below the absolute float noise floor of a dense LU solve.
-    The dense null-space solve (up to DENSE_CUTOFF support states) and power
-    iteration on the uniformized kernel (at any size) run as cross-checks.
+    is found by a breadth-first search from the hub. The solve is GTH
+    elimination, sparse rounds and then a dense tail (see _gth_solve), with
+    componentwise relative accuracy, needed because tail states can carry
+    mass far below the absolute float noise floor of a dense LU solve. The
+    residual and the cross-checks run when read (see StationaryDistribution).
     """
     q = gen.matrix
-    n = q.shape[0]
     reached = csgraph.breadth_first_order(q > 0, gen.space.hub, return_predecessors=False)
     support = np.sort(reached)
-    q_supp = q[support][:, support]
-    mu_supp = _gth_solve(q_supp)
-    lam = _uniformization_rate(q) or 1.0  # a chain without motion has one state
-
-    dense_tv = None
-    if len(support) <= DENSE_CUTOFF:
-        mu_dense = _dense_nullspace_solve((q_supp / lam).toarray())
-        dense_tv = float(0.5 * np.abs(mu_supp - mu_dense).sum())
-    mu_power = _power_iteration_solve(q_supp)
-    power_tv = float(0.5 * np.abs(mu_supp - mu_power).sum())
-
-    mu = np.zeros(n)
-    mu[support] = mu_supp
-    residual = float(np.abs(mu @ q).max() / lam)
-    return StationaryDistribution(
-        probabilities=mu,
-        residual=residual,
-        support=support,
-        generator=gen,
-        dense_tv=dense_tv,
-        power_tv=power_tv,
-    )
+    mu = np.zeros(q.shape[0])
+    mu[support] = _gth_solve(q[support][:, support])
+    return StationaryDistribution(mu, support, gen)
 
 
 # -- uniformization -----------------------------------------------------------

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import pjmp
-from pjmp import IntensityFunction, SynapticNetwork, network_from_json, simulate
+from pjmp import IntensityFunction, SynapticNetwork, network_from_json, simulate, spectral
 
 # one record per acceptance criterion: (number, label, passed)
 ACCEPTANCE_RESULTS = []
@@ -32,6 +32,25 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fresh_seeded_walk():
     """Forget the last seeded walk, so no test reads a path an earlier one walked."""
     simulate._seeded_walk.cache_clear()
+
+
+# exit rates 2.2 and 2.3 at box 1, law (23, 22)/45: the kernel I + Q/Lambda
+# has an eigenvalue near -1, and power iteration on it never settled
+NEAR_EQUAL_RATES = {"n": 2, "weights": [[0, 0], [1, 0]], "intensity": {"delta": 2.2, "slope": 0.1}}
+
+
+@pytest.fixture
+def cross_check_calls(monkeypatch) -> dict:
+    """Counts of the calls of the stationary law's two cross-check solvers, by name."""
+    calls = {}
+    for name in ("_dense_nullspace_solve", "_power_iteration_solve"):
+        def counted(q_supp, name=name, solve=getattr(spectral, name)):
+            calls[name] += 1
+            return solve(q_supp)
+
+        calls[name] = 0
+        monkeypatch.setattr(spectral, name, counted)
+    return calls
 
 
 def child_env() -> dict:

@@ -114,7 +114,7 @@ class TestPathMethod:
         origin = space.position(ring2.zero_state())
         support = np.sort(np.append(mu.support, origin))
         probs = np.full(len(space), 1.0 / len(support))
-        fake = StationaryDistribution(probs, 0.0, support, gen)
+        fake = StationaryDistribution(probs, support, gen)
         monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
         with pytest.raises(ValueError, match="not a closed class"):
             path_method_C0(fake)

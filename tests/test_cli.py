@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from conftest import child_env
+from conftest import NEAR_EQUAL_RATES, child_env
 from pjmp import assemble_generator, enumerate_states
 
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
@@ -553,6 +553,36 @@ def _run_in_process(tmp_path, argv, model=RING2):
     return code, out
 
 
+class TestStationaryCrossChecks:
+    """Only `pjmp stationary` prints the law's cross-checks, so only it runs them."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["gap"], ["verify-poincare", "--n-functions", "5"], ["concentration"],
+         ["semigroup-report"]],
+        ids=lambda argv: argv[0],
+    )
+    def test_law_commands_run_no_cross_check(self, tmp_path, cross_check_calls, argv):
+        code, _out = _run_in_process(tmp_path, [*argv, "--m-box", "10"])
+        assert code == 0
+        assert cross_check_calls == {"_dense_nullspace_solve": 0, "_power_iteration_solve": 0}
+
+    def test_stationary_runs_each_cross_check_once(self, tmp_path, cross_check_calls):
+        code, _out = _run_in_process(tmp_path, ["stationary", "--m-box", "10"])
+        assert code == 0
+        assert cross_check_calls == {"_dense_nullspace_solve": 1, "_power_iteration_solve": 1}
+
+    @pytest.mark.parametrize("command", ["stationary", "gap", "verify-poincare", "concentration"])
+    def test_near_equal_rates(self, tmp_path, command):
+        # each exited 2 after 4.8 s, when power iteration stalled on this chain
+        model = tmp_path / "near-equal.json"
+        model.write_text(json.dumps(NEAR_EQUAL_RATES))
+        code, out = _run_in_process(tmp_path, [command, "--m-box", "1"], model=str(model))
+        assert code == 0
+        if command == "stationary":
+            assert json.loads((out / "stationary.json").read_text())["power_tv"] <= 1e-10
+
+
 class TestReportFiles:
     @pytest.mark.parametrize(
         "argv",
@@ -648,13 +678,13 @@ REPORT_KEYS = {
         (*_HEAD, "C_opt", "checks", "checks.optimizer_achieves_C_opt",
          "checks.path_bound_dominates", "checks.sup_rayleigh_below_C_opt",
          "checks.variance_dominated", "n_functions", "optimizer_ratio", "path_c0",
-         "path_max_length", "sup_rayleigh", "verdict", "worst_excess"),
+         "path_max_length", "stationary_residual", "sup_rayleigh", "verdict", "worst_excess"),
     ),
     ("concentration", "--m-box", "10"): (
         "concentration.json",
         (*_HEAD, "C0", "C3", "N0", "lambda", "lambda0", "mu_F", "q", "rows", "rows[].bound",
          "rows[].centered_bound", "rows[].centered_exact", "rows[].exact", "rows[].ok",
-         "rows[].r", "verdict"),
+         "rows[].r", "stationary_residual", "verdict"),
     ),
     ("semigroup-report", "--m-box", "10"): (
         "semigroup.json",

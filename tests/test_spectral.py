@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import pjmp.spectral as spectral
-from conftest import make_random_net
+from conftest import NEAR_EQUAL_RATES, make_random_net
 from pjmp import (
     DegenerateModelError,
     IntensityFunction,
@@ -147,8 +147,8 @@ def _check_hub_and_support(net, m_box) -> None:
     """Every state lands on space.hub when neurons 0..N-1 fire once each, in
     order, and stationary()'s support is the one closed class of the chain.
 
-    The solves do not touch the support, so uniform stand-ins replace them:
-    that keeps the large boxes fast.
+    The GTH solve does not touch the support, so a uniform stand-in replaces
+    it: that keeps the large boxes fast.
     """
     space = enumerate_states(net, net.zero_state(), m_box)
     hub = space.states[space.hub]
@@ -160,8 +160,7 @@ def _check_hub_and_support(net, m_box) -> None:
     closed, labels = _closed_classes(gen.matrix)
     assert len(closed) == 1
     with pytest.MonkeyPatch.context() as mp:
-        for name in ("_gth_solve", "_dense_nullspace_solve", "_power_iteration_solve"):
-            mp.setattr(spectral, name, _uniform)
+        mp.setattr(spectral, "_gth_solve", _uniform)
         support = stationary(gen).support
     assert np.array_equal(support, np.flatnonzero(labels == closed[0]))
 
@@ -264,14 +263,15 @@ class TestGTHSolver:
         tracemalloc.start()
         try:
             mu = stationary(gen)
+            dense_tv, power_tv = mu.dense_tv, mu.power_tv
             _current, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         n = len(mu.support)
         assert n == 2107 and n > spectral.DENSE_CUTOFF
         assert peak < 0.5 * 8 * n * n
-        assert mu.dense_tv is None
-        assert mu.power_tv is not None and mu.power_tv <= 1e-10
+        assert dense_tv is None
+        assert power_tv <= 1e-10
 
 
 def _log_pmf(m: float, k: int) -> float:
@@ -523,6 +523,26 @@ class TestStationary:
         assert mu.dense_tv is not None and mu.dense_tv <= 1e-10
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
 
+    def test_solve_runs_no_cross_check(self, ring2_box10, cross_check_calls):
+        _space, gen, _mu = ring2_box10
+        stationary(gen)
+        assert cross_check_calls == {"_dense_nullspace_solve": 0, "_power_iteration_solve": 0}
+
+    def test_each_cross_check_runs_once_when_read(self, ring2_box10, cross_check_calls):
+        _space, gen, _mu = ring2_box10
+        mu = stationary(gen)
+        first = (mu.residual, mu.dense_tv, mu.power_tv)
+        assert (mu.residual, mu.dense_tv, mu.power_tv) == first
+        assert cross_check_calls == {"_dense_nullspace_solve": 1, "_power_iteration_solve": 1}
+
+    def test_power_iteration_settles_on_near_equal_rates(self):
+        net = network_from_json(NEAR_EQUAL_RATES)
+        space = enumerate_states(net, net.zero_state(), 1.0)
+        mu = stationary(assemble_generator(net, space))
+        assert mu.power_tv <= 1e-10
+        assert mu.dense_tv <= 1e-10
+        assert sorted(mu.probabilities) == pytest.approx([22 / 45, 23 / 45], rel=1e-14)
+
     def test_law_carries_its_generator(self, ring2_box10):
         _space, gen, mu = ring2_box10
         assert mu.generator is gen
@@ -536,8 +556,8 @@ class TestStationary:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # scipy's LinAlgWarning on an unscaled solve
             big = stationary(scaled)
-        assert big.residual <= 1e-12
-        assert big.dense_tv <= 1e-10
+            assert big.residual <= 1e-12
+            assert big.dense_tv <= 1e-10
         assert np.allclose(big.probabilities, mu.probabilities, rtol=1e-12, atol=0)
 
     def test_zero_inflow_state_is_transient(self, ring2_box10):
