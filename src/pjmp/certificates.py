@@ -63,36 +63,36 @@ class PathMethodReport:
     max_path_length: int
 
 
-PATH_CHUNK = 512  # BFS sources per batch: distances take O(PATH_CHUNK * n) memory
-
-
 def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
-    """Evaluate the path-method constant and the firing-path diameter.
+    """Evaluate the path-method constant and the exact firing-path diameter.
 
-    Shortest firing sequences between all ordered support pairs are found by
-    breadth-first search on the positive pattern of the support generator,
-    PATH_CHUNK sources at a time. Off-diagonal rates are at least delta > 0
-    and the diagonal is negative, so that pattern is the firing graph. The
-    maximum length certifies the uniform boundedness the constant relies
-    on. The support ``stationary()`` returns is a closed class, so every
-    pair is joined by a path inside it; a support with an unreachable pair,
-    which only a hand-built law can have, is refused with ValueError.
+    Distances are breadth-first searches on the support generator's positive
+    pattern, the firing graph. Every state reaches the reset hub h, so with
+    reach = max_x d(x, h) <= N, d(x, y) <= reach + d(h, y); searches into y in
+    decreasing d(h, y) stop once that bound is at most the longest path found.
+    A support that is not a closed class, so misses h or a path to or from h,
+    comes only from a hand-built law and is refused with ValueError.
     """
     net = mu.space.net
     support = mu.support
-    ns = len(support)
     min_mu = float(mu.probabilities[support].min())
     delta = float(net.intensity.delta)
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
+    not_closed = ValueError("the support of mu is not a closed class of its generator")
+    hub = np.flatnonzero(support == mu.space.hub)
+    if not hub.size:
+        raise not_closed
     adj = mu.generator.matrix[support][:, support] > 0
-    max_len = 0
-    for lo in range(0, ns, PATH_CHUNK):
-        dist = csgraph.shortest_path(
-            adj, unweighted=True, indices=np.arange(lo, min(lo + PATH_CHUNK, ns))
-        )
-        if not np.isfinite(dist).all():
-            raise ValueError("the support of mu is not a closed class of its generator")
-        max_len = max(max_len, int(dist.max()))
+    rev = adj.T.tocsr()
+    from_h, to_h = (csgraph.shortest_path(a, unweighted=True, indices=hub[0]) for a in (adj, rev))
+    if not np.isfinite([from_h, to_h]).all():
+        raise not_closed
+    reach = int(to_h.max())
+    max_len = max(reach, int(from_h.max()))
+    for y in np.argsort(-from_h, kind="stable"):
+        if from_h[y] + reach <= max_len:
+            break
+        max_len = max(max_len, int(csgraph.shortest_path(rev, unweighted=True, indices=y).max()))
     return PathMethodReport(c0=c0, max_path_length=max_len)
 
 

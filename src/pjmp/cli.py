@@ -2,11 +2,11 @@
 
 One command per process; all randomness flows from --seed, an integer in
 [0, 2**64) (default 0). Each ``cmd_*`` function only computes: it returns a
-Report of the files it would write, its stdout and stderr lines and its exit
-code. ``_write`` then builds the run manifest (whose ``outputs`` are the
-names of the files handed to it), renders every file with the manifest's
-hash embedded, and only then makes --out, writes the files and prints. A
-command that raises, or a file that cannot be rendered, writes nothing. JSON
+Report of the files it would write, its stdout line and its exit code.
+``_write`` then builds the run manifest (whose ``outputs`` are the names of
+the files handed to it), renders every file with the manifest's hash
+embedded, and only then makes --out, writes the files and prints. A command
+that raises, or a file that cannot be rendered, writes nothing. JSON
 reports are strict JSON with sorted keys: a report that would hold an inf or
 a nan is refused (exit 2) and nothing is written. CSV cells are plain
 decimal ints and float reprs. A rate matrix is written in MatrixMarket
@@ -60,7 +60,7 @@ EXIT_VERDICT_FAIL = 4
 
 
 class Report(NamedTuple):
-    """What a command computed: the files to write, its exit code and its lines.
+    """What a command computed: the files to write, its exit code and its line.
 
     ``files`` maps each file name to a JSON payload (dict), a CSV column
     header with its rows (tuple), or a sparse rate matrix (MatrixMarket).
@@ -69,7 +69,6 @@ class Report(NamedTuple):
     files: dict
     code: int = EXIT_OK
     stdout: str = ""
-    stderr: str = ""
 
 
 def _cell(value) -> str:
@@ -117,8 +116,6 @@ def _write(args, net, report: Report) -> int:
         (out / name).write_text(text, encoding="utf-8")
     if report.stdout:
         print(report.stdout)
-    if report.stderr:
-        print(report.stderr, file=sys.stderr)
     return report.code
 
 

@@ -38,10 +38,11 @@ the seed, so one walk serves ``simulate_path``, ``ergodic_average`` and
 arrays of about 16 bytes per event, until the next seeded path replaces it.
 
 Every run has an event budget of MAX_EVENTS events. Before walking, a run
-from x over time t with R replicas expects about R * t * max(Phi(x),
-Phi(h)) events in all, with Phi the total rate and h the state reached from
-x by firing neurons 0..N-1 once each; a run that expects more is refused
-with RuntimeError. A path that passes MAX_EVENTS events all the same (its
+from x over time t with R replicas expects about R * (1 + t * max(Phi(x),
+Phi(h))) events in all, with Phi the total rate and h the state reached
+from x by firing neurons 0..N-1 once each: every replica draws at least the
+event that ends past t. A run that expects more is refused with
+RuntimeError. A path that passes MAX_EVENTS events all the same (its
 rates grow further out) stops with the same error, in ``_walk`` at a refill
 and in ``_race_block`` at a step.
 """
@@ -195,12 +196,13 @@ def _over_budget(events: float) -> RuntimeError:
 
 
 def _check_budget(net: SynapticNetwork, x: PotentialState, t: float, replicas: int) -> None:
-    """Refuse a run whose expected event count, replicas * t * max(Phi(x), Phi(h)),
-    exceeds MAX_EVENTS; h is x after neurons 0..N-1 fire once each."""
+    """Refuse a run whose expected event count, replicas * (1 + t * max(Phi(x),
+    Phi(h))), exceeds MAX_EVENTS; h is x after neurons 0..N-1 fire once each,
+    and the 1 is the event each replica draws past t."""
     h = x
     for i in range(net.n_neurons):
         h = jump_map(net, h, i)
-    expected = replicas * t * max(total_intensity(net, x), total_intensity(net, h))
+    expected = replicas * (1 + t * max(total_intensity(net, x), total_intensity(net, h)))
     if not expected <= MAX_EVENTS:
         raise _over_budget(expected)
 

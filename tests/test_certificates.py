@@ -1,6 +1,7 @@
 """Certificate constants: path bound, exponential-moment coefficients, tails."""
 
 import dataclasses
+import functools
 import math
 import warnings
 
@@ -31,7 +32,7 @@ from pjmp import (
     talagrand_verdict,
 )
 from test_spectral import profile_oracle
-from test_tables import _adjacency_oracle
+from test_tables import _adjacency_oracle, _bench_net
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +48,7 @@ def _bfs_oracle(adj):
 
     adj is the firing graph on the support, from the object-walking
     ``_adjacency_oracle``, not from the generator path_method_C0 reads.
-    Returns the longest shortest path, which the vectorised search must
+    Returns the longest shortest path, which the search through the hub must
     reproduce; the graph must be strongly connected.
     """
     ns = adj.shape[0]
@@ -76,6 +77,12 @@ def _solved(net, m_box):
     return space, gen, stationary(gen)
 
 
+@functools.lru_cache(maxsize=None)
+def _named_solved(name, m_box):
+    """A bundled model, or make_random_net(1) for "random1", solved on a box."""
+    return _solved(make_random_net(1) if name == "random1" else _bench_net(name), m_box)
+
+
 class TestPathMethod:
     def test_single_state_degenerate(self, zero2):
         space = enumerate_states(zero2, zero2.zero_state(), 5.0)
@@ -95,27 +102,61 @@ class TestPathMethod:
         assert report.max_path_length == 5
 
     @pytest.mark.parametrize(
-        "model, m_box, chunk",
-        [("ring2", 10.0, 512), ("ring2", 34.0, 5), ("rand3", 8.0, 512), ("rand3", 10.0, 100)],
+        "model, m_box",
+        [
+            ("ring2", 10.0),
+            ("ring2", 34.0),
+            ("random1", 8.0),
+            ("random1", 10.0),
+            ("rand3", 24.0),
+            ("rand4", 8.0),  # 27 searches into y: the loop runs past its first
+        ],
     )
-    def test_matches_bfs_oracle(self, ring2, monkeypatch, model, m_box, chunk):
-        net = ring2 if model == "ring2" else make_random_net(1)
-        space, gen, mu = _solved(net, m_box)
-        monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
+    def test_matches_bfs_oracle(self, model, m_box):
+        space, gen, mu = _named_solved(model, m_box)
         report = path_method_C0(mu)
-        adj = _adjacency_oracle(net, space.states, m_box, mu.support)
+        adj = _adjacency_oracle(space.net, space.states, m_box, mu.support)
         assert report.max_path_length == _bfs_oracle(adj)
 
-    @pytest.mark.parametrize("chunk", [512, 3])
-    def test_support_that_is_not_a_closed_class_is_refused(self, ring2, monkeypatch, chunk):
-        # adding the origin, which nothing fires into, to the support leaves
-        # every pair (x, origin) unreachable
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m_box=st.integers(1, 5),
+    )
+    def test_matches_bfs_oracle_on_random_nets(self, seed, n, m_box):
+        # d(x, y) <= reach + d(h, y) is a theorem, so any mismatch is a bug
+        net = make_random_net(seed, n)
+        space, gen, mu = _solved(net, float(m_box))
+        adj = _adjacency_oracle(net, space.states, float(m_box), mu.support)
+        assert path_method_C0(mu).max_path_length == _bfs_oracle(adj)
+
+    def test_searches_few_sources(self, monkeypatch):
+        # the all-pairs search handed shortest_path all 4,791 support states
+        sources = []
+        search = certificates.csgraph.shortest_path
+
+        def counted(*args, indices=None, **kwargs):
+            sources.append(np.size(indices))
+            return search(*args, indices=indices, **kwargs)
+
+        monkeypatch.setattr(certificates.csgraph, "shortest_path", counted)
+        space, gen, mu = _named_solved("rand3", 24.0)
+        assert path_method_C0(mu).max_path_length == 72
+        assert sum(sources) <= 10
+
+    @pytest.mark.parametrize("fault", ["origin added", "hub removed"])
+    def test_support_that_is_not_a_closed_class_is_refused(self, ring2, fault):
+        # nothing fires into the origin, so with it in the support the hub
+        # reaches not every state; without the hub there is nothing to search from
         space, gen, mu = _solved(ring2, 5.0)
-        origin = space.position(ring2.zero_state())
-        support = np.sort(np.append(mu.support, origin))
-        probs = np.full(len(space), 1.0 / len(support))
+        if fault == "origin added":
+            support = np.sort(np.append(mu.support, space.position(ring2.zero_state())))
+        else:
+            support = mu.support[mu.support != space.hub]
+        probs = np.zeros(len(space))
+        probs[support] = 1.0 / len(support)
         fake = StationaryDistribution(probs, support, gen)
-        monkeypatch.setattr(certificates, "PATH_CHUNK", chunk)
         with pytest.raises(ValueError, match="not a closed class"):
             path_method_C0(fake)
 

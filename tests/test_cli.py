@@ -218,6 +218,17 @@ class TestHugeRates:
         assert "budget" in lines[0]
         assert not (tmp_path / "sim").exists()
 
+    def test_replicas_past_the_event_budget_are_refused(self, tmp_path):
+        # each replica draws at least one event, so 10^8 replicas at t = 0
+        # pass the budget; the check missed them and allocated their finals
+        argv = ["simulate", RING2, "--t", "0", "--replicas", "100000000", "--out", "sim"]
+        proc = run_cli(argv, tmp_path, timeout=5)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "budget" in lines[0]
+        assert not (tmp_path / "sim").exists()
+
     def test_series_past_its_bound_is_refused(self, tmp_path):
         # the uniformization weights underflow to 0 at t = 1e300, and the
         # series ran without end while its memory grew

@@ -272,8 +272,17 @@ class TestEventBudget:
     def test_within_budget_unchanged(self, ring2, monkeypatch):
         want = simulate_path(ring2, ring2.zero_state(), 40.0, 3)
         simulate._seeded_walk.cache_clear()
-        monkeypatch.setattr(simulate, "MAX_EVENTS", 4.5 * 40.0)
+        monkeypatch.setattr(simulate, "MAX_EVENTS", 1 + 4.5 * 40.0)
         assert simulate_path(ring2, ring2.zero_state(), 40.0, 3) == want
+
+    @pytest.mark.parametrize("t", [0.0, 1e-9])
+    def test_each_replica_counts_its_first_event(self, ring2, t):
+        # every replica draws the event that ends past t, so R replicas
+        # expect at least R events however short the horizon
+        x = ring2.zero_state()
+        simulate._check_budget(ring2, x, t, simulate.MAX_EVENTS // 2)
+        with pytest.raises(RuntimeError, match="budget"):
+            simulate._check_budget(ring2, x, t, simulate.MAX_EVENTS + 1)
 
     @pytest.mark.parametrize("name", sorted(TestTimeValidation.CALLS))
     def test_path_past_the_budget_stops(self, ring2, monkeypatch, name):
