@@ -68,10 +68,10 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
 
     Distances are breadth-first searches on the support generator's positive
     pattern, the firing graph. Every state reaches the reset hub h, so with
-    reach = max_x d(x, h) <= N, d(x, y) <= reach + d(h, y); searches into y in
-    decreasing d(h, y) stop once that bound is at most the longest path found.
-    A support that is not a closed class, so misses h or a path to or from h,
-    comes only from a hand-built law and is refused with ValueError.
+    reach = max_x d(x, h) <= N, d(x, y) <= reach + d(h, y). Searches into y,
+    level by level in decreasing d(h, y), stop once that bound is at most the
+    longest path found. A hand-built support that is not a closed class (it
+    misses h, or a path to or from h) is refused with ValueError.
     """
     net = mu.space.net
     support = mu.support
@@ -87,12 +87,12 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     from_h, to_h = (csgraph.shortest_path(a, unweighted=True, indices=hub[0]) for a in (adj, rev))
     if not np.isfinite([from_h, to_h]).all():
         raise not_closed
-    reach = int(to_h.max())
-    max_len = max(reach, int(from_h.max()))
-    for y in np.argsort(-from_h, kind="stable"):
-        if from_h[y] + reach <= max_len:
-            break
-        max_len = max(max_len, int(csgraph.shortest_path(rev, unweighted=True, indices=y).max()))
+    reach, level = int(to_h.max()), int(from_h.max())
+    max_len = max(reach, level)
+    while level + reach > max_len:
+        for y in np.flatnonzero(from_h == level):
+            max_len = max(max_len, int(csgraph.shortest_path(rev, unweighted=True, indices=y).max()))
+        level -= 1
     return PathMethodReport(c0=c0, max_path_length=max_len)
 
 

@@ -109,7 +109,7 @@ class TestPathMethod:
             ("random1", 8.0),
             ("random1", 10.0),
             ("rand3", 24.0),
-            ("rand4", 8.0),  # 27 searches into y: the loop runs past its first
+            ("rand4", 8.0),  # 27 searches into y, over three levels of d(h, y)
         ],
     )
     def test_matches_bfs_oracle(self, model, m_box):
