@@ -347,15 +347,21 @@ class SemigroupReport:
         )
 
 
+SUITE_BUDGET = 2**25  # floats a suite's (n, 2 size + 1) walk may hold: 256 MiB
+
+
 def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_box: float):
     """Deterministic test functions: coordinates, total, random, and tail-only.
 
     Returns (suite, outside): the functions as the columns of an (n, size)
     block, and a boolean mask of the columns supported strictly outside the
     enlarged inner box. Those are the last fifth or so of the suite, which
-    the measured-d1 step requires; raises when the box holds no such states.
+    the measured-d1 step requires. Raises, before any draw, when the box
+    holds no such states or the suite's walk would pass SUITE_BUDGET floats.
     """
     n = len(space)
+    if n * (2 * size + 1) > SUITE_BUDGET:
+        raise ValueError(f"suite size {size} on {n} states needs more than {SUITE_BUDGET} floats")
     coords = space.coordinate_values()
     n_base = coords.shape[0] + 1
     n_outside = max(1, size // 5)

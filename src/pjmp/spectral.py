@@ -5,7 +5,8 @@ vectors, transient distributions through uniformization, quadratic forms
 under the stationary law, and the optimal variance-to-energy constant.
 The solvers take the chain as a SparseGenerator, which carries its
 enumerated space; a function of the stationary law takes the law alone and
-reads ``mu.generator``.
+reads ``mu.generator``. Every series reads the chain's ``rate`` and
+``kernel``, and its weights from one Poisson stream with one term cap.
 
 Conventions. The chain is not reversible; the energy form
 ``-mu(f * Qf) = mu(Gamma(f, f))`` only sees the symmetric part of the
@@ -55,15 +56,6 @@ MAX_LAMBDA_T = 1e6  # largest Poisson mean Lambda * t a series is summed for
 
 class DegenerateModelError(RuntimeError):
     """The request is well-posed only on a richer model (e.g. one-point support)."""
-
-
-def _uniformization_rate(q: sp.csr_matrix) -> float:
-    return float(-q.diagonal().min())
-
-
-def _discrete_kernel(q: sp.csr_matrix, lam: float) -> sp.csr_matrix:
-    """P = I + Q/Lambda, the jump kernel of the uniformized chain."""
-    return sp.eye(q.shape[0], format="csr") + q / lam
 
 
 def _off_diagonal(m) -> sp.csr_matrix:
@@ -163,11 +155,11 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     n = q_supp.shape[0]
     if n == 1:
         return np.ones(1)
-    lam = _uniformization_rate(q_supp)
+    lam = float(-q_supp.diagonal().min())  # the support's own Lambda
     if lam <= 0:
         raise ValueError("support has no motion; power iteration undefined")
     # v @ P, as the transposed kernel applied to v; built once
-    p_t = _discrete_kernel(q_supp, 2.0 * lam).T.tocsr()
+    p_t = (sp.eye(n, format="csr") + q_supp / (2.0 * lam)).T.tocsr()
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAXITER):
         v2 = p_t @ v
@@ -210,14 +202,13 @@ class StationaryDistribution:
     @cached_property
     def residual(self) -> float:
         q = self.generator.matrix
-        return float(np.abs(self.probabilities @ q).max() / (_uniformization_rate(q) or 1.0))
+        return float(np.abs(self.probabilities @ q).max() / (self.generator.rate or 1.0))
 
     @cached_property
     def dense_tv(self) -> float | None:
         if len(self.support) > DENSE_CUTOFF:
             return None
-        q = self.generator.matrix
-        q_supp = q[self.support][:, self.support] / (_uniformization_rate(q) or 1.0)
+        q_supp = self.generator.matrix[self.support][:, self.support] / (self.generator.rate or 1.0)
         return self._tv(_dense_nullspace_solve(q_supp.toarray()))
 
     @cached_property
@@ -250,25 +241,22 @@ def stationary(gen: SparseGenerator) -> StationaryDistribution:
 
 # -- uniformization -----------------------------------------------------------
 
-def _poisson_pmf(m: float, k: int) -> float:
-    """P(Pois(m) = k) for m > 0, evaluated in log space to survive m in the hundreds."""
-    return math.exp(-m + k * math.log(m) - math.lgamma(k + 1))
+def _poisson_stream(m: float):
+    """P(Pois(m) = k), k = 0, 1, ..., in log space; raises past 20 m + 500 terms."""
+    log_m = math.log(m)
+    for k in range(int(20 * m) + 500):
+        yield math.exp(-m + k * log_m - math.lgamma(k + 1))
+    raise RuntimeError("uniformization series failed to accumulate mass")
 
 
 def _poisson_weights(m: float, eps: float):
-    """Poisson(m) probabilities of 0, 1, 2, ... until their sum reaches 1 - eps.
-
-    Returns the weights and their sum, accumulated in order.
-    """
-    weights = []
-    cum = 0.0
-    k_cap = int(20 * m) + 500
-    while cum < 1.0 - eps:
-        weights.append(_poisson_pmf(m, len(weights)))
-        cum += weights[-1]
-        if len(weights) > k_cap:
-            raise RuntimeError("uniformization series failed to accumulate mass")
-    return weights, cum
+    """Poisson(m) weights of 0, 1, ... and their sum, added in order, once it reaches 1 - eps."""
+    weights, cum = [], 0.0
+    for w in _poisson_stream(m):
+        weights.append(w)
+        cum += w
+        if cum >= 1.0 - eps:
+            return weights, cum
 
 
 def _tail_weights(lam: float, t: float, bound: float, eps: float) -> list:
@@ -277,19 +265,13 @@ def _tail_weights(lam: float, t: float, bound: float, eps: float) -> list:
     Stops once the tail mass not yet used, times bound / lam, is at most
     eps, or the tail underflows.
     """
-    m = lam * t
-    weights = []
-    cdf = 0.0
-    remaining = m
-    k_cap = int(20 * m) + 500
-    while True:
-        cdf += _poisson_pmf(m, len(weights))
+    weights, cdf, remaining = [], 0.0, lam * t
+    for w in _poisson_stream(lam * t):
+        cdf += w
         weights.append(max(1.0 - cdf, 0.0))
         remaining -= weights[-1]
         if remaining * bound / lam <= eps or weights[-1] == 0.0:
             return weights
-        if len(weights) > k_cap:
-            raise RuntimeError("time-integral series failed to accumulate mass")
 
 
 def _uniformized_sum(op, v: np.ndarray, weights) -> np.ndarray:
@@ -315,17 +297,17 @@ def _check_series_args(times, eps: float) -> None:
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
 
 
-def _series_setup(gen, t: float, eps: float):
-    """(Q, Lambda) for a series up to a finite time t >= 0 with truncation error eps in (0, 1).
+def _series_setup(gen, t: float, eps: float) -> float:
+    """Lambda for a series up to a finite time t >= 0 with truncation error eps in (0, 1).
 
     A series past Lambda * t = MAX_LAMBDA_T would take more terms than that,
     and far past it every Poisson weight underflows to 0, so it is refused.
     """
     _check_series_args([t], eps)
-    lam = _uniformization_rate(gen.matrix)
+    lam = gen.rate
     if lam * t > MAX_LAMBDA_T:
         raise ValueError(f"Lambda * t = {lam * t:.6g} exceeds the series bound {MAX_LAMBDA_T:g}")
-    return gen.matrix, lam
+    return lam
 
 
 def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.ndarray:
@@ -337,14 +319,14 @@ def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.nda
     dropped tail is at most eps; the result is nonnegative and sums to 1
     within eps. eps must lie in (0, 1).
     """
-    q, lam = _series_setup(gen, t, eps)
-    v = np.zeros(q.shape[0])
+    lam = _series_setup(gen, t, eps)
+    v = np.zeros(gen.dimension)
     v[x0] = 1.0
     if t == 0 or lam == 0:
         return v
     weights, _ = _poisson_weights(lam * t, eps)
     # v @ P, as the transposed kernel applied to v
-    return _uniformized_sum(_discrete_kernel(q, lam).T, v, weights)
+    return _uniformized_sum(gen.kernel.T, v, weights)
 
 
 def propagate_function(gen, f: np.ndarray, t: float, eps: float = 1e-12) -> np.ndarray:
@@ -353,14 +335,14 @@ def propagate_function(gen, f: np.ndarray, t: float, eps: float = 1e-12) -> np.n
     f is one function of shape (n,) or a block of shape (n, k), propagated
     together. eps must lie in (0, 1).
     """
-    q, lam = _series_setup(gen, t, eps)
+    lam = _series_setup(gen, t, eps)
     v = np.asarray(f, dtype=float).copy()
     if t == 0 or lam == 0:
         return v
     weights, cum = _poisson_weights(lam * t, eps)
     # the dropped tail multiplies a bounded function; fold it onto P^K f
     weights.append(1.0 - cum)
-    return _uniformized_sum(_discrete_kernel(q, lam), v, weights)
+    return _uniformized_sum(gen.kernel, v, weights)
 
 
 # -- quadratic forms ----------------------------------------------------------
@@ -482,14 +464,14 @@ def weighted_F_vector(gen, phibar: np.ndarray, t: float, eps: float = 1e-12) -> 
     once the remaining tail mass, multiplied by max phibar / Lambda, is below
     eps, so the truncation error is at most eps. eps must lie in (0, 1).
     """
-    q, lam = _series_setup(gen, t, eps)
+    lam = _series_setup(gen, t, eps)
     phibar = np.asarray(phibar, dtype=float)
     if t == 0:
         return np.zeros_like(phibar)
     if lam == 0:
         return phibar * t
     weights = _tail_weights(lam, t, float(np.abs(phibar).max()), eps)
-    return _uniformized_sum(_discrete_kernel(q, lam), phibar, weights) / lam
+    return _uniformized_sum(gen.kernel, phibar, weights) / lam
 
 
 def weighted_F_exact(gen, phibar: np.ndarray, x0: int, t: float, eps: float = 1e-12) -> float:

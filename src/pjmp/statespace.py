@@ -13,7 +13,8 @@ jump lands on, and whether that jump needed saturation. Every consumer
 objects for the whole box are built only on request, through ``states``,
 ``index``, ``position`` and ``in``. The files that carry the enumeration and
 the rate matrix (``states.csv``, ``generator.mtx``) are rendered by the
-command line, with every other output file.
+command line, with every other output file. A generator builds its
+uniformized chain, ``rate`` and ``kernel``, once, when first read.
 """
 
 from __future__ import annotations
@@ -191,7 +192,8 @@ class SparseGenerator:
 
     ``matrix`` is CSR with nonnegative off-diagonal rates and each diagonal
     equal to minus its row's off-diagonal sum, so rows sum to zero. Row and
-    column k belong to state k of ``space``.
+    column k belong to state k of ``space``. ``rate`` (Lambda = -min diag Q)
+    and ``kernel`` (P = I + Q/Lambda, read if Lambda > 0) are kept once read.
     """
 
     matrix: sp.csr_matrix
@@ -200,6 +202,14 @@ class SparseGenerator:
     @property
     def dimension(self) -> int:
         return self.matrix.shape[0]
+
+    @cached_property
+    def rate(self) -> float:
+        return float(-self.matrix.diagonal().min())
+
+    @cached_property
+    def kernel(self) -> sp.csr_matrix:
+        return sp.eye(self.dimension, format="csr") + self.matrix / self.rate
 
 
 def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGenerator:

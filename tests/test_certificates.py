@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -31,6 +32,7 @@ from pjmp import (
     stationary,
     talagrand_verdict,
 )
+from pjmp.statespace import DEFAULT_MAX_STATES
 from test_spectral import profile_oracle
 from test_tables import _adjacency_oracle, _bench_net
 
@@ -407,6 +409,32 @@ class TestSemigroupReport:
         space, _gen, _mu = ring2_solved
         with pytest.raises(ValueError, match="too small"):
             make_function_suite(space, 3, 0, enlarged_box=18.0)
+
+    def test_suite_over_budget_refused_before_any_draw(self, ring2_solved):
+        # 69 states and 300,000 functions: the walk's block would hold about
+        # 41 million floats, 331 MB, and the suite half of that again
+        _space, _gen, mu = ring2_solved
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="suite size 300000 on 69 states needs more"):
+                semigroup_poincare_report(mu, suite_size=300_000)
+            _current, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    def test_suite_budget_edge(self, ring2_solved, monkeypatch):
+        # the walk holds n * (2 size + 1) floats: that many fit, one column more does not
+        space, _gen, _mu = ring2_solved
+        monkeypatch.setattr(certificates, "SUITE_BUDGET", len(space) * (2 * 20 + 1))
+        suite, _outside = make_function_suite(space, 20, 0, enlarged_box=18.0)
+        assert suite.shape == (len(space), 20)
+        with pytest.raises(ValueError, match="needs more than"):
+            make_function_suite(space, 21, 0, enlarged_box=18.0)
+
+    def test_default_suite_fits_the_state_cap(self):
+        # the default suite of 50 runs on every box the enumeration admits
+        assert DEFAULT_MAX_STATES * (2 * 50 + 1) <= certificates.SUITE_BUDGET
 
     @pytest.mark.parametrize("model", ["ring2", "rand3"])
     def test_report_equals_old_loop_oracle(self, ring2, monkeypatch, model):

@@ -153,6 +153,15 @@ class TestExitCodes:
         assert len(lines) == 1 and lines[0].startswith("error: eps must lie in (0, 1)")
         assert not (tmp_path / "sg" / "semigroup.json").exists()
 
+    def test_suite_over_budget(self, tmp_path):
+        # refused before the suite, hundreds of megabytes here, is drawn
+        argv = ["semigroup-report", RING2, "--suite-size", "300000", "--out", "sg"]
+        proc = run_cli(argv, tmp_path, timeout=60)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: suite size 300000 on 69 states")
+        assert not (tmp_path / "sg").exists()
+
     @pytest.mark.parametrize("frac", ["-1", "-0.25"])
     def test_negative_inner_frac(self, tmp_path, frac):
         # a negative fraction made an empty inner box and a FAIL verdict

@@ -28,6 +28,7 @@ from pjmp import (
     poincare_constant,
     propagate_function,
     saturate,
+    semigroup_poincare_report,
     semigroup_variance_profile,
     stationary,
     transient_distribution,
@@ -347,6 +348,52 @@ def _weighted_oracle(q, phibar, t, eps=1e-12):
     return acc / lam
 
 
+def _weights_oracle(m, eps):
+    """The Poisson weights and their sum, by the propagate builder's own loop."""
+    weights = []
+    cum = 0.0
+    k_cap = int(20 * m) + 500
+    while cum < 1.0 - eps:
+        weights.append(math.exp(_log_pmf(m, len(weights))))
+        cum += weights[-1]
+        if len(weights) > k_cap:
+            raise RuntimeError("uniformization series failed to accumulate mass")
+    return weights, cum
+
+
+def _tail_weights_oracle(lam, t, bound, eps):
+    """The upper tails, by the time integral's own loop and cap."""
+    m = lam * t
+    weights = []
+    cdf = 0.0
+    remaining = m
+    k_cap = int(20 * m) + 500
+    while True:
+        cdf += math.exp(_log_pmf(m, len(weights)))
+        weights.append(max(1.0 - cdf, 0.0))
+        remaining -= weights[-1]
+        if remaining * bound / lam <= eps or weights[-1] == 0.0:
+            return weights
+        if len(weights) > k_cap:
+            raise RuntimeError("time-integral series failed to accumulate mass")
+
+
+def _outcome(fn, *args):
+    """fn's result, or the type of the RuntimeError it raised."""
+    try:
+        return fn(*args)
+    except RuntimeError as exc:
+        return type(exc)
+
+
+def _count_eye(monkeypatch) -> list:
+    """Record every scipy.sparse.eye call; statespace and spectral share the module."""
+    calls = []
+    eye = sp.eye
+    monkeypatch.setattr(sp, "eye", lambda *a, **kw: calls.append(a) or eye(*a, **kw))
+    return calls
+
+
 def _column_dots(p, block):
     return np.array([float(p @ col) for col in np.ascontiguousarray(block.T)])
 
@@ -480,6 +527,44 @@ class TestUniformizationKernel:
         want = profile_oracle(mu, block, t_grid)
         np.testing.assert_allclose(got[0], want[0], rtol=1e-11, atol=0)
         np.testing.assert_allclose(got[2], want[2], rtol=1e-11, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        m=st.floats(1e-3, 2000.0),
+        lam=st.floats(1e-2, 1e2),
+        eps=st.floats(1e-15, 0.5),
+        bound=st.floats(0.0, 1e3),
+    )
+    def test_weight_builders_equal_their_own_loops(self, m, lam, eps, bound):
+        # both builders read one Poisson stream; the lists and the sum
+        # must be the separate loops' bit for bit
+        got = _outcome(spectral._poisson_weights, m, eps)
+        assert repr(got) == repr(_outcome(_weights_oracle, m, eps))
+        t = m / lam
+        got = _outcome(spectral._tail_weights, lam, t, bound, eps)
+        assert repr(got) == repr(_outcome(_tail_weights_oracle, lam, t, bound, eps))
+
+    def test_one_kernel_per_chain(self, ring2, monkeypatch):
+        # the transient law, the semigroup and the time integral share one P
+        space = enumerate_states(ring2, ring2.zero_state(), 10.0)
+        gen = assemble_generator(ring2, space)
+        calls = _count_eye(monkeypatch)
+        transient_distribution(gen, 0, 1.0)
+        propagate_function(gen, space.totals(), 1.0)
+        weighted_F_vector(gen, space.total_rates(), 1.0)
+        assert len(calls) == 1
+        lam, p = _uniformized(gen.matrix)
+        assert gen.rate == lam and gen.kernel is gen.kernel
+        assert (gen.kernel != p).nnz == 0 and np.array_equal(gen.kernel.data, p.data)
+
+    def test_one_kernel_per_semigroup_report(self, ring2, monkeypatch):
+        # ring2 at its default box: four legs, each a propagation and a time
+        # integral, all on one kernel
+        space = enumerate_states(ring2, ring2.zero_state(), 34.0)
+        mu = stationary(assemble_generator(ring2, space))
+        calls = _count_eye(monkeypatch)
+        semigroup_poincare_report(mu)
+        assert len(calls) == 1
 
     def test_series_cap(self, kernel_case):
         # at Lambda t = 50 the accumulated Poisson mass never passes 1 - 1e-17
