@@ -27,10 +27,12 @@ with its cumulative rates and a lazily filled successor row, and records each
 event as three numbers in array buffers: the state's index, the holding time
 and the firing neuron. The single-path functions read those arrays: event
 times are their running sum, ``ergodic_average`` calls f once per distinct
-state, and both occupation scans add their segments left to right, in event
-order, as a loop over events would. ``simulate_path`` keeps the path as those
-columns: ``Trajectory.events`` is a read-only ``TrajectoryEvents`` sequence
-over them, not a tuple, and builds a ``TrajectoryEvent`` only when one is read.
+state, and both occupation scans read the path SCAN_CHUNK events at a time,
+so their temporaries do not grow with the horizon, and add their segments
+left to right, in event order, as a loop over events would.
+``simulate_path`` keeps the path as those columns: ``Trajectory.events`` is
+a read-only ``TrajectoryEvents`` sequence over them, not a tuple, and builds
+a ``TrajectoryEvent`` only when one is read.
 
 A seeded path is a pure function of the network, the start, the horizon and
 the seed, so one walk serves ``simulate_path``, ``ergodic_average`` and
@@ -80,6 +82,7 @@ BLOCK = 512  # replicas stepped in lockstep; bounds the state and draw buffers
 CHUNK = 32  # events drawn per refill of a stream
 _CHUNK_CAP = 1024  # the scalar walker doubles its refills up to this many events
 MAX_EVENTS = 2**26  # events a run may take: about 1 GiB of 16-byte path records
+SCAN_CHUNK = 2**14  # events an occupation scan reads at a time
 
 
 def replica_rng(seed: int, replica: int) -> np.random.Generator:
@@ -423,10 +426,21 @@ def estimate_semigroup(
 
 
 def _score_semigroup(f, finals: np.ndarray, den: int, seed: int):
-    """estimate_semigroup's (mean, variance) of f at the final numerators."""
-    states = (PotentialState(tuple(row.tolist()), den) for row in finals)
+    """estimate_semigroup's (mean, variance) of f at the final numerators.
+
+    Few finals are distinct, so f is called once per distinct row, each row
+    keyed by its tuple as it is read.
+    """
+    memo = {}
+
+    def score(row: np.ndarray) -> float:
+        nums = tuple(row.tolist())
+        if nums not in memo:
+            memo[nums] = f(PotentialState(nums, den))
+        return memo[nums]
+
     n = len(finals)
-    vals = np.fromiter(map(f, states), float, n)
+    vals = np.fromiter(map(score, finals), float, n)
     mean = float(np.sum(vals) / n)
     centered = vals - mean
     s2 = float(np.sum(centered**2) / (n - 1))
@@ -442,20 +456,28 @@ def _score_semigroup(f, finals: np.ndarray, den: int, seed: int):
 def _segments(net: SynapticNetwork, burn_in: float, horizon: float, seed: int):
     """Holding segments inside (burn_in, horizon] of the path from zero, in event order.
 
-    Returns the visited numerator tuples and, per segment of positive length,
-    the index of its state and its clipped start and end.
+    Returns the visited numerator tuples and a function that scans the
+    segments SCAN_CHUNK events at a time: each call yields, chunk by chunk,
+    per segment of positive length, the index of its state and its clipped
+    start and end. A scan holds one chunk's arrays, not the whole path's.
     """
     nums = (0,) * net.n_neurons
     table, ids, ends, _picks = _seeded_walk(net, nums, horizon, seed, CHUNK, _CHUNK_CAP)
-    starts = np.concatenate(([0.0], ends[:-1]))
-    a, b = np.maximum(starts, burn_in), np.minimum(ends, horizon)
-    live = b > a
-    return table, ids[live], a[live], b[live]
+
+    def scan():
+        for lo in range(0, len(ends), SCAN_CHUNK):
+            hi = min(lo + SCAN_CHUNK, len(ends))
+            starts = ends[lo - 1 : hi - 1] if lo else np.concatenate(([0.0], ends[: hi - 1]))
+            a, b = np.maximum(starts, burn_in), np.minimum(ends[lo:hi], horizon)
+            live = b > a
+            yield ids[lo:hi][live], a[live], b[live]
+
+    return table, scan
 
 
-def _running_sum(x: np.ndarray) -> float:
-    """Left-to-right sum of x, as a loop adds (np.sum adds pairwise)."""
-    return float(np.cumsum(x)[-1]) if x.size else 0.0
+def _running_sum(x: np.ndarray, start: float) -> float:
+    """start plus the elements of x, left to right, as a loop adds (np.sum adds pairwise)."""
+    return float(np.cumsum(np.concatenate(([start], x)))[-1])
 
 
 def ergodic_average(
@@ -478,24 +500,29 @@ def ergodic_average(
     _check_times(horizon, burn_in)
     if not isinstance(n_batches, (int, np.integer)) or n_batches < 2:
         raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
-    table, ids, a, b = _segments(net, burn_in, horizon, seed)
-    seen = np.unique(ids)
+    table, scan = _segments(net, burn_in, horizon, seed)
+    held = np.zeros(len(table), dtype=bool)
+    for ids, _a, _b in scan():
+        held[ids] = True
+    seen = np.flatnonzero(held)
     vals = np.zeros(len(table))
     den = net.denominator
     vals[seen] = np.fromiter((f(PotentialState(table[k], den)) for k in seen.tolist()), float)
-    # spread each segment over the batch windows ka..kb it crosses
     batch_len = (horizon - burn_in) / n_batches
-    ka = ((a - burn_in) / batch_len).astype(np.int64)
-    kb = np.minimum(((b - burn_in) / batch_len).astype(np.int64), n_batches - 1)
-    counts = np.maximum(kb - ka + 1, 0)
-    seg = np.repeat(np.arange(len(a)), counts)
-    k = ka[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
-    lo = burn_in + k * batch_len
-    overlap = np.minimum(b[seg], lo + batch_len) - np.maximum(a[seg], lo)
-    hit = overlap > 0
     batch_acc = np.zeros(n_batches)
-    # add.at adds in index order, the event order of a loop over segments
-    np.add.at(batch_acc, k[hit], vals[ids[seg[hit]]] * overlap[hit])
+    for ids, a, b in scan():
+        # spread each segment over the batch windows ka..kb it crosses
+        ka = ((a - burn_in) / batch_len).astype(np.int64)
+        kb = np.minimum(((b - burn_in) / batch_len).astype(np.int64), n_batches - 1)
+        counts = np.maximum(kb - ka + 1, 0)
+        seg = np.repeat(np.arange(len(a)), counts)
+        k = ka[seg] + np.arange(len(seg)) - np.repeat(np.cumsum(counts) - counts, counts)
+        lo = burn_in + k * batch_len
+        overlap = np.minimum(b[seg], lo + batch_len) - np.maximum(a[seg], lo)
+        hit = overlap > 0
+        # add.at adds in index order, and the chunks come in event order, as
+        # a loop over segments adds
+        np.add.at(batch_acc, k[hit], vals[ids[seg[hit]]] * overlap[hit])
     batch_means = batch_acc / batch_len
     mean = float(np.sum(batch_acc) / (horizon - burn_in))
     se = float(np.std(batch_means, ddof=1) / math.sqrt(n_batches))
@@ -516,11 +543,15 @@ def empirical_tail(
     if r_grid.size == 0 or np.any(np.diff(r_grid) <= 0):
         raise ValueError("r_grid must be nonempty and strictly increasing")
     _check_times(horizon, burn_in)
-    table, ids, a, b = _segments(net, burn_in, horizon, seed)
+    table, scan = _segments(net, burn_in, horizon, seed)
     den = net.denominator
-    level = np.array([sum(nums) / den for nums in table])[ids]
-    seg = b - a
-    occupation = np.array([_running_sum(seg[level >= r]) for r in r_grid.tolist()])
+    levels = np.array([sum(nums) / den for nums in table])
+    occupation = np.zeros(len(r_grid))
+    for ids, a, b in scan():
+        level, seg = levels[ids], b - a
+        occupation = np.array(
+            [_running_sum(seg[level >= r], s) for r, s in zip(r_grid.tolist(), occupation)]
+        )
     return occupation / (horizon - burn_in)
 
 

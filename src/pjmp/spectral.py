@@ -48,6 +48,8 @@ __all__ = [
 DENSE_CUTOFF = 2000
 GTH_DENSE_STATES = 200
 GTH_DENSE_FILL = 0.1
+GTH_PANEL = 64  # pivots per panel of a dense tail above GTH_DENSE_STATES + 1 states
+GTH_TAIL_BYTES = 2**29  # bytes the dense tail may hold, 512 MiB: at most 8,192 states
 POWER_TOL = 1e-15
 POWER_MAXITER = 500_000
 EIGEN_RESIDUAL_TOL = 1e-10
@@ -78,47 +80,60 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     0, the anchor, is never picked and never blocks a neighbour. S has no
     inner edges, so with s_S the rates from S into the rest C, one sparse
     product A_CC += A_CS diag(1/s_S) A_SC eliminates it; the diagonal it
-    makes is dropped. The states left are eliminated densely, from the last
-    to the first, by rank-1 updates, and the rounds are undone in reverse
-    as mu_S = mu_C A_CS / s_S. Up to GTH_DENSE_STATES states no round runs.
+    makes is dropped. Up to GTH_DENSE_STATES states no round runs.
+
+    The k states left are eliminated densely, in one k x k array, from the
+    last to the first, in panels of GTH_PANEL pivots (one panel if
+    k <= GTH_DENSE_STATES + 1). Pivot j's rank-1 update touches the panel
+    rows, over every live column, and the earlier rows C, over the panel
+    columns P; after the panel one product A_CC += A_CP A_PC, in column
+    strips, adds the rest. Products are formed in one (panel, k) work array,
+    never a k x k one. A single panel is bitwise the rank-1 elimination of
+    the whole block. Every term is nonnegative, and exit rates are sums of
+    live columns, so no step subtracts. The rounds are then undone in
+    reverse as mu_S = mu_C A_CS / s_S. A tail whose 8 k^2 bytes exceed
+    GTH_TAIL_BYTES is refused with MemoryError before it is densified.
     """
     a = _off_diagonal(q_supp)
     rest = np.arange(a.shape[0])  # support indices not yet eliminated
     rounds = []
-    while len(rest) > GTH_DENSE_STATES:
-        k = len(rest)
-        pattern = (a + a.T).tocsr()
-        if pattern.nnz >= GTH_DENSE_FILL * k * k:
-            break
-        degree = np.diff(pattern.indptr).astype(np.int64)
-        key = degree * k + np.arange(k)
-        key[0] = np.iinfo(np.int64).max  # the anchor is below no neighbour
-        lowest = np.full(k, np.iinfo(np.int64).max)
-        np.minimum.at(lowest, np.repeat(np.arange(k), degree), key[pattern.indices])
-        picked = key < lowest
-        s_idx, c_idx = np.flatnonzero(picked), np.flatnonzero(~picked)
-        a_sc = a[s_idx][:, c_idx]
-        exit_rate = np.asarray(a_sc.sum(axis=1)).ravel()
-        if not exit_rate.min() > 0:
-            bad = rest[s_idx[exit_rate.argmin()]]
-            raise ValueError(f"state {bad} cannot reach the others; generator not irreducible")
-        a_cs = a[c_idx][:, s_idx]
-        a = _off_diagonal(a[c_idx][:, c_idx] + a_cs @ (sp.diags(1.0 / exit_rate) @ a_sc))
-        rounds.append((s_idx, c_idx, a_cs, exit_rate))
-        rest = rest[c_idx]
+    while len(rest) > GTH_DENSE_STATES and (step := _gth_round(a, rest)):
+        a, record = step
+        rounds.append(record)
+        rest = rest[record[1]]
 
-    a = a.toarray()
     k = len(rest)
+    if 8 * k * k > GTH_TAIL_BYTES:
+        raise MemoryError(
+            f"the dense GTH tail of {k} states needs {8 * k * k / 2**20:.0f} MiB, "
+            f"more than the budget of {GTH_TAIL_BYTES / 2**20:.0f} MiB"
+        )
+    a = a.toarray()
+    panel = k if k <= GTH_DENSE_STATES + 1 else GTH_PANEL
+    work = np.empty(panel * k)
     exit_rate = np.zeros(k)
-    for j in range(k - 1, 0, -1):
-        s = a[j, :j].sum()
-        if s <= 0:
-            raise ValueError(
-                f"state {rest[j]} cannot reach earlier states; generator not irreducible"
-            )
-        exit_rate[j] = s
-        a[j, :j] /= s
-        a[:j, :j] += np.outer(a[:j, j], a[j, :j])
+    for hi in range(k, 1, -panel):
+        lo = max(hi - panel, 0)  # the panel is lo..hi-1; C is 0..lo-1
+        for j in range(hi - 1, max(lo, 1) - 1, -1):
+            s = a[j, :j].sum()
+            if s <= 0:
+                raise ValueError(
+                    f"state {rest[j]} cannot reach earlier states; generator not irreducible"
+                )
+            exit_rate[j] = s
+            a[j, :j] /= s
+            rows = work[: (j - lo) * j].reshape(j - lo, j)
+            np.multiply(a[lo:j, j, None], a[j, :j], out=rows)
+            a[lo:j, :j] += rows
+            if lo:
+                cols = work[: lo * (j - lo)].reshape(lo, j - lo)
+                np.multiply(a[:lo, j, None], a[j, lo:j], out=cols)
+                a[:lo, lo:j] += cols
+        for c in range(0, lo, panel):
+            e = min(c + panel, lo)
+            strip = work[: lo * (e - c)].reshape(lo, e - c)
+            np.matmul(a[:lo, lo:hi], a[lo:hi, c:e], out=strip)
+            a[:lo, c:e] += strip
     mu = np.zeros(k)
     mu[0] = 1.0
     for j in range(1, k):
@@ -131,20 +146,51 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     return mu / mu.sum()
 
 
-def _dense_nullspace_solve(q_supp: np.ndarray) -> np.ndarray:
+def _gth_round(a: sp.csr_matrix, rest: np.ndarray):
+    """One sparse round of _gth_solve on the off-diagonal rates a between the
+    support states rest: (A_CC after the round, (s_idx, c_idx, A_CS, s_S)),
+    or None if the symmetrised pattern is GTH_DENSE_FILL dense or more. Its
+    work arrays end with the call, so none is held beside the dense tail."""
+    k = len(rest)
+    pattern = (a + a.T).tocsr()
+    if pattern.nnz >= GTH_DENSE_FILL * k * k:
+        return None
+    degree = np.diff(pattern.indptr).astype(np.int64)
+    key = degree * k + np.arange(k)
+    key[0] = np.iinfo(np.int64).max  # the anchor is below no neighbour
+    lowest = np.full(k, np.iinfo(np.int64).max)
+    np.minimum.at(lowest, np.repeat(np.arange(k), degree), key[pattern.indices])
+    picked = key < lowest
+    s_idx, c_idx = np.flatnonzero(picked), np.flatnonzero(~picked)
+    a_sc = a[s_idx][:, c_idx]
+    exit_rate = np.asarray(a_sc.sum(axis=1)).ravel()
+    if not exit_rate.min() > 0:
+        bad = rest[s_idx[exit_rate.argmin()]]
+        raise ValueError(f"state {bad} cannot reach the others; generator not irreducible")
+    a_cs = a[c_idx][:, s_idx]
+    a_cc = _off_diagonal(a[c_idx][:, c_idx] + a_cs @ (sp.diags(1.0 / exit_rate) @ a_sc))
+    return a_cc, (s_idx, c_idx, a_cs, exit_rate)
+
+
+def _dense_nullspace_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     """LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support, where
     Q^T has rank n - 1 and the normalisation replaces its last equation. Q
     should be scaled to rates of order one, as the normalisation row is.
+    Q^T is densified once, F-ordered, and the LU factorises it in place.
 
     scipy.linalg, not numpy.linalg, as in poincare_constant: numpy and scipy
     each carry their own OpenBLAS thread pool, and alternating between the
     two pools makes their threads compete for the cores."""
     n = q_supp.shape[0]
-    a = q_supp.T.copy()
+    a = q_supp.T.toarray(order="F")
     a[-1] = 1.0
     b = np.zeros(n)
     b[-1] = 1.0
-    mu = np.clip(sla.solve(a, b), 0.0, None)
+    # assume_a="gen" names the LU: scipy's structure detection tries other
+    # factorisations first, and scipy 1.17 segfaults there when overwrite_a
+    # meets a symmetric indefinite matrix, such as the two-state [[-r, 1], [1, 1]]
+    mu = sla.solve(a, b, overwrite_a=True, check_finite=False, assume_a="gen")
+    mu = np.clip(mu, 0.0, None)
     return mu / mu.sum()
 
 
@@ -209,7 +255,7 @@ class StationaryDistribution:
         if len(self.support) > DENSE_CUTOFF:
             return None
         q_supp = self.generator.matrix[self.support][:, self.support] / (self.generator.rate or 1.0)
-        return self._tv(_dense_nullspace_solve(q_supp.toarray()))
+        return self._tv(_dense_nullspace_solve(q_supp))
 
     @cached_property
     def power_tv(self) -> float:
@@ -395,9 +441,11 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     do not.
 
     The eigenpair's residual ||Bv - lambda_1 v|| is reported for both
-    methods. The iterative solver has no convergence guarantee, and a Ritz
-    value that is too large would make C too small, so its result is
-    refused with RuntimeError when the residual exceeds EIGEN_RESIDUAL_TOL.
+    methods, formed with the sparse B; the direct method's one dense copy of
+    B is overwritten by the eigensolve. The iterative solver has no
+    convergence guarantee, and a Ritz value that is too large would make C
+    too small, so its result is refused with RuntimeError when the residual
+    exceeds EIGEN_RESIDUAL_TOL.
     A one-state support has no nonconstant f and is refused with
     DegenerateModelError.
     """
@@ -413,16 +461,16 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     # B = sym(-diag(sq) Q diag(1/sq)), built once, entry by entry
     m = q[np.ix_(support, support)].tocoo()
     m.data = m.data * -(sq[m.row] / sq[m.col])
-    b = 0.5 * (m + m.T)
+    b = (0.5 * (m + m.T)).tocsr()
 
     method = "direct" if ns <= DENSE_CUTOFF else "iterative"
     if method == "direct":
-        b = b.toarray()
-        vals, vecs = sla.eigh(b, subset_by_index=[0, 1])
+        # the one dense copy of B, F-ordered, which the eigensolve overwrites
+        dense = b.toarray(order="F")
+        vals, vecs = sla.eigh(dense, subset_by_index=[0, 1], overwrite_a=True, check_finite=False)
         lam1 = float(vals[1])
         vec = vecs[:, 1]
     else:
-        b = b.tocsr()
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((ns, 2))
         kernel = sq.reshape(-1, 1)

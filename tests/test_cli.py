@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.io
 
-from conftest import NEAR_EQUAL_RATES, child_env
+from conftest import NEAR_EQUAL_RATES, child_env, make_random_net
 from pjmp import assemble_generator, enumerate_states
 
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
@@ -391,6 +391,29 @@ class TestSolverFailureExitCode:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert str(exc) in err
+
+
+    def test_dense_tail_over_budget_exits_two(self, tmp_path, monkeypatch, capsys):
+        # rand4 (make_random_net(5, n=4)) at box 8 leaves a 714-state dense
+        # GTH tail; with the budget one byte short it is refused before it
+        # is densified
+        import pjmp.cli as cli
+        import pjmp.spectral as spectral
+
+        net = make_random_net(5, n=4)
+        model = tmp_path / "rand4.json"
+        model.write_text(json.dumps({
+            "n": net.n_neurons,
+            "weights": [[str(w) for w in row] for row in net.weights],
+            "intensity": {"delta": str(net.intensity.delta), "slope": str(net.intensity.slope)},
+        }))
+        monkeypatch.setattr(spectral, "GTH_TAIL_BYTES", 8 * 714**2 - 1)
+        code = cli.main(["stationary", str(model), "--m-box", "8", "--out", str(tmp_path / "st")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory: the dense GTH tail of 714 states")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "st").exists()
 
 
 class TestStrictJson:

@@ -3,6 +3,7 @@
 import importlib.resources
 import math
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -421,6 +422,23 @@ class TestEnsembleRacedOnce:
         mean, var = estimate_semigroup(net, total, x, 2.0, 700, seed)
         assert got == (mean, var, estimate_weight_F(net, x, 2.0, 700, seed))
 
+    def test_f_called_once_per_distinct_final(self):
+        net = make_random_net(5, n=4)
+        x, calls = net.zero_state(), []
+
+        def total(y):
+            calls.append(y.numerators)
+            return y.total()
+
+        mean, var, _effort = estimate_ensemble(net, total, x, 2.0, 2000, 7)
+        finals, _efforts = simulate._replicas(net, x, 2.0, 2000, 7)
+        distinct = {tuple(row) for row in finals.tolist()}
+        assert len(calls) == len(set(calls)) == len(distinct) < len(finals) / 2
+        # the values of f called on every final, as before the memo
+        vals = np.array([_total(PotentialState(tuple(row), x.denominator)) for row in finals.tolist()])
+        assert mean.mean == float(np.sum(vals) / len(vals))
+        assert var.mean == float(np.sum((vals - mean.mean) ** 2) / (len(vals) - 1))
+
     @pytest.mark.parametrize("n_replicas", [2, 512, 1100])
     def test_simulate_races_each_block_once(self, tmp_path, monkeypatch, n_replicas):
         calls = []
@@ -664,6 +682,12 @@ class TestInternedWalker:
         for seed in range(3):
             self._assert_same(net, net.zero_state(), 30.0, 3.0, seed)
 
+    @pytest.mark.parametrize("scan_chunk", [1, 7, 64])
+    def test_chunked_scans_match_oracle(self, net, scan_chunk, monkeypatch):
+        monkeypatch.setattr(simulate, "SCAN_CHUNK", scan_chunk)
+        for seed in range(3):
+            self._assert_same(net, net.zero_state(), 30.0, 3.0, seed)
+
     def test_next_event_matches_oracle(self, net):
         # two uniforms per call, from any start
         x = PotentialState(tuple(range(net.n_neurons)), net.denominator)
@@ -693,6 +717,41 @@ class TestInternedWalker:
         exps, _us = simulate._draws(replica_rng(4, 0), 1)
         tau, _i = next_event(net, x, replica_rng(4, 0))
         assert tau == exps[0, 0] / total
+
+
+class TestOccupationScans:
+    """ergodic_average and empirical_tail read the path SCAN_CHUNK events at a time."""
+
+    R_GRID = [1.0, 2.0, 4.0, 8.0]
+
+    def _scans(self, net, horizon, seed):
+        return (
+            ergodic_average(net, _total, 100.0, horizon, seed),
+            empirical_tail(net, self.R_GRID, 100.0, horizon, seed),
+        )
+
+    def test_long_path_matches_oracle(self):
+        # rand3 at horizon 2,500: about 20,000 events, so two chunks
+        net = make_random_net(1)
+        assert len(simulate_path(net, net.zero_state(), 2500.0, 11).events) > simulate.SCAN_CHUNK
+        average, tail = self._scans(net, 2500.0, 11)
+        assert average == _ergodic_oracle(net, _total, 100.0, 2500.0, 11)
+        assert np.array_equal(tail, _tail_oracle(net, self.R_GRID, 100.0, 2500.0, 11))
+
+    def test_peak_does_not_grow_with_the_horizon(self):
+        # about 120,000 and 480,000 events; the walk is kept before tracing
+        net = make_random_net(1)
+        peaks = []
+        for horizon in (15_000.0, 60_000.0):
+            simulate_path(net, net.zero_state(), horizon, 1001)
+            tracemalloc.start()
+            try:
+                self._scans(net, horizon, 1001)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.1 * peaks[0]
+        assert peaks[0] <= 40 * simulate.SCAN_CHUNK * 8
 
 
 class TestTrajectoryEvents:

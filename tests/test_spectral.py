@@ -3,6 +3,7 @@
 import math
 import tracemalloc
 import warnings
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -205,6 +206,46 @@ def _eliminated_by_rounds(q_supp):
         return spectral._gth_solve(q_supp), sizes
 
 
+def _random_block(k: int, seed: int) -> np.ndarray:
+    """A k-state generator: a random cycle through every state plus about a
+    third of the other entries, rates log-uniform in [1e-8, 1e8]."""
+    rng = np.random.default_rng(seed)
+    q = np.where(rng.random((k, k)) < 0.3, 10.0 ** rng.uniform(-8, 8, (k, k)), 0.0)
+    perm = rng.permutation(k)
+    q[perm, np.roll(perm, -1)] = 10.0 ** rng.uniform(-8, 8, k)
+    np.fill_diagonal(q, 0.0)
+    np.fill_diagonal(q, -q.sum(axis=1))
+    return q
+
+
+def _dense_only(q) -> np.ndarray:
+    """_gth_solve with no round, so the whole block is its dense tail."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(spectral, "GTH_DENSE_FILL", 0.0)
+        return spectral._gth_solve(sp.csr_matrix(q))
+
+
+def _dense_tail(q_supp) -> sp.csr_matrix:
+    """The rates _gth_solve densifies: what its rounds leave of q_supp."""
+    a, rest = spectral._off_diagonal(q_supp), np.arange(q_supp.shape[0])
+    while len(rest) > spectral.GTH_DENSE_STATES and (step := spectral._gth_round(a, rest)):
+        a, (_s_idx, c_idx, _a_cs, _exit_rate) = step
+        rest = rest[c_idx]
+    return a
+
+
+def _traced_peak(fn):
+    """fn() and the peak bytes tracemalloc saw while it ran."""
+    tracemalloc.start()
+    try:
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+RAND4 = (5, 4)  # make_random_net arguments of bench/models/rand4.json
+
 REDUCIBLE = np.array([[-1.0, 1.0, 0.0], [0.0, -1.0, 1.0], [0.0, 1.0, -1.0]])
 
 
@@ -254,6 +295,40 @@ class TestGTHSolver:
     def test_reducible_generator_rejected_in_rounds(self):
         with pytest.raises(ValueError, match="not irreducible"):
             _eliminated_by_rounds(sp.csr_matrix(REDUCIBLE))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(2, spectral.GTH_DENSE_STATES + 1), st.integers(0, 2**32 - 1))
+    def test_single_panel_bitwise_equal_to_dense_oracle(self, k, seed):
+        # a tail of at most GTH_DENSE_STATES + 1 states is one panel
+        q = _random_block(k, seed)
+        assert np.array_equal(_dense_only(q), _dense_gth_oracle(q))
+
+    @pytest.mark.parametrize("k, seed", [(202, 0), (203, 1), (265, 2), (513, 3), (1000, 4)])
+    def test_panels_match_dense_oracle(self, k, seed):
+        q = _random_block(k, seed)
+        assert _max_relative_error(_dense_only(q), _dense_gth_oracle(q)) <= 1e-13
+
+    @pytest.mark.parametrize("m_box, k", [(8.0, 714), (12.0, 1838)])
+    def test_model_tails_match_dense_oracle(self, m_box, k):
+        # rand4's rounds stop at a pattern 10% dense, so its tails are large
+        tail = _dense_tail(_support_generator(make_random_net(*RAND4), m_box))
+        assert tail.shape == (k, k)
+        mu = spectral._gth_solve(tail)
+        assert _max_relative_error(mu, _dense_gth_oracle(tail.toarray())) <= 1e-13
+
+    def test_dense_tail_over_budget_refused(self, monkeypatch):
+        q_supp = _support_generator(make_random_net(*RAND4), 8.0)
+        monkeypatch.setattr(spectral, "GTH_TAIL_BYTES", 8 * 714**2 - 1)
+        with pytest.raises(MemoryError, match="dense GTH tail of 714 states"):
+            spectral._gth_solve(q_supp)
+        monkeypatch.setattr(spectral, "GTH_TAIL_BYTES", 8 * 714**2)
+        assert spectral._gth_solve(q_supp).sum() == pytest.approx(1.0)
+
+    def test_dense_tail_holds_one_copy(self):
+        # the 714-state tail of rand4 at box 8: 8 k^2 bytes, about 4.1 MB
+        q_supp = _support_generator(make_random_net(*RAND4), 8.0)
+        _mu, peak = _traced_peak(lambda: spectral._gth_solve(q_supp))
+        assert peak <= 1.25 * 8 * 714**2
 
     def test_no_dense_copy_above_cutoff(self):
         # rand3 at box 16 has a 2107-state support, above DENSE_CUTOFF; a
@@ -601,7 +676,23 @@ def ring2_box10(ring2):
     return space, gen, stationary(gen)
 
 
+@pytest.fixture(scope="module")
+def rand3_box10():
+    """The law of rand3 at box 10: 808 support states, a dense copy 5.2 MB."""
+    net = make_random_net(1)
+    mu = stationary(assemble_generator(net, enumerate_states(net, net.zero_state(), 10.0)))
+    assert len(mu.support) == 808
+    return mu
+
+
 class TestStationary:
+    def test_dense_cross_check_holds_one_copy(self, rand3_box10):
+        mu = replace(rand3_box10)  # a fresh law, whose dense_tv is not yet cached
+        n = len(mu.support)
+        dense_tv, peak = _traced_peak(lambda: mu.dense_tv)
+        assert dense_tv <= 1e-10
+        assert peak <= 1.25 * 8 * n * n
+
     def test_residual_and_cross_checks(self, ring2_box10):
         _space, _gen, mu = ring2_box10
         assert mu.residual <= 1e-10
@@ -843,6 +934,12 @@ class TestPoincare:
         with pytest.raises(DegenerateModelError, match="single state"):
             poincare_constant(mu)
 
+    def test_direct_eigensolve_holds_one_copy(self, rand3_box10):
+        n = len(rand3_box10.support)
+        gap, peak = _traced_peak(lambda: poincare_constant(rand3_box10))
+        assert gap.method == "direct" and gap.residual <= 1e-12
+        assert peak <= 1.25 * 8 * n * n
+
     def test_rayleigh_oracle(self, ring2_box10):
         _space, gen, mu = ring2_box10
         gap = poincare_constant(mu)
@@ -879,7 +976,7 @@ class TestPoincare:
             real = getattr(module, name)
 
             def capture(b, *args, _real=real, _name=name, **kwargs):
-                seen[_name] = b
+                seen[_name] = b.copy()  # eigh overwrites its copy of B
                 return _real(b, *args, **kwargs)
 
             monkeypatch.setattr(module, name, capture)
