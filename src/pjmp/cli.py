@@ -12,6 +12,13 @@ a nan is refused (exit 2) and nothing is written. CSV cells are plain
 decimal ints and float reprs. A rate matrix is written in MatrixMarket
 coordinate format.
 
+In-process callers of ``main`` (scripts, notebooks, the tests) reuse the
+last solved chain: ``_solved_law`` keeps one stationary law, keyed by the
+model's content, the resolved box and the state cap, and a command on the
+same chain reads it, with its gap, instead of solving again. The law's
+arrays are read-only. A solve that raises is not kept. A console run is
+one command per process and solves once either way.
+
 Exit codes: 0 success or PASS, 2 usage, bad input or a numerical failure (a
 solver that did not converge, out of memory), 3 degenerate model, 4 a
 verdict failed.
@@ -21,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import sys
@@ -47,7 +55,6 @@ from .model import (
 from .simulate import estimate_ensemble, simulate_path
 from .spectral import (
     DegenerateModelError,
-    poincare_constant,
     stationary,
     variance_and_energy,
 )
@@ -57,6 +64,9 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DEGENERATE = 3
 EXIT_VERDICT_FAIL = 4
+# floats in one block of verify-poincare's functions (512 KiB): at rand3 m10
+# one 1000-function block held 19 MB of temporaries and ran no faster
+POINCARE_BLOCK_FLOATS = 2**16
 
 
 class Report(NamedTuple):
@@ -127,7 +137,18 @@ def _solve(args, net):
     """Stationary law of a command's box; it carries its generator and space."""
     m = lyapunov_constants(net, args.alpha).m
     m_box = float(args.m_box if args.m_box is not None else m)
-    space = enumerate_states(net, net.zero_state(), m_box, max_states=args.max_states)
+    return _solved_law(net, m_box, args.max_states)
+
+
+@functools.lru_cache(maxsize=1)
+def _solved_law(net, m_box: float, max_states: int):
+    """The law of net's box, kept until a command on another chain replaces it.
+
+    The law is a pure function of the arguments (the network hashes by
+    content), and every reader is handed the same one: its arrays are
+    read-only, and what it computes when read, such as its gap, is kept.
+    """
+    space = enumerate_states(net, net.zero_state(), m_box, max_states=max_states)
     return stationary(assemble_generator(net, space))
 
 
@@ -195,7 +216,7 @@ def cmd_stationary(args, net) -> Report:
 def cmd_gap(args, net) -> Report:
     mu = _solve(args, net)
     space = mu.space
-    gap = poincare_constant(mu)
+    gap = mu.gap
     return Report({
         "gap.json": {
             "C_opt": gap.c_opt,
@@ -230,17 +251,21 @@ def cmd_verify_poincare(args, net) -> Report:
     if args.n_functions < 1:
         raise ValueError(f"--n-functions must be at least 1, got {args.n_functions}")
     mu = _solve(args, net)
-    gap = poincare_constant(mu)
+    gap = mu.gap
 
     rng = np.random.default_rng(args.seed)
+    n = mu.generator.dimension
+    block = max(POINCARE_BLOCK_FLOATS // n, 1)
     worst_excess = -float("inf")
     sup_rayleigh = 0.0
-    for _ in range(args.n_functions):
-        f = rng.standard_normal(mu.generator.dimension)
-        var, energy = variance_and_energy(mu, f)
-        worst_excess = max(worst_excess, var - gap.c_opt * energy)
-        if energy > 0:
-            sup_rayleigh = max(sup_rayleigh, var / energy)
+    for start in range(0, args.n_functions, block):
+        # row j of the draw is the j-th function, as one draw per function gives
+        fs = rng.standard_normal((min(block, args.n_functions - start), n)).T
+        var, energy = variance_and_energy(mu, fs)
+        worst_excess = max(worst_excess, float(np.max(var - gap.c_opt * energy)))
+        moving = energy > 0
+        if moving.any():
+            sup_rayleigh = max(sup_rayleigh, float(np.max(var[moving] / energy[moving])))
     var_star, energy_star = variance_and_energy(mu, gap.optimizer)
     achieved = var_star / energy_star
     path = path_method_C0(mu)
@@ -268,7 +293,7 @@ def cmd_verify_poincare(args, net) -> Report:
 
 def cmd_concentration(args, net) -> Report:
     mu = _solve(args, net)
-    gap = poincare_constant(mu)
+    gap = mu.gap
     cert = admissible_lambda(mu, gap.c_opt, margin=args.lambda_margin)
     r_grid = args.r_grid if args.r_grid is not None else list(range(1, 13))
     report = talagrand_verdict(cert, mu, r_grid)
@@ -321,7 +346,9 @@ def _float_list(text: str):
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The parser of every command, built once per process; parsing does not change it."""
     parser = argparse.ArgumentParser(
         prog="pjmp",
         description="Simulation, spectra, and concentration certificates for the "

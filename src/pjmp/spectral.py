@@ -225,12 +225,15 @@ class StationaryDistribution:
 
     ``probabilities`` spans the whole enumeration, with exact zeros on
     transient states. ``support`` holds the sorted indices of the closed
-    class of ``generator``, the chain the law was solved from. The rest is
-    computed from these when first read, and kept: ``residual`` is
-    max |mu Q| / Lambda, the residual under the uniformized kernel
-    P = I + Q/Lambda, so it does not scale with the rates; ``dense_tv`` /
-    ``power_tv`` are the total variation distances to the dense null-space
-    solve (None above DENSE_CUTOFF support states) and to power iteration.
+    class of ``generator``, the chain the law was solved from.
+    ``stationary`` makes both arrays read-only, since one law may serve many
+    readers. The rest is computed from these when first read, and kept:
+    ``residual`` is max |mu Q| / Lambda, the residual under the uniformized
+    kernel P = I + Q/Lambda, so it does not scale with the rates;
+    ``dense_tv`` / ``power_tv`` are the total variation distances to the
+    dense null-space solve (None above DENSE_CUTOFF support states) and to
+    power iteration; ``gap`` is ``poincare_constant`` of the law (a
+    GapResult).
     """
 
     probabilities: np.ndarray
@@ -262,6 +265,10 @@ class StationaryDistribution:
         q_supp = self.generator.matrix[self.support][:, self.support]
         return self._tv(_power_iteration_solve(q_supp))
 
+    @cached_property
+    def gap(self) -> GapResult:
+        return poincare_constant(self)
+
     def _tv(self, other: np.ndarray) -> float:
         return float(0.5 * np.abs(self.probabilities[self.support] - other).sum())
 
@@ -282,6 +289,7 @@ def stationary(gen: SparseGenerator) -> StationaryDistribution:
     support = np.sort(reached)
     mu = np.zeros(q.shape[0])
     mu[support] = _gth_solve(q[support][:, support])
+    mu.flags.writeable = support.flags.writeable = False
     return StationaryDistribution(mu, support, gen)
 
 
@@ -401,13 +409,21 @@ def gamma_vector(gen, f: np.ndarray) -> np.ndarray:
 
 
 def variance_and_energy(mu: StationaryDistribution, f: np.ndarray):
-    """(Var_mu(f), mu(Gamma(f,f))). Under stationarity the energy equals -mu(f*Qf)."""
+    """(Var_mu(f), mu(Gamma(f,f))). Under stationarity the energy equals -mu(f*Qf).
+
+    f is one function of shape (n,), which gives two floats, or k functions
+    as the columns of an (n, k) block, which gives two arrays of shape (k,)
+    from one sparse product. Column j is bitwise the result for f[:, j] alone.
+    """
     q = mu.generator.matrix
     f = np.asarray(f, dtype=float)
+    fs = f.reshape(f.shape[0], -1)
     p = mu.probabilities
-    fbar = p @ f
-    var = float(p @ (f - fbar) ** 2)
-    energy = float(-(p @ (f * (q @ f))))
+    fbar = _column_means(p, fs)
+    var = _column_means(p, (fs - fbar) ** 2)
+    energy = -_column_means(p, fs * (q @ fs))
+    if f.ndim == 1:
+        return float(var[0]), float(energy[0])
     return var, energy
 
 
@@ -418,9 +434,9 @@ class GapResult:
     ``c_opt`` is the largest possible ratio Var_mu(f) / mu(Gamma(f,f)) over
     nonconstant f on the support; ``gap = 1/c_opt`` is the smallest nonzero
     eigenvalue of the symmetrized generator. ``optimizer`` spans the full
-    enumeration with zeros off the support. ``residual`` is ||Bv - gap v||
-    for the symmetrized operator B and the unit eigenvector v behind
-    ``gap``. ``method`` names the eigensolver, "direct" or "iterative".
+    enumeration with zeros off the support, and is read-only. ``residual``
+    is ||Bv - gap v|| for the symmetrized operator B and the unit
+    eigenvector v behind ``gap``. ``method`` names the eigensolver, "direct" or "iterative".
     """
 
     c_opt: float
@@ -492,6 +508,7 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     f_supp = f_supp - (mu_s @ f_supp)
     f_full = np.zeros(q.shape[0])
     f_full[support] = f_supp
+    f_full.flags.writeable = False
     return GapResult(
         c_opt=1.0 / lam1,
         gap=lam1,

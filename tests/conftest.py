@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import pjmp
+import pjmp.cli
 from pjmp import IntensityFunction, SynapticNetwork, network_from_json, simulate, spectral
 
 # one record per acceptance criterion: (number, label, passed)
@@ -32,6 +33,12 @@ def pytest_terminal_summary(terminalreporter, exitstatus, config):
 def fresh_seeded_walk():
     """Forget the last seeded walk, so no test reads a path an earlier one walked."""
     simulate._seeded_walk.cache_clear()
+
+
+@pytest.fixture(autouse=True)
+def fresh_solved_law():
+    """Forget the last solved chain, so no test reads a law an earlier one solved."""
+    pjmp.cli._solved_law.cache_clear()
 
 
 # exit rates 2.2 and 2.3 at box 1, law (23, 22)/45: the kernel I + Q/Lambda

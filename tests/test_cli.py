@@ -4,13 +4,21 @@ import importlib.resources
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy.io
 
 from conftest import NEAR_EQUAL_RATES, child_env, make_random_net
-from pjmp import assemble_generator, enumerate_states
+from pjmp import (
+    assemble_generator,
+    enumerate_states,
+    network_from_json,
+    poincare_constant,
+    stationary,
+    variance_and_energy,
+)
 
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
@@ -624,6 +632,157 @@ class TestStationaryCrossChecks:
         assert code == 0
         if command == "stationary":
             assert json.loads((out / "stationary.json").read_text())["power_tv"] <= 1e-10
+
+
+# the commands that read the solved chain, on two chains of ring2
+LAW_COMMANDS = (
+    ["stationary", "--export-generator"],
+    ["gap"],
+    ["verify-poincare", "--n-functions", "50"],
+    ["concentration"],
+    ["semigroup-report"],
+)
+LAW_BOXES = {"default": [], "m10": ["--m-box", "10"]}
+
+
+@pytest.fixture(scope="class")
+def console_reports(tmp_path_factory):
+    """Each law command on each chain of LAW_BOXES, one fresh process each."""
+    root = tmp_path_factory.mktemp("console")
+    for box, box_args in LAW_BOXES.items():
+        for argv in LAW_COMMANDS:
+            out = root / box / argv[0]
+            proc = run_cli([argv[0], RING2, *argv[1:], *box_args, "--out", str(out)], root)
+            assert proc.returncode == 0, proc.stderr
+    return root
+
+
+class TestSolvedLaw:
+    """In-process commands on one chain share one solve of it and one eigensolve."""
+
+    @pytest.fixture
+    def solves(self, monkeypatch) -> dict:
+        import pjmp.cli as cli
+        import pjmp.spectral as spectral
+
+        calls = {"stationary": 0, "poincare_constant": 0}
+
+        def counted(module, name):
+            def call(arg, solve=getattr(module, name)):
+                calls[name] += 1
+                return solve(arg)
+
+            monkeypatch.setattr(module, name, call)
+
+        counted(cli, "stationary")
+        counted(spectral, "poincare_constant")
+        return calls
+
+    def test_one_solve_per_chain(self, tmp_path, solves):
+        for argv in LAW_COMMANDS[:4]:
+            code, _out = _run_in_process(tmp_path, [*argv, "--m-box", "10"])
+            assert code == 0
+        assert solves == {"stationary": 1, "poincare_constant": 1}
+
+    def test_same_content_under_another_name_is_not_solved_again(self, tmp_path, solves):
+        copy = tmp_path / "copy.json"
+        copy.write_text(Path(RING2).read_text())
+        for model in (RING2, str(copy)):
+            assert _run_in_process(tmp_path, ["gap", "--m-box", "10"], model=model)[0] == 0
+        assert solves == {"stationary": 1, "poincare_constant": 1}
+
+    @pytest.mark.parametrize(
+        "second, model",
+        [
+            (["--m-box", "9"], None),
+            (["--m-box", "10", "--max-states", "1000"], None),
+            (["--m-box", "10"], {"n": 2, "weights": [[0, 2], [1, 0]],
+                                 "intensity": {"delta": 1.5, "slope": 1.5}}),
+        ],
+        ids=["box", "max-states", "model"],
+    )
+    def test_another_chain_is_solved_again(self, tmp_path, solves, second, model):
+        assert _run_in_process(tmp_path, ["gap", "--m-box", "10"])[0] == 0
+        path = RING2
+        if model is not None:
+            path = tmp_path / "other.json"
+            path.write_text(json.dumps(model))
+        assert _run_in_process(tmp_path, ["gap", *second], model=str(path))[0] == 0
+        assert solves == {"stationary": 2, "poincare_constant": 2}
+
+    def test_refused_solve_is_retried(self, tmp_path, monkeypatch, capsys):
+        import pjmp.cli as cli
+
+        calls = []
+
+        def fails_once(gen, solve=cli.stationary):
+            calls.append(gen)
+            if len(calls) == 1:
+                raise RuntimeError("power iteration did not settle below 1e-15")
+            return solve(gen)
+
+        monkeypatch.setattr(cli, "stationary", fails_once)
+        assert _run_in_process(tmp_path, ["stationary", "--m-box", "10"])[0] == 2
+        assert capsys.readouterr().err.startswith("error: power iteration")
+        code, out = _run_in_process(tmp_path, ["stationary", "--m-box", "10"])
+        assert code == 0 and len(calls) == 2
+        assert (out / "stationary.json").exists()
+
+    @pytest.mark.parametrize("order", ["forward", "reverse"])
+    def test_files_match_fresh_processes(self, tmp_path, console_reports, order):
+        import pjmp.cli as cli
+
+        runs = [(box, argv) for box in LAW_BOXES for argv in LAW_COMMANDS]
+        if order == "reverse":
+            runs.reverse()
+        for box, argv in runs:
+            out = tmp_path / box / argv[0]
+            args = [argv[0], RING2, *argv[1:], *LAW_BOXES[box], "--out", str(out)]
+            assert cli.main(args) == 0
+        console = sorted(p.relative_to(console_reports) for p in console_reports.rglob("*.*"))
+        assert sorted(p.relative_to(tmp_path) for p in tmp_path.rglob("*.*")) == console
+        for rel in console:
+            assert (tmp_path / rel).read_bytes() == (console_reports / rel).read_bytes(), rel
+
+    def test_parser_is_built_once_and_parses_each_call_afresh(self):
+        import pjmp.cli as cli
+
+        parser = cli.build_parser()
+        assert cli.build_parser() is parser
+        first = parser.parse_args(["gap", RING2, "--m-box", "5", "--export-generator", "--seed", "3"])
+        second = parser.parse_args(["verify-poincare", RING2, "--n-functions", "7"])
+        third = parser.parse_args(["gap", RING2])
+        assert (first.command, first.m_box, first.export_generator, first.seed) == ("gap", 5.0, True, 3)
+        assert (second.command, second.m_box, second.n_functions, second.seed) == (
+            "verify-poincare", None, 7, 0)
+        assert not hasattr(second, "export_generator")
+        assert (third.m_box, third.export_generator, third.seed) == (None, False, 0)
+
+
+class TestVerifyPoincareBlocks:
+    """verify-poincare scores its functions in blocks, bitwise as one at a time."""
+
+    @pytest.mark.parametrize("per_block", [1, 7, 50, 1000])
+    def test_blocks_match_the_loop(self, tmp_path, monkeypatch, per_block):
+        import pjmp.cli as cli
+
+        net = network_from_json(RING2)
+        mu = stationary(assemble_generator(net, enumerate_states(net, net.zero_state(), 10.0)))
+        c_opt = poincare_constant(mu).c_opt
+        rng = np.random.default_rng(11)
+        worst, sup = -float("inf"), 0.0
+        for _ in range(50):  # the loop the blocks replace
+            var, energy = variance_and_energy(mu, rng.standard_normal(mu.generator.dimension))
+            worst = max(worst, var - c_opt * energy)
+            if energy > 0:
+                sup = max(sup, var / energy)
+
+        monkeypatch.setattr(cli, "POINCARE_BLOCK_FLOATS", per_block * mu.generator.dimension)
+        argv = ["verify-poincare", "--m-box", "10", "--n-functions", "50", "--seed", "11"]
+        code, out = _run_in_process(tmp_path, argv)
+        assert code == 0
+        doc = json.loads((out / "poincare.json").read_text())
+        assert (doc["worst_excess"], doc["sup_rayleigh"]) == (worst, sup)
 
 
 class TestReportFiles:

@@ -693,6 +693,14 @@ class TestStationary:
         assert dense_tv <= 1e-10
         assert peak <= 1.25 * 8 * n * n
 
+    def test_law_arrays_refuse_writes(self, ring2_box10):
+        # one law may be handed to many readers, so none may write into it
+        _space, _gen, mu = ring2_box10
+        for array in (mu.probabilities, mu.support, mu.gap.optimizer):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 1
+        assert mu.gap is mu.gap
+
     def test_residual_and_cross_checks(self, ring2_box10):
         _space, _gen, mu = ring2_box10
         assert mu.residual <= 1e-10
@@ -876,6 +884,13 @@ class TestTransient:
 
 
 class TestQuadraticForms:
+    def test_block_columns_bitwise_equal_single_functions(self, ring2_box10):
+        _space, gen, mu = ring2_box10
+        block = np.random.default_rng(4).standard_normal((gen.dimension, 9))
+        var, energy = variance_and_energy(mu, block)
+        for j in range(block.shape[1]):
+            assert (var[j], energy[j]) == variance_and_energy(mu, block[:, j].copy())
+
     def test_constant_function(self, ring2_box10):
         _space, gen, mu = ring2_box10
         var, energy = variance_and_energy(mu, np.full(gen.dimension, 3.3))
