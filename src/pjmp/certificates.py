@@ -347,7 +347,9 @@ class SemigroupReport:
         )
 
 
-SUITE_BUDGET = 2**25  # floats a suite's (n, 2 size + 1) walk may hold: 256 MiB
+# floats the profile's walked [f, F_t] block, n (size + 1), and its
+# Gamma(f) 1_D block, n size, may hold together: 256 MiB
+SUITE_BUDGET = 2**25
 
 
 def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_box: float):
@@ -357,7 +359,8 @@ def make_function_suite(space: EnumeratedSpace, size: int, seed: int, enlarged_b
     block, and a boolean mask of the columns supported strictly outside the
     enlarged inner box. Those are the last fifth or so of the suite, which
     the measured-d1 step requires. Raises, before any draw, when the box
-    holds no such states or the suite's walk would pass SUITE_BUDGET floats.
+    holds no such states or the profile's walked and Gamma(f) 1_D blocks
+    would pass SUITE_BUDGET floats.
     """
     n = len(space)
     if n * (2 * size + 1) > SUITE_BUDGET:

@@ -195,9 +195,13 @@ def _dense_nullspace_solve(q_supp: sp.csr_matrix) -> np.ndarray:
 
 
 def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
-    """Stationary vector from power iteration on the lazy kernel
-    P = I + Q/(2 Lambda). Its eigenvalues lie in the disc of radius 1/2
-    about 1/2, so none is near -1 and no iterate oscillates."""
+    """Stationary vector from power iteration on the kernel
+    P = I + Q/(c Lambda), c = 1.25. The eigenvalues of Q/Lambda lie in the
+    disc of radius 1 about -1, so those of P lie in the disc of radius 1/c
+    about 1 - 1/c, at or above 1 - 2/c = -0.6. c is above 1 because at
+    c = 1 an eigenvalue can sit at or near -1, where the iterates oscillate
+    and never settle; the larger c, the closer the slow eigenvalues move to
+    1 and the more steps the iteration takes, so c stays near 1."""
     n = q_supp.shape[0]
     if n == 1:
         return np.ones(1)
@@ -205,7 +209,7 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     if lam <= 0:
         raise ValueError("support has no motion; power iteration undefined")
     # v @ P, as the transposed kernel applied to v; built once
-    p_t = (sp.eye(n, format="csr") + q_supp / (2.0 * lam)).T.tocsr()
+    p_t = (sp.eye(n, format="csr") + q_supp / (1.25 * lam)).T.tocsr()
     v = np.full(n, 1.0 / n)
     for _ in range(POWER_MAXITER):
         v2 = p_t @ v
@@ -332,7 +336,8 @@ def _uniformized_sum(op, v: np.ndarray, weights) -> np.ndarray:
     """sum_k weights[k] * op^k v for a vector or an (n, k) block v.
 
     A block takes one sparse product per power, and its column j is
-    bitwise the result for v[:, j] alone.
+    bitwise the result for v[:, j] alone. weights[k] is one number, or a
+    row of k numbers, one per column of the block.
     """
     acc = np.zeros_like(v)
     for k, w in enumerate(weights):
@@ -575,38 +580,69 @@ def semigroup_variance_profile(
     The distinct times are walked in increasing order, one leg d = t' - t
     at a time, by the Markov property: P_t' = P_d P_t and
     F_t' = F_d + P_d F_t. F_t rides as the last column of the block
-    [f, Gamma(f, f) * 1_D, F_t], so each leg takes one propagation of
-    the block and one time integral of phibar, and the grid costs
-    Lambda * max(t_grid) series terms instead of Lambda * sum(t_grid).
-    Each leg's series drops at most eps, relative to the size of what it
-    carries, and P_d does not enlarge an earlier leg's error, so the walk
-    is within (number of legs) * eps of running every time from 0.
+    [f, F_t], so each leg takes one propagation of the block and one time
+    integral of phibar, and the walk costs Lambda * max(t_grid) series
+    terms instead of Lambda * sum(t_grid). Each leg's series drops at most
+    eps, relative to the size of what it carries, and P_d does not enlarge
+    an earlier leg's error, so the walk is within (number of legs) * eps
+    of running every time from 0.
+
+    The weighted term is linear in g = Gamma(f, f) * 1_D, so it is read
+    through the adjoint: mu(F_t * P_t g) = nu_t(g) with the measure
+    nu_t = (mu F_t) P_t, which does not depend on f. After the walk, one
+    transposed series on the (n, J) block [mu F_t1, ..., mu F_tJ] of the J
+    distinct times gives every nu_t, column j weighted by Poisson(Lambda
+    t_j) and cut where that mass reaches 1 - eps. The at most eps of the
+    mass of mu F_t that the cut would drop is folded onto the last power,
+    as propagate_function folds it, so nu_t keeps the mass of mu F_t and
+    a grid of one time is the exact adjoint of walking g beside F_t. P_t
+    moves mass without adding any, so the weighted term is within
+    max|g| * (mu(|error of F_t|) + 2 eps mu(F_t)) of exact: about
+    (number of legs + 2) * eps relative to mu(F_t) max|g|. A grid whose
+    largest time needs a series past MAX_LAMBDA_T is refused before any
+    series runs.
     f^2 needs no walk: mu P_t = mu, so lhs(t) = mu(f^2) - mu((P_t f)^2),
     exact to t * Lambda * |support| * mu.residual * max f^2.
     """
     t_grid = [float(t) for t in t_grid]
     _check_series_args(t_grid, eps)
+    times = sorted(set(t_grid))
+    gen = mu.generator
+    lam = _series_setup(gen, max(t_grid, default=0.0), eps)
     f = np.asarray(f, dtype=float)
     phibar = mu.space.total_rates()
-    gen = mu.generator
     fs = f.reshape(f.shape[0], -1)
     k = fs.shape[1]
     ind = np.ones(f.shape[0]) if indicator is None else np.asarray(indicator, dtype=float)
     p = mu.probabilities
-    gam = gamma_vector(gen, fs)
-    energy = _column_means(p, gam)
+    loc = gamma_vector(gen, fs)
+    energy = _column_means(p, loc)
+    loc *= ind[:, None]
     mean_f2 = _column_means(p, fs * fs)
-    cur = np.hstack([fs, gam * ind[:, None], np.zeros((f.shape[0], 1))])
-    rows = {}
+    cur = np.hstack([fs, np.zeros((f.shape[0], 1))])
+    rows, mu_ft = {}, np.empty((f.shape[0], len(times)))
     t_prev = 0.0
-    for t in sorted(set(t_grid)):
+    for j, t in enumerate(times):
         cur = propagate_function(gen, cur, t - t_prev, eps)
         cur[:, -1] += weighted_F_vector(gen, phibar, t - t_prev, eps)
         t_prev = t
-        ptf, pt_loc, fv = np.split(cur, [k, 2 * k], axis=1)
-        rows[t] = (mean_f2 - _column_means(p, ptf**2), _column_means(p, fv * pt_loc))
-    lhs = np.array([rows[t][0] for t in t_grid]).reshape(len(t_grid), k)
-    weighted = np.array([rows[t][1] for t in t_grid]).reshape(len(t_grid), k)
+        rows[t] = mean_f2 - _column_means(p, cur[:, :k] ** 2)
+        mu_ft[:, j] = p * cur[:, -1]
+    nu = mu_ft
+    if lam:
+        # column j's weights end at its own cut, with the tail folded on;
+        # t = 0 (where F_0 = 0) takes P^0 alone
+        cols = []
+        for t in times:
+            w, cum = _poisson_weights(lam * t, eps) if t else ([], 0.0)
+            cols.append(w + [1.0 - cum])
+        weights = np.zeros((max(map(len, cols), default=0), len(times)))
+        for j, w in enumerate(cols):
+            weights[: len(w), j] = w
+        nu = _uniformized_sum(gen.kernel.T, mu_ft, weights)
+    terms = {t: _column_means(nu_t, loc) for t, nu_t in zip(times, np.ascontiguousarray(nu.T))}
+    lhs = np.array([rows[t] for t in t_grid]).reshape(len(t_grid), k)
+    weighted = np.array([terms[t] for t in t_grid]).reshape(len(t_grid), k)
     if f.ndim == 1:
         return lhs[:, 0], float(energy[0]), weighted[:, 0]
     return lhs, energy, weighted

@@ -6,10 +6,10 @@ are saturated coordinate-wise, which keeps probability flow conservative: a
 saturated jump that lands back on its own source is a no-op and contributes
 nothing to the generator.
 
-The enumeration is held as three (n_states, N) tables: the integer
-numerators of every state, the index of the state each neuron's saturated
-jump lands on, and whether that jump needed saturation. Every consumer
-(generator, masks, certificates) reads these tables; ``PotentialState``
+The enumeration is held as three read-only (n_states, N) tables: the
+integer numerators of every state, the index of the state each neuron's
+saturated jump lands on, and whether that jump needed saturation. Every
+consumer (generator, masks, certificates) reads these tables; ``PotentialState``
 objects for the whole box are built only on request, through ``states``,
 ``index``, ``position`` and ``in``. The files that carry the enumeration and
 the rate matrix (``states.csv``, ``generator.mtx``) are rendered by the
@@ -177,13 +177,14 @@ def enumerate_states(
             )
         if fresh:
             layers.append(np.frombuffer(b"".join(fresh), dtype=">i8").reshape(-1, n))
-    return EnumeratedSpace(
-        net=net,
-        m_box=float(m_box),
-        numerators=np.concatenate(layers, dtype=np.int64),
-        targets=np.concatenate(targets).reshape(-1, n),
-        saturated=np.concatenate(saturated),
+    tables = (
+        np.concatenate(layers, dtype=np.int64),
+        np.concatenate(targets).reshape(-1, n),
+        np.concatenate(saturated),
     )
+    for table in tables:
+        table.flags.writeable = False
+    return EnumeratedSpace(net, float(m_box), *tables)
 
 
 @dataclass(frozen=True)
@@ -194,6 +195,8 @@ class SparseGenerator:
     equal to minus its row's off-diagonal sum, so rows sum to zero. Row and
     column k belong to state k of ``space``. ``rate`` (Lambda = -min diag Q)
     and ``kernel`` (P = I + Q/Lambda, read if Lambda > 0) are kept once read.
+    The arrays of ``matrix`` from ``assemble_generator``, and of ``kernel``,
+    are read-only, since one chain may serve many readers.
     """
 
     matrix: sp.csr_matrix
@@ -209,7 +212,7 @@ class SparseGenerator:
 
     @cached_property
     def kernel(self) -> sp.csr_matrix:
-        return sp.eye(self.dimension, format="csr") + self.matrix / self.rate
+        return _read_only(sp.eye(self.dimension, format="csr") + self.matrix / self.rate)
 
 
 def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGenerator:
@@ -229,6 +232,14 @@ def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGe
     k, i = moves.nonzero()  # row-major: state by state, neuron by neuron
     off = sp.coo_matrix((rates[k, i], (k, space.targets[k, i])), shape=(n, n))
     q = (off + sp.diags(diag)).tocsr()
-    q.sum_duplicates()
-    return SparseGenerator(matrix=q, space=space)
+    return SparseGenerator(matrix=_read_only(q), space=space)
+
+
+def _read_only(m: sp.csr_matrix) -> sp.csr_matrix:
+    """m with its three arrays made read-only, after putting it in canonical
+    form, so that no later scipy call sorts or sums it in place."""
+    m.sum_duplicates()
+    for array in (m.data, m.indices, m.indptr):
+        array.flags.writeable = False
+    return m
 

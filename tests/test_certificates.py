@@ -411,8 +411,9 @@ class TestSemigroupReport:
             make_function_suite(space, 3, 0, enlarged_box=18.0)
 
     def test_suite_over_budget_refused_before_any_draw(self, ring2_solved):
-        # 69 states and 300,000 functions: the walk's block would hold about
-        # 41 million floats, 331 MB, and the suite half of that again
+        # 69 states and 300,000 functions: the walked [f, F_t] block and the
+        # Gamma(f) 1_D block would hold about 41 million floats, 331 MB, and
+        # the suite half of that again
         _space, _gen, mu = ring2_solved
         tracemalloc.start()
         try:
@@ -424,7 +425,8 @@ class TestSemigroupReport:
         assert peak < 2**20
 
     def test_suite_budget_edge(self, ring2_solved, monkeypatch):
-        # the walk holds n * (2 size + 1) floats: that many fit, one column more does not
+        # the walked and Gamma(f) 1_D blocks hold n * (2 size + 1) floats:
+        # that many fit, one column more does not
         space, _gen, _mu = ring2_solved
         monkeypatch.setattr(certificates, "SUITE_BUDGET", len(space) * (2 * 20 + 1))
         suite, _outside = make_function_suite(space, 20, 0, enlarged_box=18.0)
@@ -499,7 +501,8 @@ class TestSemigroupReport:
         _assert_fit_equals_oracle(report, profile)
 
     def test_one_series_pair_per_time(self, ring2_solved, monkeypatch):
-        # each leg propagates [f, Gamma(f) 1_D, F_t]: 2k + 1 columns, no f^2
+        # each leg propagates [f, F_t]: k + 1 columns, neither f^2 nor
+        # Gamma(f) 1_D; then one transposed series gives nu_t for all times
         space, gen, mu = ring2_solved
         calls = {"propagate_function": 0, "weighted_F_vector": 0}
         shapes = []
@@ -513,10 +516,21 @@ class TestSemigroupReport:
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(spectral, name, counted)
+        transposed = []
+        series = spectral._uniformized_sum
+
+        def seen(op, v, weights):
+            if op is not gen.kernel:
+                assert (op.T != gen.kernel).nnz == 0
+                transposed.append((v.shape, np.shape(weights)[1:]))
+            return series(op, v, weights)
+
+        monkeypatch.setattr(spectral, "_uniformized_sum", seen)
         report = semigroup_poincare_report(mu, suite_size=20)
         assert calls == {"propagate_function": 4, "weighted_F_vector": 4}
         assert len(report.t_grid) == 4
-        assert shapes == [(gen.dimension, 2 * report.n_suite + 1)] * 4
+        assert shapes == [(gen.dimension, report.n_suite + 1)] * 4
+        assert transposed == [((gen.dimension, 4), (4,))]
 
     @pytest.mark.parametrize("model", ["ring2", "rand3"])
     def test_stationary_mean_of_f2_is_kept(self, ring2, monkeypatch, model):

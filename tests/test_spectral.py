@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pjmp.spectral as spectral
@@ -495,6 +495,33 @@ def profile_oracle(mu, f, t_grid, eps=1e-12, indicator=None, phibar=None):
     return np.array(lhs), _column_dots(p, gam), np.array(weighted)
 
 
+def walked_profile_oracle(mu, f, t_grid, eps=1e-12, indicator=None):
+    """The profile of an (n, k) block f by walking [f, Gamma(f) 1_D, F_t].
+
+    Leg by leg, as the profile walks [f, F_t], but with Gamma(f) 1_D
+    propagated too, so the weighted term is mu(F_t * P_t(Gamma(f) 1_D))
+    read at each time rather than through nu_t = (mu F_t) P_t.
+    """
+    gen, p = mu.generator, mu.probabilities
+    phibar = gen.space.total_rates()
+    k = f.shape[1]
+    ind = np.ones(len(p)) if indicator is None else indicator
+    gam = gamma_vector(gen, f)
+    mean_f2 = _column_dots(p, f * f)
+    cur = np.hstack([f, gam * ind[:, None], np.zeros((len(p), 1))])
+    rows = {}
+    t_prev = 0.0
+    for t in sorted(set(t_grid)):
+        cur = propagate_function(gen, cur, t - t_prev, eps)
+        cur[:, -1] += weighted_F_vector(gen, phibar, t - t_prev, eps)
+        t_prev = t
+        ptf, pt_loc, fv = np.split(cur, [k, 2 * k], axis=1)
+        rows[t] = (mean_f2 - _column_dots(p, ptf**2), _column_dots(p, fv * pt_loc))
+    lhs = np.array([rows[t][0] for t in t_grid])
+    weighted = np.array([rows[t][1] for t in t_grid])
+    return lhs, _column_dots(p, gam), weighted
+
+
 @pytest.fixture(scope="module", params=[("ring2", 10.0), ("rand3", 8.0)], ids=str)
 def kernel_case(request, ring2):
     name, m_box = request.param
@@ -605,6 +632,31 @@ class TestUniformizationKernel:
 
     @settings(max_examples=200, deadline=None)
     @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m_box=st.integers(1, 6),
+        t_grid=st.lists(st.floats(0.0, 4.0), min_size=1, max_size=4),
+    )
+    @example(seed=437, n=4, m_box=6, t_grid=[6.103515625e-05])
+    def test_adjoint_weighted_term_matches_the_walk(self, seed, n, m_box, t_grid):
+        # nu_t = (mu F_t) P_t read against Gamma(f) 1_D, against walking
+        # Gamma(f) 1_D beside f and F_t; lhs and energy are the same bits.
+        # Both fold each cut's tail onto the last power, so a one-time grid
+        # differs only by rounding; with the tail dropped instead, the
+        # example below differed by 1.1e-12
+        net = make_random_net(seed, n)
+        space = enumerate_states(net, net.zero_state(), float(m_box))
+        mu = stationary(assemble_generator(net, space))
+        rng = np.random.default_rng(seed)
+        block = rng.standard_normal((len(space), 3))
+        indicator = (space.coordinate_values().max(axis=0) <= m_box / 2).astype(float)
+        got = semigroup_variance_profile(mu, block, t_grid, indicator=indicator)
+        want = walked_profile_oracle(mu, block, t_grid, indicator=indicator)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+        np.testing.assert_allclose(got[2], want[2], rtol=1e-12, atol=0)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
         m=st.floats(1e-3, 2000.0),
         lam=st.floats(1e-2, 1e2),
         eps=st.floats(1e-15, 0.5),
@@ -694,9 +746,13 @@ class TestStationary:
         assert peak <= 1.25 * 8 * n * n
 
     def test_law_arrays_refuse_writes(self, ring2_box10):
-        # one law may be handed to many readers, so none may write into it
-        _space, _gen, mu = ring2_box10
-        for array in (mu.probabilities, mu.support, mu.gap.optimizer):
+        # one law may be handed to many readers, so none may write into it,
+        # nor into the chain it was solved from
+        space, gen, mu = ring2_box10
+        csr = [getattr(m, name) for m in (gen.matrix, gen.kernel)
+               for name in ("data", "indices", "indptr")]
+        tables = [space.numerators, space.targets, space.saturated]
+        for array in (mu.probabilities, mu.support, mu.gap.optimizer, *tables, *csr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
         assert mu.gap is mu.gap
