@@ -495,19 +495,14 @@ def ergodic_average(
     standard error uses batch means over n_batches equal time windows; that
     is a heuristic, adequate once windows are much longer than the mixing
     time. f must depend on the state only: it is called once per distinct
-    state the path holds in (burn_in, horizon].
+    state the path visits, burn-in included.
     """
     _check_times(horizon, burn_in)
     if not isinstance(n_batches, (int, np.integer)) or n_batches < 2:
         raise ValueError(f"n_batches must be an integer >= 2, got {n_batches!r}")
     table, scan = _segments(net, burn_in, horizon, seed)
-    held = np.zeros(len(table), dtype=bool)
-    for ids, _a, _b in scan():
-        held[ids] = True
-    seen = np.flatnonzero(held)
-    vals = np.zeros(len(table))
     den = net.denominator
-    vals[seen] = np.fromiter((f(PotentialState(table[k], den)) for k in seen.tolist()), float)
+    vals = np.fromiter((f(PotentialState(nums, den)) for nums in table), float, len(table))
     batch_len = (horizon - burn_in) / n_batches
     batch_acc = np.zeros(n_batches)
     for ids, a, b in scan():

@@ -6,7 +6,9 @@ under the stationary law, and the optimal variance-to-energy constant.
 The solvers take the chain as a SparseGenerator, which carries its
 enumerated space; a function of the stationary law takes the law alone and
 reads ``mu.generator``. Every series reads the chain's ``rate`` and
-``kernel``, and its weights from one Poisson stream with one term cap.
+``kernel``, and its weights from one Poisson stream with one term cap; each
+Poisson cut folds its dropped tail onto one more power, so a transient law
+keeps mass 1 and is the exact adjoint of the semigroup on functions.
 
 Conventions. The chain is not reversible; the energy form
 ``-mu(f * Qf) = mu(Gamma(f, f))`` only sees the symmetric part of the
@@ -307,14 +309,15 @@ def _poisson_stream(m: float):
     raise RuntimeError("uniformization series failed to accumulate mass")
 
 
-def _poisson_weights(m: float, eps: float):
-    """Poisson(m) weights of 0, 1, ... and their sum, added in order, once it reaches 1 - eps."""
+def _poisson_weights(m: float, eps: float) -> list:
+    """Poisson(m) weights of 0, 1, ... until their sum, added in order, reaches
+    1 - eps, then the leftover 1 - sum: the dropped tail, put on one more power."""
     weights, cum = [], 0.0
     for w in _poisson_stream(m):
         weights.append(w)
         cum += w
         if cum >= 1.0 - eps:
-            return weights, cum
+            return weights + [1.0 - cum]
 
 
 def _tail_weights(lam: float, t: float, bound: float, eps: float) -> list:
@@ -347,25 +350,19 @@ def _uniformized_sum(op, v: np.ndarray, weights) -> np.ndarray:
     return acc
 
 
-def _check_series_args(times, eps: float) -> None:
-    """Refuse a time that is not finite and nonnegative, or eps outside (0, 1)."""
+def _series_rate(gen, times, eps: float) -> float:
+    """Lambda for series up to each of times with truncation error eps. Refuses a
+    time that is not finite and nonnegative, eps outside (0, 1), and Lambda * t past
+    MAX_LAMBDA_T: more terms than that, and far past it every weight underflows."""
     for t in times:
         if not 0.0 <= t < math.inf:  # also refuses nan
             raise ValueError(f"time must be finite and nonnegative, got {t}")
     if not 0.0 < eps < 1.0:  # also refuses nan
         raise ValueError(f"eps must lie in (0, 1), got {eps}")
-
-
-def _series_setup(gen, t: float, eps: float) -> float:
-    """Lambda for a series up to a finite time t >= 0 with truncation error eps in (0, 1).
-
-    A series past Lambda * t = MAX_LAMBDA_T would take more terms than that,
-    and far past it every Poisson weight underflows to 0, so it is refused.
-    """
-    _check_series_args([t], eps)
     lam = gen.rate
-    if lam * t > MAX_LAMBDA_T:
-        raise ValueError(f"Lambda * t = {lam * t:.6g} exceeds the series bound {MAX_LAMBDA_T:g}")
+    reach = lam * max(times, default=0.0)
+    if reach > MAX_LAMBDA_T:
+        raise ValueError(f"Lambda * t = {reach:.6g} exceeds the series bound {MAX_LAMBDA_T:g}")
     return lam
 
 
@@ -374,34 +371,32 @@ def transient_distribution(gen, x0: int, t: float, eps: float = 1e-12) -> np.nda
 
     Uniformization: the law at time t is a Poisson mixture over powers of the
     discrete kernel P = I + Q/Lambda, applied to the row vector of x0. The
-    series is cut once the accumulated Poisson mass reaches 1 - eps, so the
-    dropped tail is at most eps; the result is nonnegative and sums to 1
-    within eps. eps must lie in (0, 1).
+    series is cut once the accumulated Poisson mass reaches 1 - eps, and the
+    dropped tail, at most eps, is folded onto one more power: the law keeps
+    mass 1 to rounding and, read through the same weights, is the exact
+    adjoint of propagate_function. eps must lie in (0, 1).
     """
-    lam = _series_setup(gen, t, eps)
+    lam = _series_rate(gen, [t], eps)
     v = np.zeros(gen.dimension)
     v[x0] = 1.0
     if t == 0 or lam == 0:
         return v
-    weights, _ = _poisson_weights(lam * t, eps)
     # v @ P, as the transposed kernel applied to v
-    return _uniformized_sum(gen.kernel.T, v, weights)
+    return _uniformized_sum(gen.kernel.T, v, _poisson_weights(lam * t, eps))
 
 
 def propagate_function(gen, f: np.ndarray, t: float, eps: float = 1e-12) -> np.ndarray:
     """E[f(X_t)] started from every state at once (the semigroup applied to f).
 
     f is one function of shape (n,) or a block of shape (n, k), propagated
-    together. eps must lie in (0, 1).
+    together. The dropped tail of the Poisson cut is folded onto one more
+    power, so a constant stays constant to rounding. eps must lie in (0, 1).
     """
-    lam = _series_setup(gen, t, eps)
+    lam = _series_rate(gen, [t], eps)
     v = np.asarray(f, dtype=float).copy()
     if t == 0 or lam == 0:
         return v
-    weights, cum = _poisson_weights(lam * t, eps)
-    # the dropped tail multiplies a bounded function; fold it onto P^K f
-    weights.append(1.0 - cum)
-    return _uniformized_sum(gen.kernel, v, weights)
+    return _uniformized_sum(gen.kernel, v, _poisson_weights(lam * t, eps))
 
 
 # -- quadratic forms ----------------------------------------------------------
@@ -534,7 +529,7 @@ def weighted_F_vector(gen, phibar: np.ndarray, t: float, eps: float = 1e-12) -> 
     once the remaining tail mass, multiplied by max phibar / Lambda, is below
     eps, so the truncation error is at most eps. eps must lie in (0, 1).
     """
-    lam = _series_setup(gen, t, eps)
+    lam = _series_rate(gen, [t], eps)
     phibar = np.asarray(phibar, dtype=float)
     if t == 0:
         return np.zeros_like(phibar)
@@ -592,11 +587,10 @@ def semigroup_variance_profile(
     nu_t = (mu F_t) P_t, which does not depend on f. After the walk, one
     transposed series on the (n, J) block [mu F_t1, ..., mu F_tJ] of the J
     distinct times gives every nu_t, column j weighted by Poisson(Lambda
-    t_j) and cut where that mass reaches 1 - eps. The at most eps of the
-    mass of mu F_t that the cut would drop is folded onto the last power,
-    as propagate_function folds it, so nu_t keeps the mass of mu F_t and
-    a grid of one time is the exact adjoint of walking g beside F_t. P_t
-    moves mass without adding any, so the weighted term is within
+    t_j) and cut where that mass reaches 1 - eps. The cut folds its tail,
+    as every series does, so nu_t keeps the mass of mu F_t and a grid of
+    one time is the exact adjoint of walking g beside F_t. P_t moves
+    mass without adding any, so the weighted term is within
     max|g| * (mu(|error of F_t|) + 2 eps mu(F_t)) of exact: about
     (number of legs + 2) * eps relative to mu(F_t) max|g|. A grid whose
     largest time needs a series past MAX_LAMBDA_T is refused before any
@@ -605,10 +599,9 @@ def semigroup_variance_profile(
     exact to t * Lambda * |support| * mu.residual * max f^2.
     """
     t_grid = [float(t) for t in t_grid]
-    _check_series_args(t_grid, eps)
-    times = sorted(set(t_grid))
     gen = mu.generator
-    lam = _series_setup(gen, max(t_grid, default=0.0), eps)
+    lam = _series_rate(gen, t_grid, eps)
+    times = sorted(set(t_grid))
     f = np.asarray(f, dtype=float)
     phibar = mu.space.total_rates()
     fs = f.reshape(f.shape[0], -1)
@@ -632,10 +625,7 @@ def semigroup_variance_profile(
     if lam:
         # column j's weights end at its own cut, with the tail folded on;
         # t = 0 (where F_0 = 0) takes P^0 alone
-        cols = []
-        for t in times:
-            w, cum = _poisson_weights(lam * t, eps) if t else ([], 0.0)
-            cols.append(w + [1.0 - cum])
+        cols = [_poisson_weights(lam * t, eps) if t else [1.0] for t in times]
         weights = np.zeros((max(map(len, cols), default=0), len(times)))
         for j, w in enumerate(cols):
             weights[: len(w), j] = w

@@ -379,7 +379,7 @@ def _transient_oracle(q, x0, t, eps=1e-12):
         cum += w
         v = v @ p
         k += 1
-    return acc
+    return acc + (1.0 - cum) * v
 
 
 def _propagate_oracle(q, f, t, eps=1e-12):
@@ -424,7 +424,7 @@ def _weighted_oracle(q, phibar, t, eps=1e-12):
 
 
 def _weights_oracle(m, eps):
-    """The Poisson weights and their sum, by the propagate builder's own loop."""
+    """The Poisson weights, then the leftover 1 - sum, by the propagate builder's own loop."""
     weights = []
     cum = 0.0
     k_cap = int(20 * m) + 500
@@ -433,7 +433,7 @@ def _weights_oracle(m, eps):
         cum += weights[-1]
         if len(weights) > k_cap:
             raise RuntimeError("uniformization series failed to accumulate mass")
-    return weights, cum
+    return weights + [1.0 - cum]
 
 
 def _tail_weights_oracle(lam, t, bound, eps):
@@ -663,8 +663,8 @@ class TestUniformizationKernel:
         bound=st.floats(0.0, 1e3),
     )
     def test_weight_builders_equal_their_own_loops(self, m, lam, eps, bound):
-        # both builders read one Poisson stream; the lists and the sum
-        # must be the separate loops' bit for bit
+        # both builders read one Poisson stream; the lists, with the
+        # leftover mass last, must be the separate loops' bit for bit
         got = _outcome(spectral._poisson_weights, m, eps)
         assert repr(got) == repr(_outcome(_weights_oracle, m, eps))
         t = m / lam
@@ -901,6 +901,28 @@ class TestTransient:
             v = transient_distribution(gen, k, t, eps=1e-9)
             assert (v >= 0).all()
             assert abs(v.sum() - 1.0) <= 1e-9
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.integers(2, 4),
+        m_box=st.integers(1, 6),
+        t=st.floats(0.0, 4.0),
+    )
+    def test_law_keeps_its_mass_and_is_the_adjoint(self, seed, n, m_box, t):
+        # both series fold the tail of one Poisson cut onto one more power,
+        # so the law has mass 1 and reads f as the semigroup does, to
+        # rounding; with the tail dropped, both missed by up to eps = 1e-12
+        net = make_random_net(seed, n)
+        space = enumerate_states(net, net.zero_state(), float(m_box))
+        gen = assemble_generator(net, space)
+        rng = np.random.default_rng(seed)
+        x0 = int(rng.integers(len(space)))
+        f = rng.standard_normal(len(space))
+        law = transient_distribution(gen, x0, t)
+        assert abs(law.sum() - 1.0) <= 1e-13
+        gap = abs(float(law @ f) - float(propagate_function(gen, f, t)[x0]))
+        assert gap <= 1e-13 * np.abs(f).max()
 
     def test_duality_with_function_propagation(self, ring2_box10):
         space, gen, _mu = ring2_box10
