@@ -25,7 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
@@ -47,7 +46,8 @@ __all__ = [
     "semigroup_variance_profile",
 ]
 
-DENSE_CUTOFF = 2000
+DIRECT_CUTOFF = 2000  # support states factorised by SuperLU; its fill stays under n^2 per factor
+SPLU_ORDERING = "MMD_AT_PLUS_A"  # both factorised patterns are near symmetric: 1/3 of COLAMD's fill
 GTH_DENSE_STATES = 200
 GTH_DENSE_FILL = 0.1
 GTH_PANEL = 64  # pivots per panel of a dense tail above GTH_DENSE_STATES + 1 states
@@ -174,25 +174,14 @@ def _gth_round(a: sp.csr_matrix, rest: np.ndarray):
     return a_cc, (s_idx, c_idx, a_cs, exit_rate)
 
 
-def _dense_nullspace_solve(q_supp: sp.csr_matrix) -> np.ndarray:
-    """LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support, where
-    Q^T has rank n - 1 and the normalisation replaces its last equation. Q
-    should be scaled to rates of order one, as the normalisation row is.
-    Q^T is densified once, F-ordered, and the LU factorises it in place.
-
-    scipy.linalg, not numpy.linalg, as in poincare_constant: numpy and scipy
-    each carry their own OpenBLAS thread pool, and alternating between the
-    two pools makes their threads compete for the cores."""
-    n = q_supp.shape[0]
-    a = q_supp.T.toarray(order="F")
-    a[-1] = 1.0
-    b = np.zeros(n)
-    b[-1] = 1.0
-    # assume_a="gen" names the LU: scipy's structure detection tries other
-    # factorisations first, and scipy 1.17 segfaults there when overwrite_a
-    # meets a symmetric indefinite matrix, such as the two-state [[-r, 1], [1, 1]]
-    mu = sla.solve(a, b, overwrite_a=True, check_finite=False, assume_a="gen")
-    mu = np.clip(mu, 0.0, None)
+def _lu_nullspace_solve(q_supp: sp.csr_matrix) -> np.ndarray:
+    """Sparse LU solve of mu^T Q = 0, sum(mu) = 1 on an irreducible support:
+    with mu_0 = 1, (Q^T)_{rest,rest} mu_rest = -(Q^T)_{rest,0}, whose matrix is
+    minus a nonsingular M-matrix, then normalised. Q should be scaled to rates
+    of order one."""
+    a = q_supp.T.tocsc()
+    rest = spla.splu(a[1:, 1:], permc_spec=SPLU_ORDERING).solve(-a[1:, 0].toarray().ravel())
+    mu = np.clip(np.concatenate([[1.0], rest]), 0.0, None)
     return mu / mu.sum()
 
 
@@ -237,9 +226,9 @@ class StationaryDistribution:
     ``residual`` is max |mu Q| / Lambda, the residual under the uniformized
     kernel P = I + Q/Lambda, so it does not scale with the rates;
     ``dense_tv`` / ``power_tv`` are the total variation distances to the
-    dense null-space solve (None above DENSE_CUTOFF support states) and to
-    power iteration; ``gap`` is ``poincare_constant`` of the law (a
-    GapResult).
+    sparse LU null-space solve (None above DIRECT_CUTOFF support states; the
+    name is historical) and to power iteration; ``gap`` is
+    ``poincare_constant`` of the law (a GapResult).
     """
 
     probabilities: np.ndarray
@@ -261,10 +250,10 @@ class StationaryDistribution:
 
     @cached_property
     def dense_tv(self) -> float | None:
-        if len(self.support) > DENSE_CUTOFF:
+        if len(self.support) > DIRECT_CUTOFF:
             return None
         q_supp = self.generator.matrix[self.support][:, self.support] / (self.generator.rate or 1.0)
-        return self._tv(_dense_nullspace_solve(q_supp))
+        return self._tv(_lu_nullspace_solve(q_supp))
 
     @cached_property
     def power_tv(self) -> float:
@@ -436,7 +425,7 @@ class GapResult:
     eigenvalue of the symmetrized generator. ``optimizer`` spans the full
     enumeration with zeros off the support, and is read-only. ``residual``
     is ||Bv - gap v|| for the symmetrized operator B and the unit
-    eigenvector v behind ``gap``. ``method`` names the eigensolver, "direct" or "iterative".
+    eigenvector v behind ``gap``. ``method`` names the eigensolver, "shift-invert" or "iterative".
     """
 
     c_opt: float
@@ -456,12 +445,12 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     neighbouring states, which stay moderate even when the masses themselves
     do not.
 
-    The eigenpair's residual ||Bv - lambda_1 v|| is reported for both
-    methods, formed with the sparse B; the direct method's one dense copy of
-    B is overwritten by the eigensolve. The iterative solver has no
-    convergence guarantee, and a Ritz value that is too large would make C
-    too small, so its result is refused with RuntimeError when the residual
-    exceeds EIGEN_RESIDUAL_TOL.
+    Up to DIRECT_CUTOFF support states, Lanczos runs on the inverse of the
+    SuperLU-factorised B + I with the kernel deflated (shift-invert); above,
+    LOBPCG runs on B. Neither has a convergence guarantee, and a Ritz value
+    that is too large would make C too small, so the residual
+    ||Bv - lambda_1 v||, formed with the sparse B, is reported, and a result
+    is refused with RuntimeError when it exceeds EIGEN_RESIDUAL_TOL.
     A one-state support has no nonconstant f and is refused with
     DegenerateModelError.
     """
@@ -479,13 +468,23 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     m.data = m.data * -(sq[m.row] / sq[m.col])
     b = (0.5 * (m + m.T)).tocsr()
 
-    method = "direct" if ns <= DENSE_CUTOFF else "iterative"
-    if method == "direct":
-        # the one dense copy of B, F-ordered, which the eigensolve overwrites
-        dense = b.toarray(order="F")
-        vals, vecs = sla.eigh(dense, subset_by_index=[0, 1], overwrite_a=True, check_finite=False)
-        lam1 = float(vals[1])
-        vec = vecs[:, 1]
+    method = "shift-invert" if ns <= DIRECT_CUTOFF else "iterative"
+    if method == "shift-invert":
+        # B + I is positive definite; its inverse, with the kernel sqrt(mu)
+        # projected out, has 1 / (1 + lambda_1) as its largest eigenvalue
+        lu = spla.splu((b + sp.eye(ns)).tocsc(), permc_spec=SPLU_ORDERING)
+        u = sq / np.linalg.norm(sq)
+
+        def deflated_solve(x):
+            y = lu.solve(x - u * (u @ x))
+            return y - u * (u @ y)
+
+        op = spla.LinearOperator((ns, ns), matvec=deflated_solve, dtype=float)
+        # a fixed start: ARPACK's own start vector moves with its earlier calls
+        v0 = np.random.default_rng(0).standard_normal(ns)
+        vals, vecs = spla.eigsh(b, k=1, sigma=-1.0, which="LM", OPinv=op, v0=v0, tol=0)
+        lam1 = float(vals[0])
+        vec = vecs[:, 0]
     else:
         rng = np.random.default_rng(0)
         x0 = rng.standard_normal((ns, 2))
@@ -498,9 +497,9 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
         vec = vecs[:, order[0]]
 
     residual = float(np.linalg.norm(b @ vec - lam1 * vec))
-    if method == "iterative" and not residual <= EIGEN_RESIDUAL_TOL:
+    if not residual <= EIGEN_RESIDUAL_TOL:
         raise RuntimeError(
-            f"iterative eigensolve residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"
+            f"{method} eigensolve residual {residual:.3e} exceeds {EIGEN_RESIDUAL_TOL}"
         )
     if lam1 <= 0:
         raise RuntimeError(f"nonpositive spectral gap {lam1}; eigensolve failed")

@@ -50,7 +50,7 @@ NEAR_EQUAL_RATES = {"n": 2, "weights": [[0, 0], [1, 0]], "intensity": {"delta": 
 def cross_check_calls(monkeypatch) -> dict:
     """Counts of the calls of the stationary law's two cross-check solvers, by name."""
     calls = {}
-    for name in ("_dense_nullspace_solve", "_power_iteration_solve"):
+    for name in ("_lu_nullspace_solve", "_power_iteration_solve"):
         def counted(q_supp, name=name, solve=getattr(spectral, name)):
             calls[name] += 1
             return solve(q_supp)

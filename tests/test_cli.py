@@ -15,6 +15,7 @@ from pjmp import (
     assemble_generator,
     enumerate_states,
     network_from_json,
+    network_to_json,
     poincare_constant,
     stationary,
     variance_and_energy,
@@ -616,12 +617,12 @@ class TestStationaryCrossChecks:
     def test_law_commands_run_no_cross_check(self, tmp_path, cross_check_calls, argv):
         code, _out = _run_in_process(tmp_path, [*argv, "--m-box", "10"])
         assert code == 0
-        assert cross_check_calls == {"_dense_nullspace_solve": 0, "_power_iteration_solve": 0}
+        assert cross_check_calls == {"_lu_nullspace_solve": 0, "_power_iteration_solve": 0}
 
     def test_stationary_runs_each_cross_check_once(self, tmp_path, cross_check_calls):
         code, _out = _run_in_process(tmp_path, ["stationary", "--m-box", "10"])
         assert code == 0
-        assert cross_check_calls == {"_dense_nullspace_solve": 1, "_power_iteration_solve": 1}
+        assert cross_check_calls == {"_lu_nullspace_solve": 1, "_power_iteration_solve": 1}
 
     @pytest.mark.parametrize("command", ["stationary", "gap", "verify-poincare", "concentration"])
     def test_near_equal_rates(self, tmp_path, command):
@@ -924,3 +925,21 @@ class TestDeterminism:
         for path_a in sorted((tmp_path / "a").iterdir()):
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
+
+    @pytest.mark.parametrize("command", ["gap", "stationary"])
+    def test_blas_thread_count_moves_no_byte(self, tmp_path, command):
+        # rand3 at box 10, 808 support states: the shift-invert eigensolve
+        # and the LU cross-check give the same bytes on one BLAS thread and two
+        model = tmp_path / "rand3.json"
+        model.write_text(json.dumps(network_to_json(make_random_net(1))))
+        for threads in ("1", "2"):
+            proc = run_cli(
+                [command, str(model), "--m-box", "10", "--out", str(tmp_path / threads)],
+                tmp_path,
+                env_extra={"OPENBLAS_NUM_THREADS": threads},
+            )
+            assert proc.returncode == 0, proc.stderr
+        names = sorted(path.name for path in (tmp_path / "1").iterdir())
+        assert names == sorted(path.name for path in (tmp_path / "2").iterdir())
+        for name in names:
+            assert (tmp_path / "1" / name).read_bytes() == (tmp_path / "2" / name).read_bytes(), name

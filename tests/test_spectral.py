@@ -1,5 +1,6 @@
 """Stationary laws, uniformization, quadratic forms, optimal constants."""
 
+import importlib.resources
 import math
 import tracemalloc
 import warnings
@@ -8,9 +9,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 import scipy.sparse.csgraph as csgraph
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import pjmp.spectral as spectral
@@ -64,6 +66,28 @@ def _dense_gth_oracle(q_supp: np.ndarray) -> np.ndarray:
     mu[0] = 1.0
     for k in range(1, n):
         mu[k] = (mu[:k] @ a[:k, k]) / exit_rate[k]
+    return mu / mu.sum()
+
+
+def _dense_eigen_oracle(mu) -> float:
+    """C_opt from a dense eigh of the mu-symmetrised generator, built from a
+    dense copy of Q: the reference poincare_constant's sparse branches match."""
+    support = mu.support
+    q = mu.generator.matrix[np.ix_(support, support)].toarray()
+    sq = np.sqrt(mu.probabilities[support])
+    b = -(sq[:, None] * q / sq[None, :])
+    vals = sla.eigh(0.5 * (b + b.T), subset_by_index=[0, 1], eigvals_only=True)
+    return 1.0 / vals[1]
+
+
+def _dense_nullspace_oracle(q_supp) -> np.ndarray:
+    """Dense LU solve of mu^T Q = 0 with sum(mu) = 1 in place of the last
+    equation: the reference _lu_nullspace_solve matches."""
+    a = q_supp.T.toarray()
+    a[-1] = 1.0
+    rhs = np.zeros(a.shape[0])
+    rhs[-1] = 1.0
+    mu = np.clip(sla.solve(a, rhs), 0.0, None)
     return mu / mu.sum()
 
 
@@ -331,7 +355,7 @@ class TestGTHSolver:
         assert peak <= 1.25 * 8 * 714**2
 
     def test_no_dense_copy_above_cutoff(self):
-        # rand3 at box 16 has a 2107-state support, above DENSE_CUTOFF; a
+        # rand3 at box 16 has a 2107-state support, above DIRECT_CUTOFF; a
         # dense copy of it alone would take 8 n^2 bytes
         net = make_random_net(1)
         space = enumerate_states(net, net.zero_state(), 16.0)
@@ -344,7 +368,7 @@ class TestGTHSolver:
         finally:
             tracemalloc.stop()
         n = len(mu.support)
-        assert n == 2107 and n > spectral.DENSE_CUTOFF
+        assert n == 2107 and n > spectral.DIRECT_CUTOFF
         assert peak < 0.5 * 8 * n * n
         assert dense_tv is None
         assert power_tv <= 1e-10
@@ -738,12 +762,13 @@ def rand3_box10():
 
 
 class TestStationary:
-    def test_dense_cross_check_holds_one_copy(self, rand3_box10):
+    def test_lu_cross_check_holds_no_dense_copy(self, rand3_box10):
+        # tracemalloc sees numpy's arrays but not SuperLU's C allocations
         mu = replace(rand3_box10)  # a fresh law, whose dense_tv is not yet cached
         n = len(mu.support)
         dense_tv, peak = _traced_peak(lambda: mu.dense_tv)
         assert dense_tv <= 1e-10
-        assert peak <= 1.25 * 8 * n * n
+        assert peak <= 0.25 * 8 * n * n
 
     def test_law_arrays_refuse_writes(self, ring2_box10):
         # one law may be handed to many readers, so none may write into it,
@@ -766,14 +791,14 @@ class TestStationary:
     def test_solve_runs_no_cross_check(self, ring2_box10, cross_check_calls):
         _space, gen, _mu = ring2_box10
         stationary(gen)
-        assert cross_check_calls == {"_dense_nullspace_solve": 0, "_power_iteration_solve": 0}
+        assert cross_check_calls == {"_lu_nullspace_solve": 0, "_power_iteration_solve": 0}
 
     def test_each_cross_check_runs_once_when_read(self, ring2_box10, cross_check_calls):
         _space, gen, _mu = ring2_box10
         mu = stationary(gen)
         first = (mu.residual, mu.dense_tv, mu.power_tv)
         assert (mu.residual, mu.dense_tv, mu.power_tv) == first
-        assert cross_check_calls == {"_dense_nullspace_solve": 1, "_power_iteration_solve": 1}
+        assert cross_check_calls == {"_lu_nullspace_solve": 1, "_power_iteration_solve": 1}
 
     def test_power_iteration_settles_on_near_equal_rates(self):
         net = network_from_json(NEAR_EQUAL_RATES)
@@ -830,9 +855,9 @@ class TestStationary:
         assert mu.probabilities.sum() == pytest.approx(1.0, abs=1e-14)
         assert (mu.probabilities >= 0).all()
 
-    def test_dense_check_skipped_above_cutoff(self, ring2_box10, monkeypatch):
+    def test_lu_check_skipped_above_cutoff(self, ring2_box10, monkeypatch):
         _space, gen, _mu = ring2_box10
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
+        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 5)
         mu = stationary(gen)
         assert mu.dense_tv is None
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
@@ -1009,6 +1034,7 @@ class TestQuadraticForms:
 # at box 1 the origin fires neuron 0 into (0, 1) at rate 0.7, (0, 1) fires
 # neuron 1 back at rate 0.7 + 1.6 = 2.3, and every other firing is a no-op
 TWO_STATE = {"n": 2, "weights": [[0, 1], [0, 0]], "intensity": {"delta": 0.7, "slope": 1.6}}
+RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
 
 class TestPoincare:
@@ -1027,11 +1053,34 @@ class TestPoincare:
         with pytest.raises(DegenerateModelError, match="single state"):
             poincare_constant(mu)
 
-    def test_direct_eigensolve_holds_one_copy(self, rand3_box10):
+    def test_shift_invert_holds_no_dense_copy(self, rand3_box10):
+        # tracemalloc sees numpy's arrays but not SuperLU's C allocations
         n = len(rand3_box10.support)
         gap, peak = _traced_peak(lambda: poincare_constant(rand3_box10))
-        assert gap.method == "direct" and gap.residual <= 1e-12
-        assert peak <= 1.25 * 8 * n * n
+        assert gap.method == "shift-invert" and gap.residual <= 1e-12
+        assert peak <= 0.25 * 8 * n * n
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([1.0, 2.0, 4.0, 6.0]))
+    @example(model=TWO_STATE, n=None, m_box=1.0)
+    @example(model=NEAR_EQUAL_RATES, n=None, m_box=1.0)  # a two-state support
+    @example(model=RING2, n=None, m_box=10.0)
+    @example(model=RING2, n=None, m_box=30.0)
+    @example(model=RING2, n=None, m_box=34.0)
+    @example(model=1, n=3, m_box=10.0)  # rand3, 808 support states
+    def test_sparse_layers_match_dense_oracles(self, model, n, m_box):
+        # model is a make_random_net seed, whose nets of 2 or 3 neurons have
+        # supports of 2 to about 300 states, or, with n None, the model of
+        # another test of this class
+        net = make_random_net(model, n) if n else network_from_json(model)
+        gen = assemble_generator(net, enumerate_states(net, net.zero_state(), m_box))
+        mu = stationary(gen)
+        assume(len(mu.support) > 1)
+        c_opt = _dense_eigen_oracle(mu)
+        assert abs(poincare_constant(mu).c_opt - c_opt) <= 1e-12 * c_opt
+        q_supp = gen.matrix[mu.support][:, mu.support] / gen.rate
+        lu = spectral._lu_nullspace_solve(q_supp)
+        assert 0.5 * np.abs(lu - _dense_nullspace_oracle(q_supp)).sum() <= 1e-12
 
     def test_rayleigh_oracle(self, ring2_box10):
         _space, gen, mu = ring2_box10
@@ -1047,59 +1096,61 @@ class TestPoincare:
         assert sup_ratio <= gap.c_opt + 1e-12
         assert var_s / en_s == pytest.approx(gap.c_opt, rel=1e-6)
 
-    def test_iterative_agrees_with_direct(self, ring2, monkeypatch):
+    def test_iterative_agrees_with_shift_invert(self, ring2, monkeypatch):
         space = enumerate_states(ring2, ring2.zero_state(), 30.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
         direct = poincare_constant(mu)
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 10)
+        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 10)
         iterative = poincare_constant(mu)
-        assert (direct.method, iterative.method) == ("direct", "iterative")
+        assert (direct.method, iterative.method) == ("shift-invert", "iterative")
         assert iterative.c_opt == pytest.approx(direct.c_opt, rel=1e-8)
 
     def test_both_branches_build_one_operator(self, ring2, monkeypatch):
-        # the dense eigensolver and LOBPCG must receive the same symmetrised
-        # operator B, bit for bit, not two formulas that round differently
+        # the shift-invert factorisation of B + I and LOBPCG must start from
+        # the same symmetrised operator B, bit for bit, not two formulas that
+        # round differently
         space = enumerate_states(ring2, ring2.zero_state(), 34.0)
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
         seen = {}
-        for name in ("eigh", "lobpcg"):
-            module = spectral.sla if name == "eigh" else spectral.spla
-            real = getattr(module, name)
+        for name in ("splu", "lobpcg"):
+            real = getattr(spectral.spla, name)
 
-            def capture(b, *args, _real=real, _name=name, **kwargs):
-                seen[_name] = b.copy()  # eigh overwrites its copy of B
-                return _real(b, *args, **kwargs)
+            def capture(a, *args, _real=real, _name=name, **kwargs):
+                seen[_name] = a.copy()
+                return _real(a, *args, **kwargs)
 
-            monkeypatch.setattr(module, name, capture)
-        assert poincare_constant(mu).method == "direct"
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
+            monkeypatch.setattr(spectral.spla, name, capture)
+        assert poincare_constant(mu).method == "shift-invert"
+        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 5)
         assert poincare_constant(mu).method == "iterative"
-        assert len(mu.support) == 68
-        assert np.array_equal(seen["lobpcg"].toarray(), seen["eigh"])
+        n = len(mu.support)
+        assert n == 68
+        assert np.array_equal(seen["lobpcg"].toarray() + np.eye(n), seen["splu"].toarray())
 
     def test_eigenpair_residual_reported(self, ring2_box10, monkeypatch):
         _space, gen, mu = ring2_box10
-        for cutoff, method in ((spectral.DENSE_CUTOFF, "direct"), (5, "iterative")):
-            monkeypatch.setattr(spectral, "DENSE_CUTOFF", cutoff)
+        for cutoff, method in ((spectral.DIRECT_CUTOFF, "shift-invert"), (5, "iterative")):
+            monkeypatch.setattr(spectral, "DIRECT_CUTOFF", cutoff)
             gap = poincare_constant(mu)
             assert gap.method == method
             assert gap.residual is not None
             assert gap.residual <= spectral.EIGEN_RESIDUAL_TOL
 
-    def test_inflated_ritz_value_rejected(self, ring2_box10, monkeypatch):
+    @pytest.mark.parametrize("solver, cutoff", [("eigsh", spectral.DIRECT_CUTOFF), ("lobpcg", 5)])
+    def test_inflated_ritz_value_rejected(self, ring2_box10, monkeypatch, solver, cutoff):
         # a Ritz value 1% too large would shrink C_opt by 1%; the residual
         # check must refuse it rather than report a non-conservative constant
         _space, gen, mu = ring2_box10
-        lobpcg = spectral.spla.lobpcg
+        real = getattr(spectral.spla, solver)
 
         def inflated(*args, **kwargs):
-            vals, vecs = lobpcg(*args, **kwargs)
+            vals, vecs = real(*args, **kwargs)
             return vals * 1.01, vecs
 
-        monkeypatch.setattr(spectral.spla, "lobpcg", inflated)
-        monkeypatch.setattr(spectral, "DENSE_CUTOFF", 5)
+        monkeypatch.setattr(spectral.spla, solver, inflated)
+        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", cutoff)
         with pytest.raises(RuntimeError, match="residual"):
             poincare_constant(mu)
 
