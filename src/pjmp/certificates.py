@@ -70,23 +70,17 @@ def path_method_C0(mu: StationaryDistribution) -> PathMethodReport:
     pattern, the firing graph. Every state reaches the reset hub h, so with
     reach = max_x d(x, h) <= N, d(x, y) <= reach + d(h, y). Searches into y,
     level by level in decreasing d(h, y), stop once that bound is at most the
-    longest path found. A hand-built support that is not a closed class (it
-    misses h, or a path to or from h) is refused with ValueError.
+    longest path found.
     """
     net = mu.space.net
     support = mu.support
     min_mu = float(mu.probabilities[support].min())
     delta = float(net.intensity.delta)
     c0 = float("inf") if min_mu == 0 else net.n_neurons**2 / (2 * min_mu * delta)
-    not_closed = ValueError("the support of mu is not a closed class of its generator")
-    hub = np.flatnonzero(support == mu.space.hub)
-    if not hub.size:
-        raise not_closed
-    adj = mu.generator.matrix[support][:, support] > 0
+    hub = np.searchsorted(support, mu.space.hub)
+    adj = mu.generator.support_matrix > 0
     rev = adj.T.tocsr()
-    from_h, to_h = (csgraph.shortest_path(a, unweighted=True, indices=hub[0]) for a in (adj, rev))
-    if not np.isfinite([from_h, to_h]).all():
-        raise not_closed
+    from_h, to_h = (csgraph.shortest_path(a, unweighted=True, indices=hub) for a in (adj, rev))
     reach, level = int(to_h.max()), int(from_h.max())
     max_len = max(reach, level)
     while level + reach > max_len:

@@ -325,6 +325,8 @@ def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.
         if col == 0:
             exps, us = _exp_pick(read(replicas[live], k))
             slot = np.arange(live.size)  # row of each live replica in the draws
+            # a chunk adds at most CHUNK * max w to a numerator: check each step if that may wrap
+            exact = int(nums.max()) + CHUNK * int(w.max()) > np.iinfo(np.int64).max
         acc = np.cumsum(delta + slope * (nums / den), axis=1)  # left to right
         total = acc[:, -1]
         tau = exps[slot, col] / total
@@ -340,6 +342,8 @@ def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.
         clock += tau
         # acc is nondecreasing, so the first column above u*total is a count
         pick = (acc[:, :-1] <= (us[slot, col] * total)[:, None]).sum(axis=1)
+        if exact and (nums > np.iinfo(np.int64).max - w[pick]).any():
+            raise ValueError("potential numerators exceed the int64 range")
         nums += w[pick]
         nums[np.arange(live.size), pick] = 0
         k += 1

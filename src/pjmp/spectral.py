@@ -4,8 +4,8 @@ Everything here works on the rate matrix of an enumerated box: stationary
 vectors, transient distributions through uniformization, quadratic forms
 under the stationary law, and the optimal variance-to-energy constant.
 The solvers take the chain as a SparseGenerator, which carries its
-enumerated space; a function of the stationary law takes the law alone and
-reads ``mu.generator``. Every series reads the chain's ``rate`` and
+enumerated space and its closed class; a function of the stationary law
+takes the law alone and reads ``mu.generator``. Every series reads the chain's ``rate`` and
 ``kernel``, and its weights from one Poisson stream with one term cap; each
 Poisson cut folds its dropped tail onto one more power, so a transient law
 keeps mass 1 and is the exact adjoint of the semigroup on functions.
@@ -26,7 +26,6 @@ from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.csgraph as csgraph
 import scipy.sparse.linalg as spla
 
 from .statespace import EnumeratedSpace, SparseGenerator
@@ -218,21 +217,18 @@ def _power_iteration_solve(q_supp: sp.csr_matrix) -> np.ndarray:
 class StationaryDistribution:
     """Stationary law of the truncated chain.
 
-    ``probabilities`` spans the whole enumeration, with exact zeros on
-    transient states. ``support`` holds the sorted indices of the closed
-    class of ``generator``, the chain the law was solved from.
-    ``stationary`` makes both arrays read-only, since one law may serve many
-    readers. The rest is computed from these when first read, and kept:
+    ``probabilities`` (read-only) spans the whole enumeration, with exact
+    zeros off ``support``, the closed class of ``generator``, the chain the
+    law was solved from. The rest is computed when first read, and kept:
     ``residual`` is max |mu Q| / Lambda, the residual under the uniformized
-    kernel P = I + Q/Lambda, so it does not scale with the rates;
-    ``dense_tv`` / ``power_tv`` are the total variation distances to the
-    sparse LU null-space solve (None above DIRECT_CUTOFF support states; the
-    name is historical) and to power iteration; ``gap`` is
-    ``poincare_constant`` of the law (a GapResult).
+    kernel P = I + Q/Lambda, so it does not scale with the rates; ``dense_tv``
+    / ``power_tv`` are the total variation distances to the sparse LU
+    null-space solve (None above DIRECT_CUTOFF support states; the name is
+    historical) and to power iteration; ``gap`` is ``poincare_constant`` of
+    the law (a GapResult).
     """
 
     probabilities: np.ndarray
-    support: np.ndarray
     generator: SparseGenerator = field(repr=False)
 
     def expectation(self, f: np.ndarray) -> float:
@@ -243,6 +239,11 @@ class StationaryDistribution:
         """The enumerated space of ``generator``."""
         return self.generator.space
 
+    @property
+    def support(self) -> np.ndarray:
+        """The closed class of ``generator``."""
+        return self.generator.support
+
     @cached_property
     def residual(self) -> float:
         q = self.generator.matrix
@@ -252,13 +253,12 @@ class StationaryDistribution:
     def dense_tv(self) -> float | None:
         if len(self.support) > DIRECT_CUTOFF:
             return None
-        q_supp = self.generator.matrix[self.support][:, self.support] / (self.generator.rate or 1.0)
+        q_supp = self.generator.support_matrix / (self.generator.rate or 1.0)
         return self._tv(_lu_nullspace_solve(q_supp))
 
     @cached_property
     def power_tv(self) -> float:
-        q_supp = self.generator.matrix[self.support][:, self.support]
-        return self._tv(_power_iteration_solve(q_supp))
+        return self._tv(_power_iteration_solve(self.generator.support_matrix))
 
     @cached_property
     def gap(self) -> GapResult:
@@ -271,21 +271,16 @@ class StationaryDistribution:
 def stationary(gen: SparseGenerator) -> StationaryDistribution:
     """Stationary distribution of the truncated chain.
 
-    Every state reaches the reset hub (``EnumeratedSpace.hub``), so the
-    states the hub reaches are the chain's one closed class, and the support
-    is found by a breadth-first search from the hub. The solve is GTH
+    The solve on the chain's closed class, ``gen.support``, is GTH
     elimination, sparse rounds and then a dense tail (see _gth_solve), with
     componentwise relative accuracy, needed because tail states can carry
     mass far below the absolute float noise floor of a dense LU solve. The
     residual and the cross-checks run when read (see StationaryDistribution).
     """
-    q = gen.matrix
-    reached = csgraph.breadth_first_order(q > 0, gen.space.hub, return_predecessors=False)
-    support = np.sort(reached)
-    mu = np.zeros(q.shape[0])
-    mu[support] = _gth_solve(q[support][:, support])
-    mu.flags.writeable = support.flags.writeable = False
-    return StationaryDistribution(mu, support, gen)
+    mu = np.zeros(gen.dimension)
+    mu[gen.support] = _gth_solve(gen.support_matrix)
+    mu.flags.writeable = False
+    return StationaryDistribution(mu, gen)
 
 
 # -- uniformization -----------------------------------------------------------
@@ -454,7 +449,6 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     A one-state support has no nonconstant f and is refused with
     DegenerateModelError.
     """
-    q = mu.generator.matrix
     support = mu.support
     ns = len(support)
     if ns == 1:
@@ -464,7 +458,7 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
         raise ValueError("stationary mass underflowed to zero on the support")
     sq = np.sqrt(mu_s)
     # B = sym(-diag(sq) Q diag(1/sq)), built once, entry by entry
-    m = q[np.ix_(support, support)].tocoo()
+    m = mu.generator.support_matrix.tocoo()
     m.data = m.data * -(sq[m.row] / sq[m.col])
     b = (0.5 * (m + m.T)).tocsr()
 
@@ -505,7 +499,7 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
         raise RuntimeError(f"nonpositive spectral gap {lam1}; eigensolve failed")
     f_supp = vec / sq
     f_supp = f_supp - (mu_s @ f_supp)
-    f_full = np.zeros(q.shape[0])
+    f_full = np.zeros(mu.generator.dimension)
     f_full[support] = f_supp
     f_full.flags.writeable = False
     return GapResult(

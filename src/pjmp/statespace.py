@@ -13,8 +13,8 @@ consumer (generator, masks, certificates) reads these tables; ``PotentialState``
 objects for the whole box are built only on request, through ``states``,
 ``index``, ``position`` and ``in``. The files that carry the enumeration and
 the rate matrix (``states.csv``, ``generator.mtx``) are rendered by the
-command line, with every other output file. A generator builds its
-uniformized chain, ``rate`` and ``kernel``, once, when first read.
+command line, with every other output file. A generator keeps its closed
+class (``support``, ``support_matrix``) and uniformized chain once read.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from itertools import count
 
 import numpy as np
 import scipy.sparse as sp
+import scipy.sparse.csgraph as csgraph
 
 from .model import PotentialState, SynapticNetwork
 
@@ -146,7 +147,8 @@ def enumerate_states(
     Each layer fires every neuron from every frontier state at once and caps
     the targets at the box. Rows are looked up by their big-endian bytes,
     whose order is the lexicographic order of nonnegative numerators, so the
-    unseen targets, sorted, form the next layer.
+    unseen targets, sorted, form the next layer. A state is refused with
+    ValueError if a numerator, or the sum plus one firing's, passes int64.
     """
     if x0.denominator != net.denominator:
         raise ValueError("x0 must lie on the network's lattice")
@@ -155,6 +157,7 @@ def enumerate_states(
     cap = min(_cap_numerator(m_box, net.denominator), _INT64_MAX)
     w = np.array(net.weight_numerators, dtype=np.int64)
     limit = _INT64_MAX - int(w.max())
+    row_max = max(map(sum, net.weight_numerators))  # the most a firing adds to a total
     reset = np.arange(n)
     row_bytes = np.dtype((np.void, 8 * n))
     layers = [np.array([saturate(x0, m_box).numerators], dtype=">i8")]
@@ -163,6 +166,9 @@ def enumerate_states(
     for frontier in layers:  # grows while it is walked
         if frontier.max() > limit:
             raise ValueError("potential numerators exceed the int64 range")
+        near = frontier.sum(axis=1, dtype=float) > _INT64_MAX / 2 - row_max  # a float screen
+        if any(sum(row) + row_max > _INT64_MAX for row in frontier[near].tolist()):
+            raise ValueError("potential numerator sums exceed the int64 range")
         jumped = frontier[:, None, :] + w
         jumped[:, reset, reset] = 0
         saturated.append((jumped > cap).any(axis=2))
@@ -192,11 +198,11 @@ class SparseGenerator:
     """Rate matrix of the saturated chain on the enumerated ``space``.
 
     ``matrix`` is CSR with nonnegative off-diagonal rates and each diagonal
-    equal to minus its row's off-diagonal sum, so rows sum to zero. Row and
-    column k belong to state k of ``space``. ``rate`` (Lambda = -min diag Q)
-    and ``kernel`` (P = I + Q/Lambda, read if Lambda > 0) are kept once read.
-    The arrays of ``matrix`` from ``assemble_generator``, and of ``kernel``,
-    are read-only, since one chain may serve many readers.
+    equal to minus its row's off-diagonal sum; row k is state k of ``space``.
+    ``rate`` (Lambda = -min diag Q), ``kernel`` (P = I + Q/Lambda, read if
+    Lambda > 0), ``support`` (the states the reset hub reaches, sorted: the
+    closed class) and ``support_matrix`` (Q on it) are kept once read. All,
+    and ``matrix`` from ``assemble_generator``, are read-only.
     """
 
     matrix: sp.csr_matrix
@@ -213,6 +219,17 @@ class SparseGenerator:
     @cached_property
     def kernel(self) -> sp.csr_matrix:
         return _read_only(sp.eye(self.dimension, format="csr") + self.matrix / self.rate)
+
+    @cached_property
+    def support(self) -> np.ndarray:
+        hub = self.space.hub
+        support = np.sort(csgraph.breadth_first_order(self.matrix > 0, hub, return_predecessors=False))
+        support.flags.writeable = False
+        return support
+
+    @cached_property
+    def support_matrix(self) -> sp.csr_matrix:
+        return _read_only(self.matrix[self.support][:, self.support])
 
 
 def assemble_generator(net: SynapticNetwork, space: EnumeratedSpace) -> SparseGenerator:

@@ -15,7 +15,6 @@ import pjmp.spectral as spectral
 from conftest import make_random_net
 from pjmp import (
     DegenerateModelError,
-    StationaryDistribution,
     admissible_lambda,
     assemble_generator,
     compute_C3_sum_function,
@@ -146,21 +145,6 @@ class TestPathMethod:
         space, gen, mu = _named_solved("rand3", 24.0)
         assert path_method_C0(mu).max_path_length == 72
         assert sum(sources) <= 10
-
-    @pytest.mark.parametrize("fault", ["origin added", "hub removed"])
-    def test_support_that_is_not_a_closed_class_is_refused(self, ring2, fault):
-        # nothing fires into the origin, so with it in the support the hub
-        # reaches not every state; without the hub there is nothing to search from
-        space, gen, mu = _solved(ring2, 5.0)
-        if fault == "origin added":
-            support = np.sort(np.append(mu.support, space.position(ring2.zero_state())))
-        else:
-            support = mu.support[mu.support != space.hub]
-        probs = np.zeros(len(space))
-        probs[support] = 1.0 / len(support)
-        fake = StationaryDistribution(probs, support, gen)
-        with pytest.raises(ValueError, match="not a closed class"):
-            path_method_C0(fake)
 
     def test_dominates_optimal_constant(self, ring2_solved, random_nets):
         space, gen, mu = ring2_solved

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, manifests, exit codes, determinism."""
 
+import functools
 import importlib.resources
 import json
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse.csgraph as csgraph
 
 from conftest import NEAR_EQUAL_RATES, child_env, make_random_net
 from pjmp import (
@@ -20,6 +22,8 @@ from pjmp import (
     stationary,
     variance_and_energy,
 )
+from pjmp.statespace import SparseGenerator
+from test_tables import BENCH_MODELS
 
 RING2 = str(importlib.resources.files("pjmp") / "data" / "ring2.json")
 
@@ -170,6 +174,30 @@ class TestExitCodes:
         lines = proc.stderr.strip().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: suite size 300000 on 69 states")
         assert not (tmp_path / "sg").exists()
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            # totals of 2^62 plus a firing's 2^62 wrapped to -2^63, and stationary exited 0
+            ("stationary", {"n": 3, "weights": [[0, 2**61, 2**61], [2**61, 0, 2**61],
+                                                [2**61, 2**61, 0]]},
+             ["--m-box", "4611686018427387904"], "potential numerator sums exceed"),
+            # a second firing of neuron 0 wrapped the race to -2^63, refused as
+            # a negative potential
+            ("simulate", {"n": 2, "weights": [[0, 1], ["1/4611686018427387904", 0]]},
+             ["--t", "5", "--replicas", "20"], "potential numerators exceed"),
+        ],
+        ids=lambda case: case[0],
+    )
+    def test_past_int64_refused(self, tmp_path, case):
+        command, net, extra, message = case
+        intensity = {"delta": 1, "slope": "1/4611686018427387904"}
+        (tmp_path / "model.json").write_text(json.dumps({**net, "intensity": intensity}))
+        proc = run_cli([command, "model.json", *extra, "--out", "out"], tmp_path)
+        assert proc.returncode == 2, proc.stderr
+        lines = proc.stderr.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"error: {message} the int64 range")
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("frac", ["-1", "-0.25"])
     def test_negative_inner_frac(self, tmp_path, frac):
@@ -633,6 +661,27 @@ class TestStationaryCrossChecks:
         assert code == 0
         if command == "stationary":
             assert json.loads((out / "stationary.json").read_text())["power_tv"] <= 1e-10
+
+
+class TestOneClosedClass:
+    """The chain finds its closed class and slices Q to it; the law commands read both."""
+
+    def test_law_commands_search_and_slice_once(self, tmp_path, monkeypatch):
+        # rand3 at box 10, solved once for all four commands in one process
+        searches, slices = [], []
+        search = csgraph.breadth_first_order
+        monkeypatch.setattr(
+            csgraph, "breadth_first_order", lambda *a, **kw: searches.append(a) or search(*a, **kw)
+        )
+        block = SparseGenerator.__dict__["support_matrix"].func
+        counted = functools.cached_property(lambda gen: slices.append(gen) or block(gen))
+        counted.__set_name__(SparseGenerator, "support_matrix")
+        monkeypatch.setattr(SparseGenerator, "support_matrix", counted)
+        model = str(BENCH_MODELS / "rand3.json")
+        for command in ("stationary", "gap", "verify-poincare", "concentration"):
+            argv = [command, "--m-box", "10"]
+            assert _run_in_process(tmp_path / command, argv, model=model)[0] == 0
+        assert len(searches) == 1 and len(slices) == 1
 
 
 # the commands that read the solved chain, on two chains of ring2

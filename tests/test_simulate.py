@@ -20,6 +20,7 @@ from pjmp import (
     estimate_weight_F,
     intensity_at,
     jump_map,
+    network_from_json,
     next_event,
     simulate_path,
     stationary,
@@ -366,6 +367,45 @@ class TestLockstepKernel:
         estimate_semigroup(rand4, lambda y: seen.append(y) or 0.0, rand4.zero_state(), 1.0, 5, seed=0)
         assert len(seen) == 5
         assert all(type(v) is int for y in seen for v in y.numerators)
+
+
+# neuron 0 adds 1 = 2^62 / 2^62 to neuron 1, so its second firing in a row
+# takes that numerator to 2^63, one past the int64 range
+WRAP_RACE = {
+    "n": 2,
+    "weights": [[0, 1], ["1/4611686018427387904", 0]],
+    "intensity": {"delta": 1, "slope": "1/4611686018427387904"},
+}
+
+
+class TestInt64Race:
+    """The lockstep kernel refuses a race exactly when the scalar walker passes int64."""
+
+    @pytest.mark.parametrize("t", [0.2, 0.5, 5.0])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_refused_exactly_when_the_walker_wraps(self, t, seed):
+        net = network_from_json(WRAP_RACE)
+        x = net.zero_state()
+        walks = [
+            simulate._walk(net, x.numerators, replica_rng(seed, r), t, simulate.CHUNK, 64)
+            for r in range(20)
+        ]
+        wraps = any(max(map(max, table)) >= 2**63 for table, *_ in walks)
+        if wraps:
+            with pytest.raises(ValueError, match="potential numerators exceed the int64 range"):
+                simulate._replicas(net, x, t, 20, seed)
+        else:
+            finals, _efforts = simulate._replicas(net, x, t, 20, seed)
+            assert finals.tolist() == [list(table[ids[-1]]) for table, ids, *_ in walks]
+
+    @pytest.mark.parametrize(
+        "estimate", [estimate_ensemble, estimate_semigroup], ids=lambda fn: fn.__name__
+    )
+    def test_estimators_refuse(self, estimate):
+        # replicas 1 and 2 wrapped to -2^63 and were scored as negative potentials
+        net = network_from_json(WRAP_RACE)
+        with pytest.raises(ValueError, match="potential numerators exceed the int64 range"):
+            estimate(net, lambda y: y.total(), net.zero_state(), 5.0, 20, 0)
 
 
 class TestKeyedStreams:

@@ -142,11 +142,8 @@ def _max_relative_error(got, want) -> float:
 
 
 def _support_generator(net, m_box) -> sp.csr_matrix:
-    """Rate matrix restricted to the closed class, as stationary() slices it."""
-    space = enumerate_states(net, net.zero_state(), m_box)
-    gen = assemble_generator(net, space)
-    support = stationary(gen).support
-    return gen.matrix[support][:, support]
+    """Rate matrix restricted to the closed class: the block stationary() solves."""
+    return assemble_generator(net, enumerate_states(net, net.zero_state(), m_box)).support_matrix
 
 
 def _closed_classes(q: sp.csr_matrix):
@@ -171,7 +168,8 @@ def _uniform(q_supp) -> np.ndarray:
 
 def _check_hub_and_support(net, m_box) -> None:
     """Every state lands on space.hub when neurons 0..N-1 fire once each, in
-    order, and stationary()'s support is the one closed class of the chain.
+    order; gen.support is the one closed class of the chain, the law reads
+    it, and gen.support_matrix is Q sliced to it, array for array.
 
     The GTH solve does not touch the support, so a uniform stand-in replaces
     it: that keeps the large boxes fast.
@@ -185,10 +183,15 @@ def _check_hub_and_support(net, m_box) -> None:
     gen = assemble_generator(net, space)
     closed, labels = _closed_classes(gen.matrix)
     assert len(closed) == 1
+    support = gen.support
+    assert np.array_equal(support, np.flatnonzero(labels == closed[0]))
+    sliced = gen.matrix[support][:, support]
+    assert gen.support_matrix.shape == sliced.shape
+    for name in ("data", "indices", "indptr"):
+        assert np.array_equal(getattr(gen.support_matrix, name), getattr(sliced, name))
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "_gth_solve", _uniform)
-        support = stationary(gen).support
-    assert np.array_equal(support, np.flatnonzero(labels == closed[0]))
+        assert stationary(gen).support is support
 
 
 @st.composite
@@ -774,10 +777,11 @@ class TestStationary:
         # one law may be handed to many readers, so none may write into it,
         # nor into the chain it was solved from
         space, gen, mu = ring2_box10
-        csr = [getattr(m, name) for m in (gen.matrix, gen.kernel)
+        csr = [getattr(m, name) for m in (gen.matrix, gen.kernel, gen.support_matrix)
                for name in ("data", "indices", "indptr")]
         tables = [space.numerators, space.targets, space.saturated]
-        for array in (mu.probabilities, mu.support, mu.gap.optimizer, *tables, *csr):
+        laws = (mu.probabilities, mu.support, gen.support, mu.gap.optimizer)
+        for array in (*laws, *tables, *csr):
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 1
         assert mu.gap is mu.gap
@@ -900,6 +904,12 @@ class TestHub:
     @given(small_nets())
     def test_hub_reach_is_the_closed_class_on_random_nets(self, net_and_box):
         _check_hub_and_support(*net_and_box)
+
+    @settings(max_examples=40, deadline=None)
+    @given(small_nets(), st.integers(1, 6))
+    def test_chain_owns_its_closed_class_at_integer_boxes(self, net_and_box, m_box):
+        # small_nets' own boxes stop at 2 (four neurons) to 4 (two)
+        _check_hub_and_support(net_and_box[0], m_box)
 
 
 class TestTransient:

@@ -13,8 +13,10 @@ from pjmp import (
     assemble_generator,
     enumerate_states,
     jump_map,
+    network_from_json,
     saturate,
 )
+from pjmp.model import _jumped_totals
 
 
 class TestSaturate:
@@ -102,6 +104,35 @@ class TestEnumerate:
     def test_cap_enforced(self, ring2):
         with pytest.raises(StateSpaceCapExceeded):
             enumerate_states(ring2, ring2.zero_state(), 50.0, max_states=20)
+
+    def test_numerator_past_int64_is_refused(self):
+        # a firing of neuron 0 adds 2^62: from 2^62 - 1 the next one lands on
+        # 2^63 - 1, the largest int64, and from 2^62 it would pass it
+        net = network_from_json(
+            {"n": 2, "weights": [[0, 2**62], [0, 0]], "intensity": {"delta": 1, "slope": 1}}
+        )
+        assert enumerate_states(net, net.zero_state(), 2**62 - 1).numerators.max() == 2**62 - 1
+        with pytest.raises(ValueError, match="^potential numerators exceed the int64 range$"):
+            enumerate_states(net, net.zero_state(), 2**62)
+
+    def test_total_past_int64_is_refused(self):
+        # three neurons, every weight 2^61: at box c the largest total is 2c
+        # and a firing adds 2^62, so 2^61 - 1 fits (2^63 - 2) and 2^61 does not
+        w = 2**61
+        weights = [[0, w, w], [w, 0, w], [w, w, 0]]
+        net = network_from_json(
+            {"n": 3, "weights": weights, "intensity": {"delta": 1, "slope": "1/4611686018427387904"}}
+        )
+        space = enumerate_states(net, net.zero_state(), 2**61 - 1)
+        rows = space.numerators.tolist()
+        totals = [sum(row) for row in rows]
+        assert max(totals) == 2**62 - 2
+        assert space.numerators.sum(axis=1).tolist() == totals
+        jumped = [[t - x + 2 * w for x in row] for t, row in zip(totals, rows)]
+        assert _jumped_totals(net, space.numerators).tolist() == jumped
+        for m_box in (2**61, 2**62):
+            with pytest.raises(ValueError, match="^potential numerator sums exceed the int64 range$"):
+                enumerate_states(net, net.zero_state(), m_box)
 
     def test_origin_saturated(self, ring2):
         space = enumerate_states(ring2, ring2.state([99, 0]), 5.0)
