@@ -157,6 +157,14 @@ class SynapticNetwork:
         """W_i = sum_j W[i][j], exact."""
         return self._row_sums
 
+    def _check_totals(self, nums: np.ndarray) -> np.ndarray:
+        """nums, refused with ValueError if a row's sum plus one firing's passes int64."""
+        row_max = max(map(sum, self._wnum))  # the most a firing adds to a total
+        near = nums.sum(axis=1, dtype=float) > 2.0**62 - row_max  # a float screen
+        if any(sum(row) + row_max >= 2**63 for row in nums[near].tolist()):
+            raise ValueError("potential numerator sums exceed the int64 range")
+        return nums
+
     def zero_state(self) -> "PotentialState":
         return PotentialState((0,) * self.n_neurons, self.denominator)
 
@@ -325,11 +333,11 @@ def check_lyapunov_pointwise(net: SynapticNetwork, cert: LyapunovCertificate, x)
 
     Returns (-theta*V(x) + b*1_B(x)) - LV(x) with V(x) = 1 + sum_i x^i. x is
     a PotentialState (one float) or an (n, N) integer array of numerators
-    over net.denominator (an array of n slacks, one per row).
+    over net.denominator (n slacks); refused with ValueError past int64.
     """
     if isinstance(x, PotentialState):
         return float(check_lyapunov_pointwise(net, cert, [x.numerators])[0])
-    total, v, lv = _drift_of_v(net, np.asarray(x, dtype=np.int64))
+    total, v, lv = _drift_of_v(net, net._check_totals(np.asarray(x, dtype=np.int64)))
     return (-cert.theta * v + np.where(total <= cert.m, cert.b, 0.0)) - lv
 
 

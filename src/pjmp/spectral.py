@@ -45,7 +45,7 @@ __all__ = [
     "semigroup_variance_profile",
 ]
 
-DIRECT_CUTOFF = 2000  # support states factorised by SuperLU; its fill stays under n^2 per factor
+SPLU_FILL = 16.0  # largest k^2 / nnz(B) SuperLU factorises at: past GTH's rounds, fill tracks it
 SPLU_ORDERING = "MMD_AT_PLUS_A"  # both factorised patterns are near symmetric: 1/3 of COLAMD's fill
 GTH_DENSE_STATES = 200
 GTH_DENSE_FILL = 0.1
@@ -68,7 +68,7 @@ def _off_diagonal(m) -> sp.csr_matrix:
     return sp.csr_matrix((coo.data[off], (coo.row[off], coo.col[off])), shape=coo.shape)
 
 
-def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
+def _gth_solve(q_supp: sp.csr_matrix) -> tuple[np.ndarray, int]:
     """Stationary vector of an irreducible generator by GTH elimination.
 
     The elimination never subtracts, so every component comes out with full
@@ -93,7 +93,7 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
     the whole block. Every term is nonnegative, and exit rates are sums of
     live columns, so no step subtracts. The rounds are then undone in
     reverse as mu_S = mu_C A_CS / s_S. A tail whose 8 k^2 bytes exceed
-    GTH_TAIL_BYTES is refused with MemoryError before it is densified.
+    GTH_TAIL_BYTES is refused with MemoryError before it is densified. Returns (mu, k).
     """
     a = _off_diagonal(q_supp)
     rest = np.arange(a.shape[0])  # support indices not yet eliminated
@@ -144,7 +144,7 @@ def _gth_solve(q_supp: sp.csr_matrix) -> np.ndarray:
         full[c_idx] = mu
         full[s_idx] = (a_cs.T @ mu) / exit_rate
         mu = full
-    return mu / mu.sum()
+    return mu / mu.sum(), k
 
 
 def _gth_round(a: sp.csr_matrix, rest: np.ndarray):
@@ -219,17 +219,18 @@ class StationaryDistribution:
 
     ``probabilities`` (read-only) spans the whole enumeration, with exact
     zeros off ``support``, the closed class of ``generator``, the chain the
-    law was solved from. The rest is computed when first read, and kept:
-    ``residual`` is max |mu Q| / Lambda, the residual under the uniformized
-    kernel P = I + Q/Lambda, so it does not scale with the rates; ``dense_tv``
-    / ``power_tv`` are the total variation distances to the sparse LU
-    null-space solve (None above DIRECT_CUTOFF support states; the name is
-    historical) and to power iteration; ``gap`` is ``poincare_constant`` of
-    the law (a GapResult).
+    law was solved from; ``tail_states`` is k, the size of GTH's dense tail.
+    The rest is computed when first read, and kept: ``residual`` is
+    max |mu Q| / Lambda, the residual under the uniformized kernel
+    P = I + Q/Lambda, so it does not scale with the rates; ``dense_tv`` /
+    ``power_tv`` are the total variation distances to the sparse LU null-space
+    solve (None where _factorises refuses; the report keys keep the dense
+    solve's name) and to power iteration; ``gap`` is ``poincare_constant``.
     """
 
     probabilities: np.ndarray
     generator: SparseGenerator = field(repr=False)
+    tail_states: int
 
     def expectation(self, f: np.ndarray) -> float:
         return float(self.probabilities @ np.asarray(f, dtype=float))
@@ -251,7 +252,7 @@ class StationaryDistribution:
 
     @cached_property
     def dense_tv(self) -> float | None:
-        if len(self.support) > DIRECT_CUTOFF:
+        if not _factorises(self):
             return None
         q_supp = self.generator.support_matrix / (self.generator.rate or 1.0)
         return self._tv(_lu_nullspace_solve(q_supp))
@@ -278,9 +279,16 @@ def stationary(gen: SparseGenerator) -> StationaryDistribution:
     residual and the cross-checks run when read (see StationaryDistribution).
     """
     mu = np.zeros(gen.dimension)
-    mu[gen.support] = _gth_solve(gen.support_matrix)
+    mu[gen.support], tail_states = _gth_solve(gen.support_matrix)
     mu.flags.writeable = False
-    return StationaryDistribution(mu, gen)
+    return StationaryDistribution(mu, gen, tail_states)
+
+
+def _factorises(mu: StationaryDistribution) -> bool:
+    """Whether SuperLU factorises mu's support: GTH's tail of k states is small (k <=
+    GTH_DENSE_STATES, the whole support if no round ran) or k^2 <= SPLU_FILL * nnz(B)."""
+    k, q = mu.tail_states, mu.generator.support_matrix
+    return k <= GTH_DENSE_STATES or k * k <= SPLU_FILL * (q + q.T).nnz
 
 
 # -- uniformization -----------------------------------------------------------
@@ -440,8 +448,8 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     neighbouring states, which stay moderate even when the masses themselves
     do not.
 
-    Up to DIRECT_CUTOFF support states, Lanczos runs on the inverse of the
-    SuperLU-factorised B + I with the kernel deflated (shift-invert); above,
+    Where _factorises(mu) holds, Lanczos runs on the inverse of the
+    SuperLU-factorised B + I with the kernel deflated (shift-invert); elsewhere
     LOBPCG runs on B. Neither has a convergence guarantee, and a Ritz value
     that is too large would make C too small, so the residual
     ||Bv - lambda_1 v||, formed with the sparse B, is reported, and a result
@@ -462,7 +470,7 @@ def poincare_constant(mu: StationaryDistribution) -> GapResult:
     m.data = m.data * -(sq[m.row] / sq[m.col])
     b = (0.5 * (m + m.T)).tocsr()
 
-    method = "shift-invert" if ns <= DIRECT_CUTOFF else "iterative"
+    method = "shift-invert" if _factorises(mu) else "iterative"
     if method == "shift-invert":
         # B + I is positive definite; its inverse, with the kernel sqrt(mu)
         # projected out, has 1 / (1 + lambda_1) as its largest eigenvalue

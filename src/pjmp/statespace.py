@@ -157,7 +157,6 @@ def enumerate_states(
     cap = min(_cap_numerator(m_box, net.denominator), _INT64_MAX)
     w = np.array(net.weight_numerators, dtype=np.int64)
     limit = _INT64_MAX - int(w.max())
-    row_max = max(map(sum, net.weight_numerators))  # the most a firing adds to a total
     reset = np.arange(n)
     row_bytes = np.dtype((np.void, 8 * n))
     layers = [np.array([saturate(x0, m_box).numerators], dtype=">i8")]
@@ -166,9 +165,7 @@ def enumerate_states(
     for frontier in layers:  # grows while it is walked
         if frontier.max() > limit:
             raise ValueError("potential numerators exceed the int64 range")
-        near = frontier.sum(axis=1, dtype=float) > _INT64_MAX / 2 - row_max  # a float screen
-        if any(sum(row) + row_max > _INT64_MAX for row in frontier[near].tolist()):
-            raise ValueError("potential numerator sums exceed the int64 range")
+        net._check_totals(frontier)
         jumped = frontier[:, None, :] + w
         jumped[:, reset, reset] = 0
         saturated.append((jumped > cap).any(axis=2))

@@ -975,15 +975,24 @@ class TestDeterminism:
             path_b = tmp_path / "b" / path_a.name
             assert path_a.read_bytes() == path_b.read_bytes()
 
-    @pytest.mark.parametrize("command", ["gap", "stationary"])
-    def test_blas_thread_count_moves_no_byte(self, tmp_path, command):
-        # rand3 at box 10, 808 support states: the shift-invert eigensolve
-        # and the LU cross-check give the same bytes on one BLAS thread and two
-        model = tmp_path / "rand3.json"
-        model.write_text(json.dumps(network_to_json(make_random_net(1))))
+    @pytest.mark.parametrize(
+        "command, model, m_box",
+        [
+            ("gap", "rand3", "10"),
+            ("stationary", "rand3", "10"),
+            ("gap", "rand3", "24"),
+            ("stationary", "rand3", "24"),
+            ("gap", "rand4", "8"),
+        ],
+    )
+    def test_blas_thread_count_moves_no_byte(self, tmp_path, command, model, m_box):
+        # the shift-invert eigensolve and the LU cross-check (rand3, 808 and
+        # 4791 support states) and LOBPCG (rand4 at box 8, 3250) give the
+        # same bytes on one BLAS thread and two
+        model = str(BENCH_MODELS / f"{model}.json")
         for threads in ("1", "2"):
             proc = run_cli(
-                [command, str(model), "--m-box", "10", "--out", str(tmp_path / threads)],
+                [command, model, "--m-box", m_box, "--out", str(tmp_path / threads)],
                 tmp_path,
                 env_extra={"OPENBLAS_NUM_THREADS": threads},
             )

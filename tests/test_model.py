@@ -220,6 +220,27 @@ class TestLyapunov:
             for x in space.states:
                 assert check_lyapunov_pointwise(net, cert, x) >= -1e-12
 
+    def test_slack_past_int64_is_refused(self):
+        # every weight 2^61: at x = (0, 2^61, 2^61) neuron 0's firing lands on
+        # a total of 2^63, which an int64 sum wraps to -2^63 (a finite slack);
+        # one below, it lands on 2^63 - 1 and the slack is exact
+        w = 2**61
+        net = network_from_json(
+            {"n": 3, "weights": [[0, w, w], [w, 0, w], [w, w, 0]],
+             "intensity": {"delta": 1, "slope": Fraction(1, 2**62)}}
+        )
+        cert = lyapunov_constants(net)
+        refused = "^potential numerator sums exceed the int64 range$"
+        with pytest.raises(ValueError, match=refused):
+            check_lyapunov_pointwise(net, cert, net.state([0, w, w]))
+        with pytest.raises(ValueError, match=refused):  # the array form, one row past
+            check_lyapunov_pointwise(net, cert, np.array([[0, w - 1, w - 1], [0, w, w]]))
+        x = (0, w, w - 1)
+        v = 1 + sum(x)
+        lv = sum((1 + Fraction(xi, 2**62)) * (2 * w - xi) for xi in x)
+        exact = -Fraction(cert.theta) * v + (Fraction(cert.b) if sum(x) <= cert.m else 0) - lv
+        assert check_lyapunov_pointwise(net, cert, net.state(x)) == float(exact)
+
 
 class TestJumpWindow:
     def test_reference_values(self, ring2):

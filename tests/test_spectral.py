@@ -4,7 +4,6 @@ import importlib.resources
 import math
 import tracemalloc
 import warnings
-from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -162,8 +161,8 @@ def _closed_classes(q: sp.csr_matrix):
     return closed, labels
 
 
-def _uniform(q_supp) -> np.ndarray:
-    return np.full(q_supp.shape[0], 1.0 / q_supp.shape[0])
+def _uniform(q_supp):
+    return np.full(q_supp.shape[0], 1.0 / q_supp.shape[0]), q_supp.shape[0]
 
 
 def _check_hub_and_support(net, m_box) -> None:
@@ -230,7 +229,7 @@ def _eliminated_by_rounds(q_supp):
         mp.setattr(spectral, "GTH_DENSE_STATES", 1)
         mp.setattr(spectral, "GTH_DENSE_FILL", 2.0)
         mp.setattr(spectral, "_off_diagonal", shrinking)
-        return spectral._gth_solve(q_supp), sizes
+        return spectral._gth_solve(q_supp)[0], sizes
 
 
 def _random_block(k: int, seed: int) -> np.ndarray:
@@ -249,7 +248,7 @@ def _dense_only(q) -> np.ndarray:
     """_gth_solve with no round, so the whole block is its dense tail."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(spectral, "GTH_DENSE_FILL", 0.0)
-        return spectral._gth_solve(sp.csr_matrix(q))
+        return spectral._gth_solve(sp.csr_matrix(q))[0]
 
 
 def _dense_tail(q_supp) -> sp.csr_matrix:
@@ -259,6 +258,16 @@ def _dense_tail(q_supp) -> sp.csr_matrix:
         a, (_s_idx, c_idx, _a_cs, _exit_rate) = step
         rest = rest[c_idx]
     return a
+
+
+def _force_branch(monkeypatch, factorise: bool) -> None:
+    """Send every law to shift-invert and the LU check, or to LOBPCG and no LU
+    check, by patching the one predicate both read."""
+    monkeypatch.setattr(spectral, "_factorises", lambda mu: factorise)
+
+
+def _law(net, m_box):
+    return stationary(assemble_generator(net, enumerate_states(net, net.zero_state(), m_box)))
 
 
 def _traced_peak(fn):
@@ -282,14 +291,14 @@ class TestGTHSolver:
         # at most GTH_DENSE_STATES support states: no round runs
         q_supp = _support_generator(ring2, m_box)
         assert q_supp.shape[0] <= spectral.GTH_DENSE_STATES
-        mu = spectral._gth_solve(q_supp)
+        mu, _k = spectral._gth_solve(q_supp)
         assert np.array_equal(mu, _dense_gth_oracle(q_supp.toarray()))
 
     @pytest.mark.parametrize("m_box", [8.0, 10.0, 12.0])
     def test_rounds_match_dense_oracle(self, m_box):
         q_supp = _support_generator(make_random_net(1), m_box)
         assert q_supp.shape[0] > spectral.GTH_DENSE_STATES
-        mu = spectral._gth_solve(q_supp)
+        mu, _k = spectral._gth_solve(q_supp)
         assert _max_relative_error(mu, _dense_gth_oracle(q_supp.toarray())) <= 1e-13
 
     @pytest.mark.parametrize("model, m_box", [("ring2", 10.0), ("rand3", 6.0)])
@@ -297,13 +306,13 @@ class TestGTHSolver:
         # rand3 at box 6 has 282 support states, so rounds run before the tail
         net = ring2 if model == "ring2" else make_random_net(1)
         rows, q_supp = _exact_rates(net, m_box)
-        mu = spectral._gth_solve(q_supp)
+        mu, _k = spectral._gth_solve(q_supp)
         assert _max_relative_error(mu, _exact_gth_oracle(rows)) <= 1e-13
 
     @settings(max_examples=200, deadline=None)
     @given(irreducible_generators())
     def test_bitwise_equal_on_random_generators(self, q):
-        mu = spectral._gth_solve(sp.csr_matrix(q))
+        mu, _k = spectral._gth_solve(sp.csr_matrix(q))
         assert np.array_equal(mu, _dense_gth_oracle(q))
 
     @settings(max_examples=200, deadline=None)
@@ -338,9 +347,10 @@ class TestGTHSolver:
     @pytest.mark.parametrize("m_box, k", [(8.0, 714), (12.0, 1838)])
     def test_model_tails_match_dense_oracle(self, m_box, k):
         # rand4's rounds stop at a pattern 10% dense, so its tails are large
-        tail = _dense_tail(_support_generator(make_random_net(*RAND4), m_box))
-        assert tail.shape == (k, k)
-        mu = spectral._gth_solve(tail)
+        law = _law(make_random_net(*RAND4), m_box)
+        tail = _dense_tail(law.generator.support_matrix)
+        assert tail.shape == (k, k) and law.tail_states == k
+        mu, _k = spectral._gth_solve(tail)
         assert _max_relative_error(mu, _dense_gth_oracle(tail.toarray())) <= 1e-13
 
     def test_dense_tail_over_budget_refused(self, monkeypatch):
@@ -349,7 +359,7 @@ class TestGTHSolver:
         with pytest.raises(MemoryError, match="dense GTH tail of 714 states"):
             spectral._gth_solve(q_supp)
         monkeypatch.setattr(spectral, "GTH_TAIL_BYTES", 8 * 714**2)
-        assert spectral._gth_solve(q_supp).sum() == pytest.approx(1.0)
+        assert spectral._gth_solve(q_supp)[0].sum() == pytest.approx(1.0)
 
     def test_dense_tail_holds_one_copy(self):
         # the 714-state tail of rand4 at box 8: 8 k^2 bytes, about 4.1 MB
@@ -357,11 +367,11 @@ class TestGTHSolver:
         _mu, peak = _traced_peak(lambda: spectral._gth_solve(q_supp))
         assert peak <= 1.25 * 8 * 714**2
 
-    def test_no_dense_copy_above_cutoff(self):
-        # rand3 at box 16 has a 2107-state support, above DIRECT_CUTOFF; a
-        # dense copy of it alone would take 8 n^2 bytes
-        net = make_random_net(1)
-        space = enumerate_states(net, net.zero_state(), 16.0)
+    def test_no_dense_copy_where_lu_is_skipped(self):
+        # rand4 at box 8 has a 3250-state support that SuperLU does not
+        # factorise; a dense copy of it alone would take 8 n^2 bytes
+        net = make_random_net(*RAND4)
+        space = enumerate_states(net, net.zero_state(), 8.0)
         gen = assemble_generator(net, space)
         tracemalloc.start()
         try:
@@ -371,7 +381,7 @@ class TestGTHSolver:
         finally:
             tracemalloc.stop()
         n = len(mu.support)
-        assert n == 2107 and n > spectral.DIRECT_CUTOFF
+        assert n == 3250 and not spectral._factorises(mu)
         assert peak < 0.5 * 8 * n * n
         assert dense_tv is None
         assert power_tv <= 1e-10
@@ -765,9 +775,11 @@ def rand3_box10():
 
 
 class TestStationary:
-    def test_lu_cross_check_holds_no_dense_copy(self, rand3_box10):
-        # tracemalloc sees numpy's arrays but not SuperLU's C allocations
-        mu = replace(rand3_box10)  # a fresh law, whose dense_tv is not yet cached
+    @pytest.mark.parametrize("m_box", [10.0, 24.0])
+    def test_lu_cross_check_holds_no_dense_copy(self, m_box):
+        # tracemalloc sees numpy's arrays but not SuperLU's C allocations; at
+        # box 24, 4791 support states, the LU check runs by GTH's fill
+        mu = _law(make_random_net(1), m_box)
         n = len(mu.support)
         dense_tv, peak = _traced_peak(lambda: mu.dense_tv)
         assert dense_tv <= 1e-10
@@ -859,9 +871,9 @@ class TestStationary:
         assert mu.probabilities.sum() == pytest.approx(1.0, abs=1e-14)
         assert (mu.probabilities >= 0).all()
 
-    def test_lu_check_skipped_above_cutoff(self, ring2_box10, monkeypatch):
+    def test_lu_check_skipped_where_not_factorised(self, ring2_box10, monkeypatch):
         _space, gen, _mu = ring2_box10
-        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 5)
+        _force_branch(monkeypatch, False)
         mu = stationary(gen)
         assert mu.dense_tv is None
         assert mu.power_tv is not None and mu.power_tv <= 1e-10
@@ -1111,7 +1123,7 @@ class TestPoincare:
         gen = assemble_generator(ring2, space)
         mu = stationary(gen)
         direct = poincare_constant(mu)
-        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 10)
+        _force_branch(monkeypatch, False)
         iterative = poincare_constant(mu)
         assert (direct.method, iterative.method) == ("shift-invert", "iterative")
         assert iterative.c_opt == pytest.approx(direct.c_opt, rel=1e-8)
@@ -1133,23 +1145,43 @@ class TestPoincare:
 
             monkeypatch.setattr(spectral.spla, name, capture)
         assert poincare_constant(mu).method == "shift-invert"
-        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", 5)
+        _force_branch(monkeypatch, False)
         assert poincare_constant(mu).method == "iterative"
         n = len(mu.support)
         assert n == 68
         assert np.array_equal(seen["lobpcg"].toarray() + np.eye(n), seen["splu"].toarray())
 
+    @pytest.mark.parametrize(
+        "net_args, m_box, k, method",
+        [
+            ((1,), 16.0, 283, "shift-invert"),  # 2107 support states, k^2 / nnz(B) 5.5
+            (RAND4, 8.0, 714, "iterative"),  # 3250 support states, 17.5
+            ((3,), 10.0, 189, "shift-invert"),  # no round: k is the support, 27.7
+        ],
+    )
+    def test_fill_rule_picks_the_branch(self, monkeypatch, net_args, m_box, k, method):
+        mu = _law(make_random_net(*net_args), m_box)
+        gap = poincare_constant(mu)
+        assert mu.tail_states == k and gap.method == method
+        factorised = method == "shift-invert"
+        assert (mu.dense_tv is not None) == factorised
+        assert not factorised or mu.dense_tv <= 1e-12
+        _force_branch(monkeypatch, not factorised)
+        other = poincare_constant(mu)
+        assert other.method != method
+        assert abs(other.c_opt - gap.c_opt) <= 1e-12 * gap.c_opt
+
     def test_eigenpair_residual_reported(self, ring2_box10, monkeypatch):
         _space, gen, mu = ring2_box10
-        for cutoff, method in ((spectral.DIRECT_CUTOFF, "shift-invert"), (5, "iterative")):
-            monkeypatch.setattr(spectral, "DIRECT_CUTOFF", cutoff)
+        for factorise, method in ((True, "shift-invert"), (False, "iterative")):
+            _force_branch(monkeypatch, factorise)
             gap = poincare_constant(mu)
             assert gap.method == method
             assert gap.residual is not None
             assert gap.residual <= spectral.EIGEN_RESIDUAL_TOL
 
-    @pytest.mark.parametrize("solver, cutoff", [("eigsh", spectral.DIRECT_CUTOFF), ("lobpcg", 5)])
-    def test_inflated_ritz_value_rejected(self, ring2_box10, monkeypatch, solver, cutoff):
+    @pytest.mark.parametrize("solver, factorise", [("eigsh", True), ("lobpcg", False)])
+    def test_inflated_ritz_value_rejected(self, ring2_box10, monkeypatch, solver, factorise):
         # a Ritz value 1% too large would shrink C_opt by 1%; the residual
         # check must refuse it rather than report a non-conservative constant
         _space, gen, mu = ring2_box10
@@ -1160,7 +1192,7 @@ class TestPoincare:
             return vals * 1.01, vecs
 
         monkeypatch.setattr(spectral.spla, solver, inflated)
-        monkeypatch.setattr(spectral, "DIRECT_CUTOFF", cutoff)
+        _force_branch(monkeypatch, factorise)
         with pytest.raises(RuntimeError, match="residual"):
             poincare_constant(mu)
 
