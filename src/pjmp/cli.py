@@ -37,7 +37,6 @@ from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
-from scipy.io import mmwrite
 
 from . import __version__
 from .certificates import (
@@ -116,6 +115,8 @@ def _write(args, net, report: Report) -> int:
             lines += [",".join(map(_cell, row)) + "\n" for row in rows]
             texts[name] = "".join(lines)
         else:
+            from scipy.io import mmwrite  # loads all of scipy.io: only a generator export pays
+
             buf = BytesIO()
             mmwrite(buf, content, comment=digest)
             texts[name] = buf.getvalue().decode("ascii")

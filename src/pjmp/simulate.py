@@ -23,13 +23,17 @@ on the replica count, BLOCK, CHUNK or the refill sizes, and replica 0 walks
 pairwise sum in replica order.
 
 A long path revisits few states, so ``_walk`` interns each visited state once
-with its cumulative rates and a lazily filled successor row, and records each
-event as three numbers in array buffers: the state's index, the holding time
-and the firing neuron. The single-path functions read those arrays: event
-times are their running sum, ``ergodic_average`` calls f once per distinct
-state, and both occupation scans read the path SCAN_CHUNK events at a time,
-so their temporaries do not grow with the horizon, and add their segments
-left to right, in event order, as a loop over events would.
+with its cumulative rates and a lazily filled successor row. Its per-event
+loop keeps only what the next event depends on: it records the state's index,
+bisects the pick and follows the successor. After each refill, numpy settles
+the rest of that refill in bulk with the same float arithmetic: the holding
+times, the firing neurons and the event ends, cut at the first end past the
+horizon. The single-path functions read three arrays with one entry per
+event: the state's index, the event's end and the firing neuron.
+``ergodic_average`` calls f once per distinct state, and both occupation
+scans read the path SCAN_CHUNK events at a time, so their temporaries do not
+grow with the horizon, and add their segments left to right, in event order,
+as a loop over events would.
 ``simulate_path`` keeps the path as those columns: ``Trajectory.events`` is
 a read-only ``TrajectoryEvents`` sequence over them, not a tuple, and builds
 a ``TrajectoryEvent`` only when one is read.
@@ -256,12 +260,23 @@ def _walk(
 
     Each visited numerator tuple is interned once, in first-visit order, with
     its left-to-right cumulative rates (the last is the total rate) and a
-    successor row filled the first time each neuron fires there. Returns
-    that table and three per-event buffers: the pre-state's index in the
-    table, the holding time and the firing neuron. The last event ends past
-    the horizon and does not fire; every earlier one does. The first refill
-    draws ``chunk`` events, and each next one twice as many, up to ``cap``;
-    the draws are read in stream order, so the refill sizes change no bit.
+    successor row filled the first time each neuron fires there. The loop
+    over events keeps only what the next event depends on: it records the
+    state's index, bisects the pick on the state's cumulative rates and
+    follows the successor, interning it on first reach. After each refill,
+    numpy settles the rest from that refill's draws: the holding times
+    exps / total, the picks as the count of cumulative rates at or below
+    u * total (bisect_right's count), and the event ends as a running sum,
+    left to right, continued from the previous refill's last end. The first
+    end past the horizon cuts the refill; the states interned after the cut
+    form a suffix of the table and are dropped.
+
+    Returns that table and three arrays with one entry per event: the
+    pre-state's index in the table (intc), the event's end (float64) and the
+    firing neuron (intc). The last event ends past the horizon and does not
+    fire; every earlier one does. The first refill draws ``chunk`` events,
+    and each next one twice as many, up to ``cap``; the draws are read in
+    stream order, so the refill sizes change no bit.
     """
     n, den = net.n_neurons, net.denominator
     delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
@@ -275,32 +290,53 @@ def _walk(
         rows.append((cum, cum[-1], [None] * n))
         return index[nums]
 
-    ids, taus, picks = array("i"), array("d"), array("i")
+    ids, ends, picks = array("i"), [], []
+    append, last = ids.append, n - 1
     sid = visit(nums)
     cum, total, succ = rows[sid]
-    t = 0.0
-    while True:
+    cums, end, done = np.empty((n, 0)), 0.0, False
+    while not done:
         if len(ids) > MAX_EVENTS:
             raise _over_budget(len(ids))
         exps, us = _draws(rng, chunk)
         chunk = min(2 * chunk, cap)
-        for e, u in zip(exps[0].tolist(), us[0].tolist()):
-            tau = e / total
+        start, known = len(ids), len(table)
+        for u in us[0].tolist():
+            append(sid)
             # the first of neurons 0..n-2 whose rate sum exceeds u * total, else n-1
-            pick = bisect_right(cum, u * total, 0, n - 1)
-            ids.append(sid)
-            taus.append(tau)
-            picks.append(pick)
-            t += tau
-            if t > horizon:
-                return table, ids, taus, picks
-            nxt = succ[pick]
-            if nxt is None:
+            nxt = succ[bisect_right(cum, u * total, 0, last)]
+            if nxt is None:  # that neuron's first firing here: pick it again to intern
+                pick = bisect_right(cum, u * total, 0, last)
                 nums, row = table[sid], wnum[pick]
                 after = tuple(0 if j == pick else nums[j] + row[j] for j in range(n))
                 nxt = succ[pick] = index[after] if after in index else visit(after)
             sid = nxt
             cum, total, succ = rows[sid]
+        # settle the refill: holding times, event ends, the cut, then the picks
+        if cums.shape[1] < len(rows):
+            cums = np.array([row[0] for row in rows]).T.copy()  # a row per neuron
+        sids = np.frombuffer(ids[start:], dtype=np.intc)
+        totals = cums[last].take(sids)
+        taus = exps[0] / totals
+        taus[0] += end
+        now = np.cumsum(taus, out=taus)  # left to right, as a running t += tau adds
+        cut = int(np.searchsorted(now, horizon, side="right"))
+        done = cut < len(now)
+        if done:  # the event ending past the horizon is the last one kept
+            sids, totals, now = sids[: cut + 1], totals[: cut + 1], now[: cut + 1]
+            del ids[start + cut + 1 :]
+            # in first-visit order the kept events visit states 0..max id,
+            # and every state known before the refill was visited
+            del table[max(known, int(sids.max()) + 1) :]
+        # bisect_right's count, as the loop's pick and the lockstep race's
+        below = cums[:last].take(sids, axis=1) <= us[0, : len(sids)] * totals
+        ends.append(now)
+        picks.append(below.sum(axis=0, dtype=np.intc))
+        end = now[-1]
+    # one column at a time, so that the pieces of one are freed before the next is joined
+    ends = np.concatenate(ends)
+    picks = np.concatenate(picks)
+    return table, np.array(ids, dtype=np.intc), ends, picks
 
 
 def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.ndarray, read):
@@ -373,8 +409,8 @@ def next_event(net: SynapticNetwork, x: PotentialState, rng: np.random.Generator
     at x. The holding time is Exponential(total rate) and neuron i fires with
     probability rate_i / total.
     """
-    _table, _ids, taus, picks = _walk(net, x.numerators, rng, -math.inf, 1, 1)
-    return taus[0], picks[0]
+    _table, _ids, ends, picks = _walk(net, x.numerators, rng, -math.inf, 1, 1)
+    return float(ends[0]), int(picks[0])
 
 
 @functools.lru_cache(maxsize=1)
@@ -390,12 +426,11 @@ def _seeded_walk(
     one entry per event: the pre-state's index, the event's end (the running
     sum of the holding times) and the firing neuron. Every caller is handed
     the same record, so the arrays own their data: a view of one cannot be
-    made writeable.
+    made writeable. The ends come summed from ``_walk``, which cuts the path
+    at the horizon by them.
     """
     _check_budget(net, PotentialState(nums, net.denominator), horizon, 1)
-    table, ids, taus, picks = _walk(net, nums, replica_rng(seed, 0), horizon, chunk, cap)
-    # cumsum adds left to right, as t += tau does
-    columns = np.array(ids, dtype=np.intc), np.cumsum(taus), np.array(picks, dtype=np.intc)
+    table, *columns = _walk(net, nums, replica_rng(seed, 0), horizon, chunk, cap)
     for column in columns:
         column.flags.writeable = False
     return (tuple(table), *columns)

@@ -348,12 +348,21 @@ class TestOutputs:
         def failing(*args, **kwargs):
             raise ValueError("matrix cannot be rendered")
 
-        monkeypatch.setattr(cli, "mmwrite", failing)
+        monkeypatch.setattr(scipy.io, "mmwrite", failing)
         out = tmp_path / "exp"
         assert cli.main(["stationary", RING2, "--export-generator", "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == "error: matrix cannot be rendered\n"
         assert not out.exists()
+
+    def test_import_leaves_out_scipy_io(self):
+        # only --export-generator writes a matrix, so only it loads scipy.io
+        code = "import sys, pjmp.cli; print(sorted(m for m in sys.modules if m.startswith('scipy.io')))"
+        proc = subprocess.run(
+            [sys.executable, "-c", code], env=child_env(), capture_output=True, text=True
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
 
     def test_gap_eigenfunction(self, tmp_path):
         proc = run_cli(["gap", RING2, "--m-box", "8", "--out", "gap"], tmp_path)

@@ -704,6 +704,46 @@ class TestInternedWalker:
             traj = self._assert_same(net, net.zero_state(), horizon, 2.0, 7)
             assert traj.events[-1].time == horizon
 
+    def _assert_states(self, net, horizon, seed):
+        """The path and its scans match the oracles, and the interned states are
+        the oracle's distinct pre-states in first-visit order, then the final state."""
+        traj = self._assert_same(net, net.zero_state(), horizon, 0.0, seed)
+        want = _path_oracle(net, net.zero_state(), horizon, seed)
+        states = list(dict.fromkeys([ev.pre_state for ev in want.events] + [want.final_state]))
+        assert list(traj.events.states) == states
+        seen = []
+        ergodic_average(net, lambda y: seen.append(y) or 1.0, 0.0, horizon, seed)
+        assert seen == states
+        return traj
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cut_at_a_refill_boundary(self, net, seed, monkeypatch):
+        # with the cap lowered to 64, refills start at events 32, 96 and 160;
+        # the event that ends past the horizon is the last of one refill or
+        # the first of the next
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 64)
+        times = simulate_path(net, net.zero_state(), 60.0, seed).events.times
+        assert len(times) > 160
+        for start in (32, 96, 160):
+            for cut in (start - 1, start):
+                # event cut - 1 fires at the horizon, so event cut ends past it
+                traj = self._assert_states(net, float(times[cut - 1]), seed)
+                assert len(traj.events) == cut
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_dropped_remainder_reaches_a_new_state(self, net, seed, monkeypatch):
+        # the walk runs each refill to its end before the horizon cuts it, so
+        # it interns the successor of the event that ends past the horizon;
+        # here that is a state the path has not visited before
+        monkeypatch.setattr(simulate, "_CHUNK_CAP", 64)
+        events = simulate_path(net, net.zero_state(), 60.0, seed).events
+        _states, first = np.unique(events.state_ids, return_index=True)
+        j = int(first.max())  # the last event whose pre-state is new
+        assert j >= 2
+        traj = self._assert_states(net, float(events.times[j - 2] + events.times[j - 1]) / 2, seed)
+        assert len(traj.events) == j - 1
+        assert events[j].pre_state not in traj.events.states
+
     def test_burn_in_inside_a_segment(self, net):
         times = [ev.time for ev in simulate_path(net, net.zero_state(), 30.0, seed=9).events]
         for k in (5, 20, 60):
@@ -778,6 +818,24 @@ class TestOccupationScans:
         average, tail = self._scans(net, 2500.0, 11)
         assert average == _ergodic_oracle(net, _total, 100.0, 2500.0, 11)
         assert np.array_equal(tail, _tail_oracle(net, self.R_GRID, 100.0, 2500.0, 11))
+
+    def test_walk_keeps_16_bytes_an_event(self):
+        # ids and picks as 4-byte integers, ends as 8-byte floats; the walk
+        # joins the refills' pieces one column at a time
+        net = make_random_net(1)
+        simulate._seeded_walk.cache_clear()
+        tracemalloc.start()
+        try:
+            _table, *columns = simulate._seeded_walk(
+                net, net.zero_state().numerators, 15_000.0, 1001, simulate.CHUNK, simulate._CHUNK_CAP
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        events = len(columns[0])
+        assert events > 100_000
+        assert sum(column.nbytes for column in columns) == 16 * events
+        assert peak <= 32.5 * events
 
     def test_peak_does_not_grow_with_the_horizon(self):
         # about 120,000 and 480,000 events; the walk is kept before tracing
