@@ -12,9 +12,11 @@ uses uniforms 2k and 2k+1: the holding time is -log1p(-u_2k) / total (numpy's
 log1p, so bits repeat per numpy build and CPU family) and the neuron is the
 first whose rate sum, left to right, exceeds u_2k+1 * total. The total is the
 same left-to-right sum over all neurons, not builtin sum(), which compensates
-from Python 3.12. ``_race_block`` steps BLOCK replicas in lockstep as a
-(B, N) int64 array, drawing CHUNK events at a time; one Philox per ensemble,
-its key and counter set before each refill, reads every replica's stream.
+from Python 3.12. ``_race_block`` steps BLOCK replicas in lockstep, their
+numerators neuron-major as an (N, B) int64 array, drawing CHUNK events at a
+time into one buffer; one Philox per ensemble, its key and counter set before
+each refill, reads every replica's stream. A replica that finishes rides on,
+unrecorded, until the refill ends, when the live replicas are compacted.
 ``_walk``, the scalar walker of the single-path functions, reads one stream
 from its start, CHUNK events in its first refill and twice as many in each
 next one, up to 1024. Both do the same float arithmetic: no replica depends
@@ -49,8 +51,7 @@ Phi(h))) events in all, with Phi the total rate and h the state reached
 from x by firing neurons 0..N-1 once each: every replica draws at least the
 event that ends past t. A run that expects more is refused with
 RuntimeError. A path that passes MAX_EVENTS events all the same (its
-rates grow further out) stops with the same error, in ``_walk`` at a refill
-and in ``_race_block`` at a step.
+rates grow further out) stops with the same error at a refill.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ __all__ = [
     "estimate_ensemble",
 ]
 
-BLOCK = 512  # replicas stepped in lockstep; bounds the state and draw buffers
+BLOCK = 2048  # replicas stepped in lockstep; bounds the state and draw buffers
 CHUNK = 32  # events drawn per refill of a stream
 _CHUNK_CAP = 1024  # the scalar walker doubles its refills up to this many events
 MAX_EVENTS = 2**26  # events a run may take: about 1 GiB of 16-byte path records
@@ -216,30 +217,28 @@ def _check_budget(net: SynapticNetwork, x: PotentialState, t: float, replicas: i
 
 def _exp_pick(u: np.ndarray):
     """Exp(1) and pick uniforms of rows of event uniforms, two per event."""
-    return -np.log1p(-u[:, 0::2]), u[:, 1::2]
+    exps = -u[:, 0::2]  # a contiguous copy: log1p never sees a strided view
+    return np.negative(np.log1p(exps, out=exps), out=exps), u[:, 1::2]
 
 
-def _draws(rng, n_events: int):
-    """Exp(1) and pick uniforms of the stream's next n_events, as one row."""
-    return _exp_pick(rng.random((1, 2 * n_events)))
-
-
-def _keyed_uniforms(seed: int):
+def _keyed_uniforms(seed: int, rows: int):
     """Reader of every replica's stream of a seeded run through one repositioned Philox.
 
-    read(replicas, k) returns the uniforms replica_rng(seed, r) draws for
-    events k..k+CHUNK-1, one row per replica r.
+    read(replicas, k), for at most rows replicas, returns the uniforms
+    replica_rng(seed, r) draws for events k..k+CHUNK-1, one row per replica
+    r, as a view of one buffer that the next read overwrites.
     """
     rng = replica_rng(seed, 0)
     state = rng.bit_generator.state
     key, counter = [seed, 0], [0, 0, 0, 0]  # lists: the state setter reads them by element
     state["state"] = {"key": key, "counter": counter}
+    buf = np.empty((rows, 2 + 2 * CHUNK))
 
     def read(replicas: np.ndarray, k: int) -> np.ndarray:
         skip = 2 * k % 4  # uniform 2k sits this far into its 4-uniform Philox block
         counter[0] = 2 * k // 4
-        u = np.empty((len(replicas), skip + 2 * CHUNK))
-        for row, r in zip(u, replicas.tolist()):
+        u = buf[: len(replicas), : skip + 2 * CHUNK]
+        for row, r in zip(u, replicas.tolist(), strict=True):
             key[1] = r
             rng.bit_generator.state = state
             rng.random(out=row)
@@ -298,7 +297,7 @@ def _walk(
     while not done:
         if len(ids) > MAX_EVENTS:
             raise _over_budget(len(ids))
-        exps, us = _draws(rng, chunk)
+        exps, us = _exp_pick(rng.random((1, 2 * chunk)))  # the stream's next chunk events
         chunk = min(2 * chunk, cap)
         start, known = len(ids), len(table)
         for u in us[0].tolist():
@@ -345,43 +344,51 @@ def _race_block(net: SynapticNetwork, x: PotentialState, t: float, replicas: np.
     read is a ``_keyed_uniforms`` reader. Returns the final numerators, shape
     (len(replicas), N), and each replica's exact effort integral_0^t (total
     rate) ds. Live replicas are always at the same event index, so one refill
-    serves all of them.
+    serves all of them. The numerators are neuron-major, (N, live), so the
+    rates and the pick are a few calls down axis 0. A replica that finishes
+    records its final and effort, and its clock becomes -inf, so it never
+    finishes again: it rides on to the refill's end, where it is dropped.
     """
     n, den = net.n_neurons, net.denominator
     delta, slope = net._delta_f, net._slope_f  # the floats intensity_at uses
     w = np.array(net.weight_numerators, dtype=np.int64).reshape(n, n)
-    b = len(replicas)
-    finals = np.tile(np.array(x.numerators, dtype=np.int64), (b, 1))
-    nums, clock, effort, efforts = finals.copy(), np.zeros(b), np.zeros(b), np.zeros(b)
-    live, k = np.arange(b), 0
-    while live.size:
-        if k > MAX_EVENTS:
-            raise _over_budget(k)
+    b, top = len(replicas), np.iinfo(np.int64).max
+    finals, efforts = np.empty((b, n), dtype=np.int64), np.empty(b)
+    nums = np.repeat(np.array(x.numerators, dtype=np.int64)[:, None], b, axis=1)
+    clock, effort, live, left, k = np.zeros(b), np.zeros(b), np.arange(b), b, 0
+    while left:
         col = k % CHUNK
         if col == 0:
-            exps, us = _exp_pick(read(replicas[live], k))
-            slot = np.arange(live.size)  # row of each live replica in the draws
-            # a chunk adds at most CHUNK * max w to a numerator: check each step if that may wrap
-            exact = int(nums.max()) + CHUNK * int(w.max()) > np.iinfo(np.int64).max
-        acc = np.cumsum(delta + slope * (nums / den), axis=1)  # left to right
-        total = acc[:, -1]
-        tau = exps[slot, col] / total
+            if k > MAX_EVENTS:
+                raise _over_budget(k)
+            racing = clock > -np.inf  # retire the riders; compress keeps nums in C order
+            live, clock, effort, nums = (a.compress(racing, -1) for a in (live, clock, effort, nums))
+            exps = None  # free the last refill's draws before the next are read
+            exps, us, cols = *_exp_pick(read(replicas[live], k)), np.arange(left)
+            # a refill adds at most CHUNK * max w to a numerator: check each step if that may wrap
+            exact = int(nums.max()) + CHUNK * int(w.max()) > top
+        acc = delta + slope * (nums / den)
+        for j in range(1, n):  # left to right, as cumsum adds, one call a row
+            acc[j] += acc[j - 1]
+        total = acc[-1]
+        tau = exps[:, col] / total
         done = clock + tau > t
         if done.any():
-            finals[live[done]] = nums[done]
+            finals[live[done]] = nums[:, done].T
             efforts[live[done]] = effort[done] + total[done] * (t - clock[done])
-            keep = ~done
-            live, slot, nums, clock, effort, acc, total, tau = (
-                a[keep] for a in (live, slot, nums, clock, effort, acc, total, tau)
-            )
+            clock[done] = -np.inf  # never done again: it rides to the end of the refill
+            left -= int(np.count_nonzero(done))
         effort += total * tau
         clock += tau
-        # acc is nondecreasing, so the first column above u*total is a count
-        pick = (acc[:, :-1] <= (us[slot, col] * total)[:, None]).sum(axis=1)
-        if exact and (nums > np.iinfo(np.int64).max - w[pick]).any():
-            raise ValueError("potential numerators exceed the int64 range")
-        nums += w[pick]
-        nums[np.arange(live.size), pick] = 0
+        # acc is nondecreasing, so the first neuron above u*total is a count
+        pick = (acc[:-1] <= us[:, col] * total).sum(axis=0)
+        step = w.take(pick, axis=0).T
+        if exact:
+            step = step * (clock > -np.inf)  # a rider stands still, so it cannot wrap
+            if (nums > top - step).any():
+                raise ValueError("potential numerators exceed the int64 range")
+        nums += step
+        nums[pick, cols] = 0
         k += 1
     return finals, efforts
 
@@ -392,7 +399,7 @@ def _replicas(net: SynapticNetwork, x: PotentialState, t: float, n_replicas: int
     if n_replicas < 2:
         raise ValueError("need at least 2 replicas")
     _check_budget(net, x, t, n_replicas)
-    read = _keyed_uniforms(seed)
+    read = _keyed_uniforms(seed, min(BLOCK, n_replicas))
     finals = np.empty((n_replicas, net.n_neurons), dtype=np.int64)
     efforts = np.empty(n_replicas)
     for lo in range(0, n_replicas, BLOCK):

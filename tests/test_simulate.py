@@ -368,6 +368,71 @@ class TestLockstepKernel:
         assert len(seen) == 5
         assert all(type(v) is int for y in seen for v in y.numerators)
 
+    def test_race_keeps_one_draw_buffer(self, rand4):
+        # 10,000 replicas in blocks of 2,048: the finals and efforts (0.40 MB),
+        # one draw buffer of 2,048 rows of 66 uniforms (1.08 MB), one block's
+        # Exp(1) draws (0.52 MB) and the block's state; measured 2,540,971
+        # bytes. A transposed copy of the draws, or draws taken afresh each
+        # step, adds half a megabyte or more
+        x = rand4.zero_state()
+        tracemalloc.start()
+        try:
+            finals, efforts = simulate._replicas(rand4, x, 2.0, 10_000, 7)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert finals.shape == (10_000, 4) and simulate.BLOCK == 2048
+        assert peak <= 1.1 * 2_540_971
+
+    @staticmethod
+    def _replica_oracle(net, x, t, seed, r):
+        """Replica r's final numerators, effort and finishing step, event by event from next_event."""
+        rng, y, clock, effort, k = replica_rng(seed, r), x, 0.0, 0.0, 0
+        while True:
+            tau, i = next_event(net, y, rng)
+            total = 0.0
+            for j in range(net.n_neurons):  # left to right, as the kernel adds
+                total += intensity_at(net, y, j)
+            if clock + tau > t:
+                return y.numerators, effort + total * (t - clock), k
+            effort += total * tau
+            clock += tau
+            y, k = jump_map(net, y, i), k + 1
+
+    @pytest.mark.parametrize("case", ["t = 0", "last at CHUNK-1", "last at CHUNK", "BLOCK > replicas"])
+    @pytest.mark.parametrize("chunk", [1, 32])
+    @pytest.mark.parametrize("block", [3, 2048])
+    def test_refill_boundaries(self, rand4, monkeypatch, block, chunk, case):
+        # the step at which the last live replica finishes: the first column,
+        # the last column of the first refill or the first of the next
+        monkeypatch.setattr(simulate, "BLOCK", block)
+        monkeypatch.setattr(simulate, "CHUNK", chunk)
+        x, seed = rand4.zero_state(), 5
+        n_replicas = 2 if case == "BLOCK > replicas" else 3
+        if case == "BLOCK > replicas":
+            t = 2.0
+            assert n_replicas < block
+        else:
+            target = {"t = 0": 0, "last at CHUNK-1": chunk - 1, "last at CHUNK": chunk}[case]
+            # the walker's event ends are the kernel's clocks; an event ending at t fires
+            ends = [
+                simulate._walk(rand4, x.numerators, replica_rng(seed, r), 20.0, 32, 64)[2][:-1]
+                for r in range(n_replicas)
+            ]
+            fired = lambda t: max(int(np.searchsorted(e, t, side="right")) for e in ends)
+            t = next(t for t in [0.0, *sorted(np.concatenate(ends).tolist())] if fired(t) == target)
+        want = [self._replica_oracle(rand4, x, t, seed, r) for r in range(n_replicas)]
+        if case != "BLOCK > replicas":
+            assert max(step for _final, _effort, step in want) == target
+        walks = [
+            simulate._walk(rand4, x.numerators, replica_rng(seed, r), t, chunk, 64)
+            for r in range(n_replicas)
+        ]
+        finals, efforts = simulate._replicas(rand4, x, t, n_replicas, seed)
+        assert [tuple(row) for row in finals.tolist()] == [final for final, *_ in want]
+        assert [tuple(row) for row in finals.tolist()] == [table[ids[-1]] for table, ids, *_ in walks]
+        assert efforts.tolist() == [effort for _final, effort, _step in want]
+
 
 # neuron 0 adds 1 = 2^62 / 2^62 to neuron 1, so its second firing in a row
 # takes that numerator to 2^63, one past the int64 range
@@ -398,6 +463,25 @@ class TestInt64Race:
             finals, _efforts = simulate._replicas(net, x, t, 20, seed)
             assert finals.tolist() == [list(table[ids[-1]]) for table, ids, *_ in walks]
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("t, seed, rider", [(0.3, 1, 0), (0.5, 2, 4)])
+    def test_a_finished_replica_riding_past_int64_is_not_refused(self, t, seed, rider):
+        # the rider ends with neuron 1 at 2^62, and the event past t fires
+        # neuron 0, which would take it to 2^63; another replica races on.
+        # Its kept path fits, so the race returns the walker's finals
+        net = network_from_json(WRAP_RACE)
+        x = net.zero_state()
+        walks = [
+            simulate._walk(net, x.numerators, replica_rng(seed, r), t, simulate.CHUNK, 64)
+            for r in range(5)
+        ]
+        assert max(max(map(max, table)) for table, *_ in walks) < 2**63
+        table, ids, _ends, picks = walks[rider]
+        assert table[ids[-1]][1] == 2**62 and picks[-1] == 0
+        assert len(ids) < max(len(ids) for _table, ids, *_ in walks)
+        finals, _efforts = simulate._replicas(net, x, t, 5, seed)
+        assert finals.tolist() == [list(table[ids[-1]]) for table, ids, *_ in walks]
+
     @pytest.mark.parametrize(
         "estimate", [estimate_ensemble, estimate_semigroup], ids=lambda fn: fn.__name__
     )
@@ -415,7 +499,7 @@ class TestKeyedStreams:
     @pytest.mark.parametrize("chunk", [1, 3, 32])
     def test_rows_match_replica_rng(self, monkeypatch, seed, chunk):
         monkeypatch.setattr(simulate, "CHUNK", chunk)
-        read = simulate._keyed_uniforms(seed)
+        read = simulate._keyed_uniforms(seed, 4)
         replicas = [0, 511, 512, 513]
         # one reader, moved back and forth; k = 1, 31, 33 start mid-way
         # through a 4-uniform Philox block
@@ -425,6 +509,10 @@ class TestKeyedStreams:
             for row, r in zip(rows, replicas):
                 want = replica_rng(seed, r).random(2 * (k + chunk))[2 * k :]
                 assert np.array_equal(row, want)
+        # every read fills the reader's one buffer of 4 rows: fewer fit, more are refused
+        assert np.array_equal(read(np.array([512]), 0)[0], replica_rng(seed, 512).random(2 * chunk))
+        with pytest.raises(ValueError):
+            read(np.arange(5), 0)
 
 
 class TestSeedRange:
@@ -559,7 +647,7 @@ def _walk_oracle(net, nums, rng, chunk):
     delta, slope = net._delta_f, net._slope_f
     wnum = net.weight_numerators
     while True:
-        exps, us = simulate._draws(rng, chunk)
+        exps, us = simulate._exp_pick(rng.random((1, 2 * chunk)))
         for e, u in zip(exps[0].tolist(), us[0].tolist()):
             rates = [delta + slope * (v / den) for v in nums]
             total = 0.0
@@ -795,7 +883,7 @@ class TestInternedWalker:
         rates = [intensity_at(net, x, j) for j in range(3)]
         total = float(np.cumsum(rates)[-1])
         assert _compensated_sum(rates) != total
-        exps, _us = simulate._draws(replica_rng(4, 0), 1)
+        exps, _us = simulate._exp_pick(replica_rng(4, 0).random((1, 2)))
         tau, _i = next_event(net, x, replica_rng(4, 0))
         assert tau == exps[0, 0] / total
 
